@@ -1,6 +1,6 @@
 """Exact polynomial arithmetic over the rationals.
 
-Three immutable value types:
+Two immutable value types:
 
 ``UPoly``
     dense univariate polynomial with ``fractions.Fraction`` coefficients and
@@ -8,14 +8,19 @@ Three immutable value types:
 ``BiPoly``
     polynomial in x whose coefficients are ``UPoly`` in q; used for objects
     such as ``R(x) - q`` that genuinely live in both variables.
-``RatFunc``
-    reduced quotient of two ``UPoly`` in the same variable; the denominator
-    is kept monic and coprime to the numerator.
 
-On top of these sit resultants (fraction-free Bareiss elimination on the
-Sylvester matrix), a discriminant with the classical sign convention, exact
-Newton interpolation, and a gcd.  Floats never enter the representation;
-evaluation accepts floats and degrades to float arithmetic explicitly.
+On top of these sit a gcd, a fraction-free (Bareiss) determinant over any
+integral domain, the Sylvester resultant, and the discriminant of R(x) - q.
+The discriminant is a characteristic polynomial: with n = deg R and M the
+matrix of multiplication by R on Q[x]/(R'), whose eigenvalues are the
+critical values R(xi) at the roots xi of R',
+
+    D(q) = (-1)^(n(n-1)/2 + n-1) n^n lc(R)^(n-1) det(qI - M).
+
+This is the classical convention D = (-1)^(n(n-1)/2) Res_x(P, P') / lc(P)
+for P = R(x) - q, since Res(P, R') = (n lc(R))^n prod_xi (R(xi) - q).
+Floats never enter the representation; evaluation accepts floats and
+degrades to float arithmetic explicitly.
 """
 from __future__ import annotations
 
@@ -302,33 +307,6 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return a.monic()
 
 
-def poly_lcm(a: UPoly, b: UPoly) -> UPoly:
-    if not a or not b:
-        raise ValueError("lcm with zero polynomial")
-    return (a * b).exact_div(poly_gcd(a, b)).monic()
-
-
-def interpolate(points: Sequence[tuple], var: str) -> UPoly:
-    """Unique polynomial of degree < len(points) through exact points.
-
-    ``points`` holds (node, value) pairs with distinct rational nodes;
-    Newton's divided differences keep everything in exact arithmetic.
-    """
-    xs = [Fraction(p[0]) for p in points]
-    coef = [Fraction(p[1]) for p in points]
-    m = len(points)
-    if len(set(xs)) != m:
-        raise ValueError("interpolation nodes must be distinct")
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = UPoly.zero(var)
-    X = UPoly.monomial(var, 1)
-    for i in range(m - 1, -1, -1):
-        poly = poly * (X - xs[i]) + UPoly.const(var, coef[i])
-    return poly
-
-
 class BiPoly:
     """Polynomial in x with UPoly-in-q coefficients, dense in the x power."""
 
@@ -383,10 +361,6 @@ class BiPoly:
     @property
     def deg_x(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def deg_q(self) -> int:
-        return max((c.degree for c in self.coeffs), default=-1)
 
     @property
     def lead_x(self) -> UPoly:
@@ -494,30 +468,6 @@ class BiPoly:
                 rem[k - dn + i] = rem[k - dn + i] - c * d
         return BiPoly(quo), BiPoly(rem[:dn])
 
-    def exact_div(self, other: "BiPoly") -> "BiPoly":
-        """Exact division in the bivariate ring; raises if not divisible."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not self:
-            return BiPoly.zero()
-        rem = list(self.coeffs)
-        dn = other.deg_x
-        lead = other.lead_x
-        if len(rem) - 1 < dn:
-            raise NonExactDivisionError("bivariate division is not exact")
-        quo = [UPoly.zero("q")] * (len(rem) - dn)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            f = c.exact_div(lead)
-            quo[k - dn] = f
-            for i, d in enumerate(other.coeffs):
-                rem[k - dn + i] = rem[k - dn + i] - f * d
-        if any(rem[:dn]):
-            raise NonExactDivisionError("bivariate division is not exact")
-        return BiPoly(quo)
-
     # -- calculus and evaluation --------------------------------------
 
     def derivative_x(self) -> "BiPoly":
@@ -525,24 +475,6 @@ class BiPoly:
 
     def derivative_q(self) -> "BiPoly":
         return BiPoly(tuple(c.derivative() for c in self.coeffs))
-
-    def eval_x(self, t) -> UPoly:
-        """Substitute a rational value for x, leaving a polynomial in q."""
-        acc = UPoly.zero("q")
-        t = _rat(t)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def eval_q(self, t) -> UPoly:
-        """Substitute a rational value for q, leaving a polynomial in x."""
-        return UPoly("x", tuple(c(_rat(t)) for c in self.coeffs))
-
-    def eval(self, xv: float, qv: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * xv + c(qv)
-        return acc
 
     def __repr__(self):
         return f"BiPoly({[str(c) for c in self.coeffs]!r})"
@@ -562,136 +494,6 @@ class BiPoly:
                 pw = "x" if k == 1 else f"x^{k}"
                 parts.append(f"({cs})*{pw}")
         return " + ".join(parts)
-
-
-class RatFunc:
-    """Quotient of two UPoly in one variable, kept in lowest terms.
-
-    Canonical form: zero is 0/1, the denominator is monic, and
-    gcd(num, den) = 1.  Equality is therefore structural.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UPoly, den: UPoly | None = None):
-        if den is None:
-            den = UPoly.one(num.var)
-        if num.var != den.var:
-            raise VariableMismatchError("numerator and denominator variables differ")
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            den = UPoly.one(num.var)
-        else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.lc
-            if lead != 1:
-                num = num / lead
-                den = den / lead
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *args):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def zero(cls, var: str) -> "RatFunc":
-        return cls(UPoly.zero(var))
-
-    @classmethod
-    def one(cls, var: str) -> "RatFunc":
-        return cls(UPoly.one(var))
-
-    @classmethod
-    def const(cls, var: str, c) -> "RatFunc":
-        return cls(UPoly.const(var, c))
-
-    @property
-    def var(self) -> str:
-        return self.num.var
-
-    def __bool__(self):
-        return bool(self.num)
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, UPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(UPoly.const(self.var, other))
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RatFunc(self.num * o.num, self.den * o.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * o.den, self.den * o.num)
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __call__(self, t):
-        return self.num(t) / self.den(t)
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.is_poly():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
 
 
 # -- resultants and discriminants -------------------------------------
@@ -761,42 +563,26 @@ def resultant(a: UPoly, b: UPoly) -> Fraction:
     return Fraction(out)
 
 
-def resultant_in_x(a: BiPoly, b: BiPoly) -> UPoly:
-    """Resultant with respect to x of two bivariate polynomials.
+def discriminant(R: UPoly) -> UPoly:
+    """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1.
 
-    Computed by exact evaluation at rational q-nodes followed by Newton
-    interpolation; nodes where either leading x-coefficient vanishes are
-    skipped so the specialized degrees never drop.
+    det(qI - M) is taken by Bareiss elimination over Q[q], with M in the
+    basis 1, x, ..., x^(n-2) of Q[x]/(R'): column j holds x^j R mod R'.
+    See the module docstring for the identity and its sign.
     """
-    if not a or not b:
-        raise ValueError("resultant of the zero polynomial")
-    bound = b.deg_x * max(a.deg_q, 0) + a.deg_x * max(b.deg_q, 0)
-    need = bound + 1
-    points = []
-    t = 0
-    k = 0
-    while len(points) < need:
-        t = Fraction(0) if k == 0 else Fraction((k + 1) // 2 * (1 if k % 2 else -1))
-        k += 1
-        if a.lead_x(t) == 0 or b.lead_x(t) == 0:
-            continue
-        av, bv = a.eval_q(t), b.eval_q(t)
-        points.append((t, resultant(av, bv)))
-    return interpolate(points, "q")
-
-
-def discriminant_in_x(p: BiPoly) -> UPoly:
-    """Discriminant of ``p`` with respect to x, as a polynomial in q.
-
-    Uses the standard convention (-1)^(n(n-1)/2) Res(p, dp/dx) / lc(p);
-    the leading x-coefficient must be a nonzero constant.
-    """
-    n = p.deg_x
+    if R.var != "x":
+        raise VariableMismatchError("expected a polynomial in x")
+    n = R.degree
     if n < 2:
         raise ValueError("discriminant needs degree >= 2 in x")
-    lead = p.lead_x
-    if not lead.is_const():
-        raise ValueError("leading x-coefficient must be constant in q")
-    res = resultant_in_x(p, p.derivative_x())
-    sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return res * Fraction(sign, 1) / lead.coefficient(0)
+    rp = R.derivative()
+    col = R % rp
+    cols = []
+    for _ in range(n - 1):
+        cols.append(col)
+        col = (col * UPoly.monomial("x", 1)) % rp
+    rows = [[UPoly("q", (-cols[j].coefficient(i), int(i == j))) for j in range(n - 1)]
+            for i in range(n - 1)]
+    charpoly = bareiss_determinant(rows, UPoly.one("q"))
+    sign = -1 if (n * (n - 1) // 2 + n - 1) % 2 else 1
+    return charpoly * (sign * Fraction(n) ** n * R.lc ** (n - 1))

@@ -34,9 +34,10 @@ from .derive import (
     factorize,
     linear_ode,
     abel_ode,
+    needs_remark2,
     trinomial,
 )
-from .errors import DomainError, ParseError, RootodeError
+from .errors import ParseError, RootodeError
 from .numeric import (
     babylonian_root,
     bisect_branch_root,
@@ -189,14 +190,17 @@ def parse_weight(text: str) -> UPoly:
 
 
 def parse_q_value(text: str) -> float:
-    """A q target given as a rational string or a float literal."""
+    """A finite q target given as a rational string or a float literal."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise ParseError(f"not a rational or float: {text!r}", 0) from None
+    if not math.isfinite(value):
+        raise ParseError(f"q must be finite, got {text!r}", 0)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +322,6 @@ def _h_solve(cmd: Command) -> dict:
     return out
 
 
-def _degenerate(fact, weight: UPoly) -> bool:
-    return weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
-
-
 def _h_check(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     if cmd.q is None:
@@ -329,7 +329,7 @@ def _h_check(cmd: Command) -> dict:
     qv = parse_q_value(cmd.q)
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
-    remark2 = _degenerate(fact, weight) and cmd.kind == "theorem1"
+    remark2 = needs_remark2(fact, weight) and cmd.kind == "theorem1"
     ispec = build_integrands(fact, weight, cmd.kind, remark2=remark2)
     x = bisect_branch_root(spec.R, qv)
     rep = check_identity(ispec, x, qv)
@@ -619,8 +619,6 @@ def run(cmd: Command) -> tuple[Report, int]:
                       [f"parse error: {exc}"], stamp()), 1
     except ValueError as exc:
         return Report(cmd.verb, label, {}, "usage_error", [str(exc)], stamp()), 1
-    except DomainError as exc:
-        return Report(cmd.verb, label, {}, "domain_error", [str(exc)], stamp()), 2
     except RootodeError as exc:
         return Report(cmd.verb, label, {}, "domain_error", [str(exc)], stamp()), 2
     status = result.pop("_status", "ok")

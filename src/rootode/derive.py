@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .algebra import BiPoly, RatFunc, UPoly, compose_q, discriminant_in_x, poly_gcd, poly_lcm
+from .algebra import BiPoly, UPoly, compose_q, discriminant, poly_gcd
 from .errors import DomainError, EmptyKernelError
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
     "TableReport",
     "trinomial",
     "factorize",
+    "needs_remark2",
     "build_integrands",
     "abel_ode",
     "derivative_tower",
@@ -114,7 +115,7 @@ def _sign(c: Fraction) -> int:
 def factorize(spec: ProblemSpec) -> Factorization:
     """Compute and certify the factorization D(R(x)) = R'(x)^2 U(x)."""
     n = spec.n
-    D = discriminant_in_x(spec.p_bipoly())
+    D = discriminant(spec.R)
     if D.degree != n - 1:
         raise RuntimeError("discriminant degree certificate failed")
     rp = spec.rprime()
@@ -171,19 +172,11 @@ class IntegrandSpec:
     rhs_sq: tuple[UPoly, UPoly] | None
 
 
-def _cancel(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
-    g = poly_gcd(num, den)
-    if g.degree > 0:
-        num, den = num.exact_div(g), den.exact_div(g)
-    # strip a common rational factor, keeping the denominator positive
-    both = num.coeffs + den.coeffs
-    scale = Fraction(
-        reduce(_int_gcd, (abs(c.numerator) for c in both), 0),
-        reduce(_int_lcm, (c.denominator for c in both), 1),
-    )
-    if den.lc < 0:
-        scale = -scale
-    return num * (1 / scale), den * (1 / scale)
+def needs_remark2(fact: Factorization, weight: UPoly) -> bool:
+    """True when the weight or R' vanishes at 0, or R has a multiple root
+    there: the radical pair is then only defined under the relaxed sign
+    rule (remark2)."""
+    return weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
 
 
 def build_integrands(
@@ -212,8 +205,7 @@ def build_integrands(
     spec = fact.problem
     if kind == "corollary2" and fact.disc_zero:
         raise DomainError("rational integrands need simple roots of R")
-    degenerate = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
-    if degenerate and not remark2:
+    if needs_remark2(fact, weight) and not remark2:
         raise DomainError(
             "weight or R' vanishes at 0; enable the relaxed sign rule (remark2)"
         )
@@ -221,8 +213,8 @@ def build_integrands(
     if kind == "theorem1":
         lhs_den = fact.script_u
         rhs_den = fact.script_d
-        lhs_sq = _cancel(lhs_num * lhs_num * surd, lhs_den)
-        rhs_sq = _cancel(weight * weight * surd, rhs_den)
+        lhs_sq = tuple(_normalize_vector([lhs_num * lhs_num * surd, lhs_den], anchor=1))
+        rhs_sq = tuple(_normalize_vector([weight * weight * surd, rhs_den], anchor=1))
         radical = True
     else:
         lhs_den = spec.rprime() * fact.U
@@ -250,16 +242,22 @@ def build_integrands(
 class AbelODE:
     """First-order equation x' = W(x, q) / D(q) with deg_x W <= n-1.
 
-    ``a[j]`` is the reduced rational-function coefficient of x^j, and
-    W = R'U - Q P is the certified remainder of R'U modulo P.
+    The coefficient of x^j is a_j = W_j / D, with W_j the q-polynomial
+    coefficient of x^j in W = R'U - Q P, the certified remainder of R'U
+    modulo P.
     """
 
     problem: ProblemSpec
     n: int
-    a: tuple[RatFunc, ...]
     D: UPoly
     W: BiPoly
     Q: BiPoly
+
+    def coefficient(self, j: int) -> tuple[UPoly, UPoly]:
+        """a_j = W_j / D as a reduced (numerator, denominator) pair with
+        integer coefficients and a positive leading denominator
+        coefficient; a zero a_j gives (0, 1)."""
+        return tuple(_normalize_vector([self.W.coefficient(j), self.D], anchor=1))
 
 
 def _require_monic(spec: ProblemSpec):
@@ -274,22 +272,21 @@ def abel_ode(spec: ProblemSpec) -> AbelODE:
     ru = BiPoly.from_x(spec.rprime() * fact.U)
     p = spec.p_bipoly()
     quo, rem = ru.divmod_x(p)
-    a = tuple(RatFunc(rem.coefficient(j), fact.D) for j in range(spec.n))
-    return AbelODE(problem=spec, n=spec.n, a=a, D=fact.D, W=rem, Q=quo)
+    return AbelODE(problem=spec, n=spec.n, D=fact.D, W=rem, Q=quo)
 
 
 @dataclass(frozen=True)
 class DerivativeTower:
-    """Rows a_{k,j} with x^(k) = sum_j a_{k,j}(q) x^j along the branch.
+    """Numerators B_k with x^(k) = B_k(x, q) / D(q)^k along the branch.
 
-    ``raw[k-1]`` is the numerator polynomial B_k with x^(k) = B_k / D^k,
-    already reduced modulo P to x-degree at most n-1.
+    ``raw[k-1]`` is B_k, already reduced modulo P to x-degree at most n-1,
+    so x^(k) = sum_j a_{k,j}(q) x^j with a_{k,j} = B_k[j] / D^k.  The first
+    row is the first-order equation: B_1 = W and a_{1,j} = W_j / D.
     """
 
     problem: ProblemSpec
     D: UPoly
     raw: tuple[BiPoly, ...]
-    rows: tuple[tuple[RatFunc, ...], ...]
 
     @property
     def k_max(self) -> int:
@@ -323,11 +320,7 @@ def derivative_tower(spec: ProblemSpec, k_max: int | None = None) -> DerivativeT
         c = b.derivative_x() * ru + b.derivative_q() * D - (k * b) * Dp
         b = c.divmod_x(p)[1]
         raw.append(b)
-    rows = tuple(
-        tuple(RatFunc(bk.coefficient(j), D ** (k + 1)) for j in range(n))
-        for k, bk in enumerate(raw)
-    )
-    return DerivativeTower(problem=spec, D=D, raw=tuple(raw), rows=rows)
+    return DerivativeTower(problem=spec, D=D, raw=tuple(raw))
 
 
 @dataclass(frozen=True)
@@ -360,7 +353,11 @@ class LinearODE:
 
 
 def _normalize_vector(polys: list[UPoly], anchor: int) -> list[UPoly]:
-    """Scale a polynomial vector to the LinearODE normal form."""
+    """Primitive part of a polynomial vector: divided by the gcd of its
+    entries, scaled to integer coefficients of content 1, and signed so the
+    anchor entry (or, if it is zero, the first nonzero one) has a positive
+    leading coefficient.  For a pair [num, den] with anchor 1 this is
+    num/den in lowest terms."""
     nonzero = [p for p in polys if p]
     if not nonzero:
         raise ValueError("cannot normalize the zero vector")
@@ -377,11 +374,17 @@ def _normalize_vector(polys: list[UPoly], anchor: int) -> list[UPoly]:
     return polys
 
 
-def _ratfunc_kernel(rows: list[list[RatFunc]], ncols: int) -> tuple[list[list[RatFunc]], bool]:
-    """Kernel basis of a rational-function matrix by Gauss-Jordan elimination."""
+def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], bool]:
+    """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan.
+
+    Each update (piv * e - f * g) / previous pivot divides exactly, and
+    every pivot entry ends equal to the last pivot d; the vector for free
+    column f is then v_f = d, v_c = -m[row(c)][f] on the pivot columns.
+    """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: dict[int, int] = {}
+    prev = UPoly.one("q")
     r = 0
     for c in range(ncols):
         if r == nrows:
@@ -391,18 +394,18 @@ def _ratfunc_kernel(rows: list[list[RatFunc]], ncols: int) -> tuple[list[list[Ra
             continue
         m[r], m[prow] = m[prow], m[r]
         piv = m[r][c]
-        m[r] = [e / piv for e in m[r]]
         for i in range(nrows):
-            if i != r and m[i][c]:
+            if i != r:
                 f = m[i][c]
-                m[i] = [e - f * g for e, g in zip(m[i], m[r])]
+                m[i] = [(piv * e - f * g).exact_div(prev) for e, g in zip(m[i], m[r])]
+        prev = piv
         pivots[c] = r
         r += 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        v = [RatFunc.zero("q") for _ in range(ncols)]
-        v[f] = RatFunc.one("q")
+        v = [UPoly.zero("q")] * ncols
+        v[f] = prev
         for c, rr in pivots.items():
             v[c] = -m[rr][f]
         basis.append(v)
@@ -412,30 +415,27 @@ def _ratfunc_kernel(rows: list[list[RatFunc]], ncols: int) -> tuple[list[list[Ra
 def linear_ode(spec: ProblemSpec) -> LinearODE:
     """Derive the order-(n-1) linear equation satisfied by the branch.
 
-    Substituting the tower rows into sum b_k x^(k) + b_0 x + b_n and
+    Substituting x^(k) = B_k / D^k into sum_k b_k x^(k) + b_0 x + b_n and
     collecting powers of x gives n linear constraints on the n+1 unknowns
-    (b_0, ..., b_{n-1}, b_n).  The constraints from x^j with j >= 2 only
-    involve b_1..b_{n-1}; their kernel is computed over the rational
-    functions in q, after which b_0 and b_n follow by substitution from
-    the x^1 and x^0 constraints.  Denominators are then cleared and the
-    vector normalized.
+    (b_0, ..., b_{n-1}, b_n).  Writing b_k = g_k D^k for 1 <= k <= n-1,
+    the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0, a
+    system over Q[q] whose kernel is computed fraction-free; b_0 and b_n
+    then follow from the x^1 and x^0 constraints, and the vector is
+    normalized.
     """
     n = spec.n
     tower = derivative_tower(spec, n - 1)
-    a = tower.rows
-    core = [[a[k - 1][j] for k in range(1, n)] for j in range(2, n)]
-    basis, ambiguous = _ratfunc_kernel(core, n - 1)
+    B = tower.raw
+    core = [[B[k - 1].coefficient(j) for k in range(1, n)] for j in range(2, n)]
+    basis, ambiguous = _kernel(core, n - 1)
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
-    zero = RatFunc.zero("q")
     candidates = []
-    for beta in basis:
-        b0 = -sum((beta[k - 1] * a[k - 1][1] for k in range(1, n)), zero)
-        bn = -sum((beta[k - 1] * a[k - 1][0] for k in range(1, n)), zero)
-        vec = [b0] + beta + [bn]
-        den = reduce(poly_lcm, (v.den for v in vec))
-        polys = [v.num * den.exact_div(v.den) for v in vec]
-        candidates.append(_normalize_vector(polys, anchor=n - 1))
+    for gamma in basis:
+        b0 = -sum((g * bk.coefficient(1) for g, bk in zip(gamma, B)), UPoly.zero("q"))
+        bn = -sum((g * bk.coefficient(0) for g, bk in zip(gamma, B)), UPoly.zero("q"))
+        beta = [g * tower.D ** k for k, g in enumerate(gamma, 1)]
+        candidates.append(_normalize_vector([b0] + beta + [bn], anchor=n - 1))
     best = min(candidates, key=lambda vs: sum(p.degree for p in vs if p))
     return LinearODE(
         order=n - 1,

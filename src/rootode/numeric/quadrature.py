@@ -80,7 +80,8 @@ def _sqrt_of_reduced(num, den, sign_poly):
 
     num and den are the reduced squares of the original integrand, so a
     common zero has been cancelled exactly and any remaining zero of den
-    is a genuine singularity.
+    is a genuine singularity, reported as inf so ``quad`` can step off an
+    endpoint there.
     """
     nc = num.float_coeffs()
     dc = den.float_coeffs()
@@ -93,6 +94,8 @@ def _sqrt_of_reduced(num, den, sign_poly):
         d = 0.0
         for c in reversed(dc):
             d = d * t + c
+        if d == 0.0:
+            return math.inf
         ratio = n / d
         if ratio < 0:
             return math.nan

@@ -144,12 +144,15 @@ def track_root(
     """Follow the branch x(q), x(0) = 0, to q_target.
 
     Requires R monic with R'(0) != 0 (otherwise the branch leaves 0 with
-    infinite slope and the first-order equation cannot start).
+    infinite slope and the first-order equation cannot start) and a
+    finite q_target.
     """
+    q_target = float(q_target)
+    if not math.isfinite(q_target):
+        raise ValueError(f"q_target must be finite, got {q_target}")
     if spec.rprime().coefficient(0) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
     ode = abel_ode(spec)
-    q_target = float(q_target)
     if q_target == 0.0:
         return TrackResult(0.0, 0.0, 0.0, 0, 0, "ok", None)
     direction = 1 if q_target > 0 else -1

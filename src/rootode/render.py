@@ -10,18 +10,14 @@ denominators.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .algebra import RatFunc, UPoly
+from .algebra import UPoly
 from .derive import AbelODE, LinearODE
 
 __all__ = [
     "frac_str",
     "coeff_strings",
     "poly_from_strings",
-    "integer_scaled",
-    "ratfunc_integer_pair",
     "poly_latex",
     "latex_linear",
     "latex_abel",
@@ -47,26 +43,6 @@ def coeff_strings(p: UPoly) -> list[str]:
 def poly_from_strings(coeffs: list[str], var: str) -> UPoly:
     """Inverse of coeff_strings."""
     return UPoly(var, [Fraction(c) for c in coeffs])
-
-
-def integer_scaled(polys: list[UPoly]) -> list[UPoly]:
-    """Scale a vector by one positive rational to integer coefficients of
-    overall content 1.  Signs are preserved."""
-    coeffs = [c for p in polys for c in p.coeffs if c]
-    if not coeffs:
-        return list(polys)
-    denom = reduce(_int_lcm, (c.denominator for c in coeffs), 1)
-    numer = reduce(_int_gcd, (abs(c.numerator * denom // c.denominator) for c in coeffs))
-    return [p * Fraction(denom, numer) for p in polys]
-
-
-def ratfunc_integer_pair(rf: RatFunc) -> tuple[UPoly, UPoly]:
-    """Numerator and denominator with integer coefficients, content 1 across
-    the pair, and a positive leading denominator coefficient."""
-    num, den = integer_scaled([rf.num, rf.den])
-    if den.lc < 0:
-        num, den = -num, -den
-    return num, den
 
 
 def _latex_term(c: Fraction, var: str, k: int) -> str:
@@ -132,8 +108,7 @@ def latex_linear(ode: LinearODE) -> str:
     return _join(parts) + "=0"
 
 
-def _abel_term(rf: RatFunc, j: int) -> str:
-    num, den = ratfunc_integer_pair(rf)
+def _abel_term(num: UPoly, den: UPoly, j: int) -> str:
     sign = ""
     if _term_count(num) == 1 and num.lc < 0:
         sign, num = "-", -num
@@ -143,7 +118,8 @@ def _abel_term(rf: RatFunc, j: int) -> str:
 
 def latex_abel(ode: AbelODE) -> str:
     """Display such as x'=\\frac{2}{4q+1}x+\\frac{1}{4q+1}."""
-    parts = [_abel_term(ode.a[j], j) for j in range(ode.n - 1, -1, -1) if ode.a[j]]
+    parts = [_abel_term(*ode.coefficient(j), j)
+             for j in range(ode.n - 1, -1, -1) if ode.W.coefficient(j)]
     return "x'=" + (_join(parts) if parts else "0")
 
 
@@ -170,9 +146,9 @@ def text_linear(ode: LinearODE) -> str:
 def text_abel(ode: AbelODE) -> str:
     parts = []
     for j in range(ode.n - 1, -1, -1):
-        if not ode.a[j]:
+        if not ode.W.coefficient(j):
             continue
-        num, den = ratfunc_integer_pair(ode.a[j])
+        num, den = ode.coefficient(j)
         power = "" if j == 0 else ("*x" if j == 1 else f"*x^{j}")
         parts.append(f"(({num})/({den})){power}")
     return "x' = " + (" + ".join(parts) if parts else "0")
@@ -191,6 +167,6 @@ def abel_coeff_arrays(ode: AbelODE) -> list[dict]:
     numerator and denominator integer-scaled as a pair."""
     out = []
     for j in range(ode.n):
-        num, den = ratfunc_integer_pair(ode.a[j])
+        num, den = ode.coefficient(j)
         out.append({"j": j, "num": coeff_strings(num), "den": coeff_strings(den)})
     return out

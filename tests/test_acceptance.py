@@ -9,7 +9,7 @@ import random
 import time
 from fractions import Fraction
 
-from rootode.algebra import RatFunc, UPoly, compose_q
+from rootode.algebra import UPoly, compose_q
 from rootode.cli import Command, run
 from rootode.derive import (
     ProblemSpec,
@@ -92,25 +92,23 @@ def test_criterion_01_trinomial_linear_ode_table():
 
 
 def test_criterion_02_first_order_forms():
+    # a_j = W_j / D must equal the displayed num_j / den for every power x^j
+    cases = {
+        2: (q_poly(1, 4), (q_poly(1), q_poly(2)), "n=2 linear form differs"),
+        3: (q_poly(4, 0, 27), (q_poly(4), q_poly(0, 9), q_poly(6)), "n=3 Riccati form differs"),
+        4: (
+            q_poly(27, 0, 0, 256),
+            (q_poly(27), q_poly(0, 0, 64), q_poly(0, 48), q_poly(36)),
+            "n=4 Abel form differs",
+        ),
+    }
     failures = []
-    d2 = q_poly(1, 4)
-    if abel_ode(trinomial(2, 1)).a != (RatFunc(q_poly(1), d2), RatFunc(q_poly(2), d2)):
-        failures.append("n=2 linear form differs")
-    d3 = q_poly(4, 0, 27)
-    if abel_ode(trinomial(3, 1)).a != (
-        RatFunc(q_poly(4), d3),
-        RatFunc(q_poly(0, 9), d3),
-        RatFunc(q_poly(6), d3),
-    ):
-        failures.append("n=3 Riccati form differs")
-    d4 = q_poly(27, 0, 0, 256)
-    if abel_ode(trinomial(4, 1)).a != (
-        RatFunc(q_poly(27), d4),
-        RatFunc(q_poly(0, 0, 64), d4),
-        RatFunc(q_poly(0, 48), d4),
-        RatFunc(q_poly(36), d4),
-    ):
-        failures.append("n=4 Abel form differs")
+    for n, (den, nums, label) in cases.items():
+        ode = abel_ode(trinomial(n, 1))
+        if ode.W.deg_x != n - 1 or any(
+            ode.W.coefficient(j) * den != num * ode.D for j, num in enumerate(nums)
+        ):
+            failures.append(label)
     verdict(2, "displayed first-order forms n=2,3,4 at p=1 exact", failures)
 
 

@@ -71,6 +71,9 @@ class TestParsing:
         assert parse_q_value("-2") == -2.0
         with pytest.raises(ParseError):
             parse_q_value("two")
+        for text in ("nan", "inf", "-inf", "1e999"):
+            with pytest.raises(ParseError):
+                parse_q_value(text)
 
 
 class TestVerbs:
@@ -131,6 +134,24 @@ class TestVerbs:
         )
         assert code == 0
         assert report.result["remark2"] is True
+
+    @pytest.mark.parametrize("verb", ["solve", "check"])
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_non_finite_q_usage_error(self, verb, q):
+        report, code = run(Command(verb, problem="x^3+x", q=q))
+        assert code == 1
+        assert report.status == "usage_error"
+        assert "finite" in report.errors[0]
+
+    @pytest.mark.parametrize("q", ["0.01", "0.1"])
+    def test_check_double_root_at_origin(self, q):
+        # R = x(x+1)^2 has D(0) = 0: the reduced q-side denominator vanishes
+        # at the endpoint t = 0, which quad must step off, not divide by
+        report, code = run(Command("check", problem="x^3+2x^2+x", q=q))
+        assert code == 0
+        assert report.status == "ok"
+        assert report.result["remark2"] is True
+        assert abs(report.result["diff"]) <= report.result["tol"]
 
     def test_series(self):
         report, code = run(Command("series", problem="x^2+x", order=6))

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from rootode.algebra import BiPoly, RatFunc, UPoly, compose_q
+from rootode.algebra import BiPoly, UPoly, compose_q
 from rootode.derive import (
     LinearODE,
     ProblemSpec,
-    _ratfunc_kernel,
+    _kernel,
     abel_ode,
     build_integrands,
     derivative_tower,
@@ -19,6 +19,7 @@ from rootode.derive import (
     verify_trinomial_table,
 )
 from rootode.errors import DomainError
+from rootode.render import text_linear
 
 
 def q_poly(*cs):
@@ -27,6 +28,17 @@ def q_poly(*cs):
 
 def x_poly(*cs):
     return UPoly("x", cs)
+
+
+def assert_quotients(nums, den, expected_nums, expected_den):
+    """nums[j] / den == expected_nums[j] / expected_den for every j."""
+    assert len(nums) == len(expected_nums)
+    for j, (num, want) in enumerate(zip(nums, expected_nums)):
+        assert num * expected_den == want * den, f"quotient {j} differs"
+
+
+def abel_numerators(ode):
+    return [ode.W.coefficient(j) for j in range(ode.n)]
 
 
 def rand_problem(rng, max_n=8):
@@ -184,37 +196,44 @@ class TestIntegrands:
 class TestAbel:
     def test_quadratic_display(self):
         ode = abel_ode(trinomial(2, 1))
-        den = q_poly(1, 4)
-        assert ode.a == (RatFunc(q_poly(1), den), RatFunc(q_poly(2), den))
+        assert_quotients(abel_numerators(ode), ode.D, [q_poly(1), q_poly(2)], q_poly(1, 4))
+        assert ode.coefficient(1) == (q_poly(2), q_poly(1, 4))
 
     def test_cubic_display(self):
         ode = abel_ode(trinomial(3, 1))
         den = q_poly(4, 0, 27)
-        assert ode.a == (
-            RatFunc(q_poly(4), den),
-            RatFunc(q_poly(0, 9), den),
-            RatFunc(q_poly(6), den),
+        assert_quotients(
+            abel_numerators(ode), ode.D, [q_poly(4), q_poly(0, 9), q_poly(6)], den
         )
+        assert ode.coefficient(1) == (q_poly(0, 9), den)
 
     def test_cubic_display_general_p(self):
         p = Fraction(3, 2)
         ode = abel_ode(trinomial(3, p))
         den = q_poly(4 * p**3, 0, 27)
-        assert ode.a == (
-            RatFunc(q_poly(4 * p**2), den),
-            RatFunc(q_poly(0, 9), den),
-            RatFunc(q_poly(6 * p), den),
+        assert_quotients(
+            abel_numerators(ode), ode.D, [q_poly(4 * p**2), q_poly(0, 9), q_poly(6 * p)], den
         )
+        # the reduced pair has integer content 1: 9/(27q^2 + 27/2) = 2/(6q^2 + 3)
+        assert ode.coefficient(0) == (q_poly(2), q_poly(3, 0, 6))
 
     def test_quartic_display(self):
         ode = abel_ode(trinomial(4, 1))
         den = q_poly(27, 0, 0, 256)
-        assert ode.a == (
-            RatFunc(q_poly(27), den),
-            RatFunc(q_poly(0, 0, 64), den),
-            RatFunc(q_poly(0, 48), den),
-            RatFunc(q_poly(36), den),
+        assert_quotients(
+            abel_numerators(ode),
+            ode.D,
+            [q_poly(27), q_poly(0, 0, 64), q_poly(0, 48), q_poly(36)],
+            den,
         )
+
+    def test_zero_coefficient_pair(self):
+        # x' = x^3/(8q^2+2q) + (2q+1)x/(8q^2+2q) for R = x^4 + x^2: the
+        # missing even powers give the pair (0, 1)
+        ode = abel_ode(ProblemSpec(x_poly(0, 0, 1, 0, 1)))
+        assert not ode.W.coefficient(2)
+        assert ode.coefficient(2) == (UPoly.zero("q"), q_poly(1))
+        assert ode.coefficient(1) == (q_poly(1, 2), q_poly(0, 2, 8))
 
     def test_division_certificate(self):
         rng = random.Random(9)
@@ -235,16 +254,17 @@ class TestTower:
     def test_first_row_is_abel(self):
         spec = trinomial(3, 1)
         tower = derivative_tower(spec)
-        assert tower.rows[0] == abel_ode(spec).a
+        assert tower.raw[0] == abel_ode(spec).W
 
     def test_cubic_second_derivative_fixture(self):
         # x'' = (-162qx^2 + (12-162q^2)x - 108q) / (4+27q^2)^2 at p=1
         tower = derivative_tower(trinomial(3, 1))
-        d2 = q_poly(4, 0, 27) ** 2
-        assert tower.rows[1] == (
-            RatFunc(q_poly(0, -108), d2),
-            RatFunc(q_poly(12, 0, -162), d2),
-            RatFunc(q_poly(0, -162), d2),
+        b2 = tower.raw[1]
+        assert_quotients(
+            [b2.coefficient(j) for j in range(3)],
+            tower.D**2,
+            [q_poly(0, -108), q_poly(12, 0, -162), q_poly(0, -162)],
+            q_poly(4, 0, 27) ** 2,
         )
 
     def test_rows_stay_reduced(self):
@@ -339,14 +359,16 @@ class TestLinearODE:
                 raise AssertionError(f"derivation failed for {spec.R}")
             tower = derivative_tower(spec)
             n = spec.n
-            zero = RatFunc.zero("q")
+            # x^(k) = B_k / D^k; the x^j constraint multiplied through by D^(n-1)
             for j in range(n):
-                acc = RatFunc(ode.b[0]) if j == 1 else zero
+                acc = UPoly.zero("q")
+                if j == 1:
+                    acc = acc + ode.b[0] * tower.D ** (n - 1)
                 if j == 0:
-                    acc = acc + RatFunc(ode.inhomogeneous)
+                    acc = acc + ode.inhomogeneous * tower.D ** (n - 1)
                 for k in range(1, n):
-                    acc = acc + RatFunc(ode.b[k]) * tower.rows[k - 1][j]
-                assert acc == zero, f"power x^{j} not annihilated for {spec.R}"
+                    acc = acc + ode.b[k] * tower.raw[k - 1].coefficient(j) * tower.D ** (n - 1 - k)
+                assert not acc, f"power x^{j} not annihilated for {spec.R}"
 
     def test_normalization_idempotent(self):
         rng = random.Random(8)
@@ -365,30 +387,64 @@ class TestLinearODE:
                 for c in poly.coeffs:
                     assert c.denominator == 1
 
+    def test_kernel_dimension_above_one_pinned(self):
+        # the minimal-degree representative chosen among the kernel vectors
+        expected = {
+            (0, -1, 2, -2, 1): "( - 64*q^2 - 28*q - 3)*x'' + ( - 64*q - 14)*x' + 4*x - 2 = 0",
+            (0, 0, 1, 0, 1): "( - 16*q^2 - 4*q)*x'' + ( - 16*q - 2)*x' + x = 0",
+            (0, 0, 1, 0, 0, 0, 1): (
+                "( - 216*q^3 - 32*q)*x''' + ( - 972*q^2 - 48)*x'' - 606*q*x' + 21*x = 0"
+            ),
+        }
+        for coeffs, text in expected.items():
+            ode = linear_ode(ProblemSpec(x_poly(*coeffs)))
+            assert ode.ambiguous
+            assert text_linear(ode) == text
+
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             LinearODE(2, (q_poly(1),), UPoly.zero("q"))
 
 
+def annihilates(rows, v):
+    return all(not sum((a * b for a, b in zip(row, v)), UPoly.zero("q")) for row in rows)
+
+
 class TestKernel:
     def test_unique_kernel_vector(self):
-        one = RatFunc.one("q")
-        q = RatFunc(UPoly.monomial("q", 1))
-        basis, ambiguous = _ratfunc_kernel([[one, q]], 2)
+        one = UPoly.one("q")
+        q = UPoly.monomial("q", 1)
+        basis, ambiguous = _kernel([[one, q]], 2)
         assert not ambiguous
         assert len(basis) == 1
         v = basis[0]
-        assert v[0] + q * v[1] == RatFunc.zero("q")
+        assert any(v)
+        assert annihilates([[one, q]], v)
 
     def test_full_rank_has_empty_kernel(self):
-        one = RatFunc.one("q")
-        zero = RatFunc.zero("q")
-        basis, ambiguous = _ratfunc_kernel([[one, zero], [zero, one]], 2)
+        one = UPoly.one("q")
+        zero = UPoly.zero("q")
+        basis, ambiguous = _kernel([[one, zero], [zero, one]], 2)
         assert basis == []
         assert not ambiguous
 
     def test_two_free_columns_flagged_ambiguous(self):
-        one = RatFunc.one("q")
-        basis, ambiguous = _ratfunc_kernel([[one, one, one]], 3)
+        one = UPoly.one("q")
+        basis, ambiguous = _kernel([[one, one, one]], 3)
         assert len(basis) == 2
         assert ambiguous
+        assert all(annihilates([[one, one, one]], v) for v in basis)
+
+    def test_fraction_free_divisions_exact(self):
+        # rank 2 over Q[q] with a row swap and non-unit pivots: every
+        # division is exact and each basis vector annihilates every row
+        q = UPoly.monomial("q", 1)
+        one, zero = UPoly.one("q"), UPoly.zero("q")
+        r0 = [zero, q + 1, q * q, one]
+        r1 = [q, 2 * one, zero, q - 1]
+        rows = [r0, r1, [q * a + (q + 2) * b for a, b in zip(r0, r1)]]
+        basis, ambiguous = _kernel(rows, 4)
+        assert len(basis) == 2 and ambiguous
+        for v in basis:
+            assert any(v)
+            assert annihilates(rows, v)

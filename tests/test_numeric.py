@@ -224,6 +224,11 @@ class TestTracking:
         res = track_root(trinomial(4, 2), 0.0)
         assert res.x == 0.0 and res.steps == 0
 
+    def test_non_finite_target_rejected(self):
+        for q in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                track_root(trinomial(3, 1), q)
+
     def test_degenerate_origin_rejected(self):
         with pytest.raises(DomainError):
             track_root(ProblemSpec(UPoly("x", (0, 0, 0, 5, 0, 1))), 0.5)
