@@ -5,7 +5,7 @@ Verbs:
 * ``discriminant`` — discriminant D, cofactor U and their sign-normalized
   variants for R(x) = q.
 * ``derive-abel`` — the first-order equation x' = sum a_j(q) x^j.
-* ``derive-linear`` — the linear equation of order n-1.
+* ``derive-linear`` — the linear equation of order at most n-1.
 * ``solve`` — track the branch root to a target q and report the residual.
 * ``check`` — numerically verify the separated-variables integral identity.
 * ``series`` — exact branch series coefficients, certified against the

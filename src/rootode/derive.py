@@ -330,9 +330,10 @@ class LinearODE:
     ``b[k]`` multiplies the k-th derivative (b[0] multiplies x itself).
     Normal form: integer coefficients of overall content 1, polynomial gcd
     of all entries equal to 1, and a positive leading coefficient on the
-    highest-derivative term.  ``ambiguous`` flags a kernel of dimension
-    greater than one, in which case a minimal-total-degree representative
-    was chosen.
+    highest-derivative term, b[order], which is nonzero.  From
+    ``linear_ode`` the order is at most n-1, with equality unless
+    ``ambiguous``: that flags a kernel of dimension greater than one, in
+    which case a minimal-total-degree representative was chosen.
     """
 
     order: int
@@ -413,7 +414,7 @@ def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], boo
 
 
 def linear_ode(spec: ProblemSpec) -> LinearODE:
-    """Derive the order-(n-1) linear equation satisfied by the branch.
+    """Derive the linear equation of order at most n-1 satisfied by the branch.
 
     Substituting x^(k) = B_k / D^k into sum_k b_k x^(k) + b_0 x + b_n and
     collecting powers of x gives n linear constraints on the n+1 unknowns
@@ -421,7 +422,9 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0, a
     system over Q[q] whose kernel is computed fraction-free; b_0 and b_n
     then follow from the x^1 and x^0 constraints, and the vector is
-    normalized.
+    normalized.  The order is that of the highest nonzero b_k: n-1 unless
+    the kernel is ambiguous, where the chosen representative may be of
+    lower order.
     """
     n = spec.n
     tower = derivative_tower(spec, n - 1)
@@ -434,13 +437,14 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     for gamma in basis:
         b0 = -sum((g * bk.coefficient(1) for g, bk in zip(gamma, B)), UPoly.zero("q"))
         bn = -sum((g * bk.coefficient(0) for g, bk in zip(gamma, B)), UPoly.zero("q"))
-        beta = [g * tower.D ** k for k, g in enumerate(gamma, 1)]
-        candidates.append(_normalize_vector([b0] + beta + [bn], anchor=n - 1))
-    best = min(candidates, key=lambda vs: sum(p.degree for p in vs if p))
+        order = max(k for k, g in enumerate(gamma, 1) if g)
+        beta = [g * tower.D ** k for k, g in enumerate(gamma[:order], 1)]
+        candidates.append((order, _normalize_vector([b0] + beta + [bn], anchor=order)))
+    order, best = min(candidates, key=lambda c: sum(p.degree for p in c[1] if p))
     return LinearODE(
-        order=n - 1,
-        b=tuple(best[:n]),
-        inhomogeneous=best[n],
+        order=order,
+        b=tuple(best[: order + 1]),
+        inhomogeneous=best[order + 1],
         ambiguous=ambiguous,
     )
 

@@ -2,9 +2,13 @@
 
 The branch x(q) of R(x) = q through (0, 0) has a rational power series
 x(q) = sum_{m>=1} c_m q^m whenever R'(0) != 0.  The coefficients are found
-order by order from R(x(q)) = q; they serve as independent evidence when
-checking the derived differential equations, and hypergeometric closed
-forms for x^4 + p x = q are expanded here for the same purpose.
+order by order from R(x(q)) = q alone, keeping a table of the powers S^k
+of the partial sum that grows one column per order, in O(n N^2) rational
+operations for N coefficients.  They are deliberately not generated from
+the derived linear ODE (whose recurrence would be cheaper), because they
+serve as independent evidence when checking the derived differential
+equations; hypergeometric closed forms for x^4 + p x = q are expanded here
+for the same purpose.
 """
 from __future__ import annotations
 
@@ -61,33 +65,59 @@ def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fractio
     return out
 
 
-def _compose_poly(r: UPoly, s: list[Fraction], order: int) -> list[Fraction]:
-    """R evaluated at a truncated series, truncated to the same order."""
-    acc = [Fraction(0)] * (order + 1)
-    for c in reversed(r.coeffs):
-        acc = _mul_trunc(acc, s, order)
-        acc[0] += c
-    return acc
+# Largest order lagrange_series accepts.  The work grows as n * order^2
+# on ever longer rationals, so the order is checked before anything is
+# allocated.
+MAX_SERIES_ORDER = 1000
 
 
 def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
     """Series of the branch, solved order by order from R(x(q)) = q.
 
-    With partial sum S, the coefficient of q^m in R(S + c_m q^m) equals
-    [q^m] R(S) + R'(0) c_m, so each new coefficient is a single division
-    by R'(0).  Requires R'(0) != 0.
+    With S = sum c_i q^i, [q^m] R(S) = r_1 c_m + sum_{k>=2} r_k [q^m] S^k,
+    and for k >= 2 the coefficient [q^m] S^k only involves c_1..c_{m-1}.
+    A table pw[k][m] = [q^m] S^k, k = 2..min(n, order), is filled one
+    column at a time alongside the coefficients,
+
+        pw[k][m] = sum_{i=1}^{m-k+1} c_i pw[k-1][m-i]    (pw[1] = c),
+
+    and then c_m = ([m = 1] - sum_k r_k pw[k][m]) / R'(0).  That is
+    O(n order^2) rational operations, skipping the zero c_i of sparse R.
+    The series comes from R(S) = q alone, never from the derived linear
+    ODE, so checking it against that ODE stays an independent test.
+    Requires R'(0) != 0 and 1 <= order <= MAX_SERIES_ORDER.
     """
     if order < 1:
         raise ValueError("need order >= 1")
-    rp0 = spec.rprime().coefficient(0)
+    if order > MAX_SERIES_ORDER:
+        raise ValueError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
+    r = spec.R.coeffs
+    rp0 = r[1]
     if rp0 == 0:
         raise ValueError("series inversion needs R'(0) != 0")
-    s = [Fraction(0)] * (order + 1)
-    s[1] = 1 / rp0
+    top = min(spec.n, order)
+    c = [Fraction(0)] * (order + 1)
+    pw = [None, c] + [[Fraction(0)] * (order + 1) for _ in range(2, top + 1)]
+    c[1] = 1 / rp0
+    nonzero = [1]  # the indices i with c_i != 0, ascending
     for m in range(2, order + 1):
-        val = _compose_poly(spec.R, s, m)[m]
-        s[m] = -val / rp0
-    return SeriesQ(tuple(s[1:]))
+        rest = Fraction(0)
+        for k in range(2, min(top, m) + 1):
+            prev = pw[k - 1]
+            acc = Fraction(0)
+            for i in nonzero:
+                if i > m - k + 1:
+                    break
+                p = prev[m - i]
+                if p:
+                    acc += c[i] * p
+            pw[k][m] = acc
+            if r[k] and acc:
+                rest += r[k] * acc
+        c[m] = -rest / rp0
+        if c[m]:
+            nonzero.append(m)
+    return SeriesQ(tuple(c[1:]))
 
 
 def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:

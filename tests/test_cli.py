@@ -160,6 +160,17 @@ class TestVerbs:
         assert r["coeffs"] == ["1", "-1", "2", "-5", "14", "-42"]
         assert r["ode_residual_zero"] is True
 
+    def test_series_order_limit(self):
+        for order in (1001, 10**9):
+            report, code = run(Command("series", problem="x^3+x", order=order))
+            assert code == 1
+            assert report.status == "usage_error"
+            assert "exceeds the limit 1000" in report.errors[0]
+        report, code = run(Command("series", problem="x^5+x", order=1000))
+        assert code == 0
+        assert report.status == "ok"
+        assert len(report.result["coeffs"]) == 1000
+
     def test_domain_error_exit_2(self):
         report, code = run(Command("solve", problem="x^5+5x^3", q="1"))
         assert code == 2

@@ -388,17 +388,22 @@ class TestLinearODE:
                     assert c.denominator == 1
 
     def test_kernel_dimension_above_one_pinned(self):
-        # the minimal-degree representative chosen among the kernel vectors
+        # the minimal-degree representative chosen among the kernel vectors;
+        # its order is that of its highest nonzero coefficient, below n-1
         expected = {
-            (0, -1, 2, -2, 1): "( - 64*q^2 - 28*q - 3)*x'' + ( - 64*q - 14)*x' + 4*x - 2 = 0",
-            (0, 0, 1, 0, 1): "( - 16*q^2 - 4*q)*x'' + ( - 16*q - 2)*x' + x = 0",
+            (0, -1, 2, -2, 1): (2, "(64*q^2 + 28*q + 3)*x'' + (64*q + 14)*x' - 4*x + 2 = 0"),
+            (0, 0, 1, 0, 1): (2, "(16*q^2 + 4*q)*x'' + (16*q + 2)*x' - x = 0"),
             (0, 0, 1, 0, 0, 0, 1): (
-                "( - 216*q^3 - 32*q)*x''' + ( - 972*q^2 - 48)*x'' - 606*q*x' + 21*x = 0"
+                3,
+                "(216*q^3 + 32*q)*x''' + (972*q^2 + 48)*x'' + 606*q*x' - 21*x = 0",
             ),
         }
-        for coeffs, text in expected.items():
+        for coeffs, (order, text) in expected.items():
             ode = linear_ode(ProblemSpec(x_poly(*coeffs)))
             assert ode.ambiguous
+            assert ode.order == order
+            assert ode.b[ode.order] != 0
+            assert ode.b[ode.order].lc > 0
             assert text_linear(ode) == text
 
     def test_coefficient_count_enforced(self):

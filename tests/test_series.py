@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootode.algebra import UPoly
 from rootode.derive import ProblemSpec, linear_ode, trinomial
@@ -13,6 +15,58 @@ from rootode.numeric import (
     quartic_series_3f2,
     series_ode_residual,
 )
+from rootode.numeric.series import MAX_SERIES_ORDER
+
+
+def _mul(a, b, order):
+    out = [Fraction(0)] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai:
+            for j, bj in enumerate(b[: order + 1 - i]):
+                out[i + j] += ai * bj
+    return out
+
+
+def _reference_series(spec, order):
+    """The branch series by recomposing R at every order: with partial sum
+    S, [q^m] R(S + c_m q^m) = [q^m] R(S) + R'(0) c_m.  O(n order^3)."""
+    rp0 = spec.R.coefficient(1)
+    s = [Fraction(0)] * (order + 1)
+    s[1] = 1 / rp0
+    for m in range(2, order + 1):
+        acc = [Fraction(0)] * (order + 1)
+        for c in reversed(spec.R.coeffs):
+            acc = _mul(acc, s, m)
+            acc[0] += c
+        s[m] = -acc[m] / rp0
+    return tuple(s[1:])
+
+
+def _defining_residual(spec, s):
+    """R(S(q)) - q through the order of the series S."""
+    order = s.order
+    dense = s.dense()
+    acc = [Fraction(0)] * (order + 1)
+    power = [Fraction(1)] + [Fraction(0)] * order
+    for c in spec.R.coeffs:
+        acc = [u + c * v for u, v in zip(acc, power)]
+        power = _mul(power, dense, order)
+    acc[1] -= 1
+    return acc
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def branch_polynomials(draw):
+    """R of degree 2..6 with R(0) = 0, R'(0) != 0, small rational
+    coefficients (zeros included) and any nonzero leading coefficient."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    rp0 = draw(small_rationals.filter(bool))
+    middle = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 2, max_size=n - 2))
+    lead = draw(small_rationals.filter(bool))
+    return ProblemSpec(UPoly("x", [0, rp0, *middle, lead]))
 
 
 def binomial(a, k):
@@ -41,27 +95,24 @@ class TestLagrange:
             assert all(c == 0 for c in s.coeffs[1 : n - 1])
 
     def test_defining_equation(self):
-        spec = ProblemSpec(UPoly("x", (0, 3, -1, 0, 2)))
-        order = 10
-        s = lagrange_series(spec, order)
         # R(S(q)) - q must vanish through the computed order
-        acc = [Fraction(0)] * (order + 1)
-        power = [Fraction(1)] + [Fraction(0)] * order
-        dense = [Fraction(0)] + list(s.coeffs)
+        cases = (((0, 3, -1, 0, 2), 10), ((0, 1, 0, 0, 0, 1), 200), ((0, -1, 0, 0, 0, 1), 200))
+        for coeffs, order in cases:
+            spec = ProblemSpec(UPoly("x", coeffs))
+            s = lagrange_series(spec, order)
+            assert s.order == order
+            assert all(v == 0 for v in _defining_residual(spec, s))
 
-        def mul(a, b):
-            out = [Fraction(0)] * (order + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b[: order + 1 - i]):
-                        out[i + j] += ai * bj
-            return out
+    @settings(max_examples=60, deadline=None)
+    @given(spec=branch_polynomials(), order=st.integers(min_value=1, max_value=30))
+    def test_matches_reference(self, spec, order):
+        assert lagrange_series(spec, order).coeffs == _reference_series(spec, order)
 
-        for c in spec.R.coeffs:
-            acc = [u + c * v for u, v in zip(acc, power)]
-            power = mul(power, dense)
-        acc[1] -= 1
-        assert all(v == 0 for v in acc)
+    def test_order_bounds(self):
+        spec = trinomial(3, 1)
+        for order in (0, MAX_SERIES_ORDER + 1):
+            with pytest.raises(ValueError):
+                lagrange_series(spec, order)
 
     def test_requires_simple_origin(self):
         with pytest.raises(ValueError):
