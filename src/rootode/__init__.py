@@ -49,7 +49,6 @@ from .numeric import (
     bisect_branch_root,
     cardano_root,
     check_identity,
-    closed_form_root,
     first_branch_point,
     invert_phi,
     lagrange_series,
@@ -95,7 +94,6 @@ __all__ = [
     "build_integrands",
     "cardano_root",
     "check_identity",
-    "closed_form_root",
     "compose_q",
     "derivative_tower",
     "discriminant",

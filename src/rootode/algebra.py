@@ -38,6 +38,16 @@ def _rat(value) -> Fraction:
     return Fraction(value)
 
 
+def _horner(coeffs: Sequence[float], t: float) -> float:
+    """sum coeffs[k] t^k by Horner's rule: the one float evaluator of the
+    numeric layer, fed with ``UPoly.float_coeffs()``.  Private, so tracers
+    that wrap every public function (perfbench/spans.py) leave it alone."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
 class UPoly:
     """Dense univariate polynomial, coefficients ascending by degree."""
 

@@ -7,7 +7,10 @@ Verbs:
 * ``derive-abel`` — the first-order equation x' = sum a_j(q) x^j.
 * ``derive-linear`` — the linear equation of order at most n-1.
 * ``solve`` — track the branch root to a target q and report the residual.
-* ``check`` — numerically verify the separated-variables integral identity.
+* ``check`` — numerically verify the separated-variables integral identity;
+  a target at or past the first nonzero real root of D on its side is
+  refused as ``hit_branch_point``, and a quadrature that does not converge
+  within its evaluation budget as ``domain_error``.
 * ``series`` — exact branch series coefficients, certified against the
   linear equation when possible.
 * ``demo`` — built-in end-to-end reproductions (babylonian, cardano,
@@ -43,8 +46,10 @@ from .numeric import (
     bisect_branch_root,
     cardano_root,
     check_identity,
+    first_branch_point,
     lagrange_series,
     lhs_integrand,
+    past_branch_point,
     quad,
     quartic_real_roots,
     quartic_series_2f1_product,
@@ -329,6 +334,15 @@ def _h_check(cmd: Command) -> dict:
     qv = parse_q_value(cmd.q)
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
+    if qv != 0.0:
+        # a root of D at q = 0 (a multiple root of R) does not count
+        zeros = next(k for k, c in enumerate(fact.D.coeffs) if c)
+        q_star = first_branch_point(UPoly("q", fact.D.coeffs[zeros:]),
+                                    1 if qv > 0 else -1)
+        if past_branch_point(qv, q_star):
+            return {"kind": cmd.kind, "weight": str(weight), "q": cmd.q, "q_star": q_star,
+                    "_status": "hit_branch_point",
+                    "_errors": [f"q is at or past the branch point q* = {q_star!r}"]}
     remark2 = needs_remark2(fact, weight) and cmd.kind == "theorem1"
     ispec = build_integrands(fact, weight, cmd.kind, remark2=remark2)
     x = bisect_branch_root(spec.R, qv)

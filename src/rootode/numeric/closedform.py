@@ -9,14 +9,11 @@ evidence of correctness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from ..algebra import UPoly
+from ..algebra import UPoly, _horner
 from ..errors import DomainError
 
 __all__ = [
-    "ClosedFormRoot",
-    "closed_form_root",
     "babylonian_root",
     "cardano_root",
     "vieta_trig_root",
@@ -31,13 +28,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosedFormRoot:
-    method: str
-    value: float
-    validity: str
-
-
 def _cbrt(t: float) -> float:
     """Real cube root."""
     return math.copysign(abs(t) ** (1.0 / 3.0), t)
@@ -47,12 +37,8 @@ def _polish(coeffs: list[float], x: float, iters: int = 3) -> float:
     """A few Newton steps to scrub float noise off a closed-form root."""
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     for _ in range(iters):
-        f = 0.0
-        for c in reversed(coeffs):
-            f = f * x + c
-        fp = 0.0
-        for c in reversed(dcoeffs):
-            fp = fp * x + c
+        f = _horner(coeffs, x)
+        fp = _horner(dcoeffs, x)
         if fp == 0.0 or not math.isfinite(f):
             break
         x -= f / fp
@@ -246,10 +232,7 @@ def bisect_branch_root(r: UPoly, q: float, expand_limit: int = 200) -> float:
     coeffs = r.float_coeffs()
 
     def f(x: float) -> float:
-        acc = 0.0
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        return acc - q
+        return _horner(coeffs, x) - q
 
     f0 = f(0.0)
     if f0 == 0.0:
@@ -285,18 +268,3 @@ def bisect_branch_root(r: UPoly, q: float, expand_limit: int = 200) -> float:
                     b = mid
             return 0.5 * (a + b)
     raise DomainError("no sign change found from 0 in either direction")
-
-
-def closed_form_root(method: str, **kw) -> ClosedFormRoot:
-    """Uniform dispatcher over the closed-form branch-root methods."""
-    table = {
-        "babylonian": (babylonian_root, "p != 0, p^2 + 4q >= 0"),
-        "cardano": (cardano_root, "q^2/4 + p^3/27 >= 0"),
-        "vieta_trig": (vieta_trig_root, "p < 0, |q| < sqrt(-4p^3/27)"),
-        "vieta_hyp": (vieta_hyp_root, "p > 0"),
-        "quartic_w": (quartic_w_root, "p != 0, branch real"),
-    }
-    if method not in table:
-        raise ValueError(f"unknown method {method!r}")
-    fn, validity = table[method]
-    return ClosedFormRoot(method=method, value=fn(**kw), validity=validity)

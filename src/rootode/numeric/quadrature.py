@@ -5,7 +5,9 @@ Evaluates both sides of the change-of-variables identities produced by
 against 1/sqrt(U) (or 1/(R' U) in the rational form) and a q-side
 integral of the same weight against 1/sqrt(D) (or 1/D).  Radical
 integrands are evaluated through their gcd-reduced squares so removable
-0/0 points, such as s = 0 when R'(0) = 0, cause no trouble.
+0/0 points, such as s = 0 when R'(0) = 0, cause no trouble.  A budget
+of ``MAX_EVALS`` integrand evaluations per ``quad`` call turns a pole
+just off the path into a QuadratureError instead of minutes of work.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+from ..algebra import UPoly, _horner
 from ..derive import IntegrandSpec
 from ..errors import QuadratureError, SingularIntegrandError
 
@@ -25,40 +28,49 @@ __all__ = [
     "invert_phi",
 ]
 
+# a converging identity check takes under 10,000 per integral
+MAX_EVALS = 100_000
 
-def _simpson(f: Callable[[float], float], a: float, fa: float, b: float, fb: float,
-             m: float, fm: float) -> float:
+
+def _simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm)):
-        raise SingularIntegrandError(f"integrand not finite near [{a}, {b}]")
-    left = _simpson(f, a, fa, m, fm, lm, flm)
-    right = _simpson(f, m, fm, b, fb, rm, frm)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol or depth >= 40:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (_adapt(f, a, fa, m, fm, lm, flm, left, half, depth + 1)
-            + _adapt(f, m, fm, b, fb, rm, frm, right, half, depth + 1))
 
 
 def quad(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
-    The error target is tol * (1 + |result|).  Endpoints where f is not
-    finite are nudged inward by a relative 1e-12; a non-finite value in
-    the interior raises SingularIntegrandError.
+    The error target is tol * (1 + |result|), and the recursion stops at
+    depth 40.  Endpoints where f is not finite are nudged inward by a
+    relative 1e-12; a non-finite value in the interior raises
+    SingularIntegrandError.  The recursion raises QuadratureError once it
+    has evaluated f MAX_EVALS times.
     """
     if a == b:
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         raise QuadratureError("infinite interval")
+    evals = 0
+
+    def adapt(a, fa, b, fb, m, fm, whole, tol, depth):
+        nonlocal evals
+        evals += 2
+        if evals > MAX_EVALS:
+            raise QuadratureError(f"no convergence within {MAX_EVALS} integrand evaluations")
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = f(lm)
+        frm = f(rm)
+        if not (math.isfinite(flm) and math.isfinite(frm)):
+            raise SingularIntegrandError(f"integrand not finite near [{a}, {b}]")
+        left = _simpson(a, m, fa, flm, fm)
+        right = _simpson(m, b, fm, frm, fb)
+        err = left + right - whole
+        if abs(err) <= 15.0 * tol or depth >= 40:
+            return left + right + err / 15.0
+        half = 0.5 * tol
+        return (adapt(a, fa, m, fm, lm, flm, left, half, depth + 1)
+                + adapt(m, fm, b, fb, rm, frm, right, half, depth + 1))
+
     span = b - a
     fa = f(a)
     if not math.isfinite(fa):
@@ -71,8 +83,14 @@ def quad(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) ->
     if not (math.isfinite(fa) and math.isfinite(fb) and math.isfinite(fm)):
         raise SingularIntegrandError("integrand not finite at the endpoints")
     crude = abs(span) * (abs(fa) + abs(fm) + abs(fb)) / 3.0
-    whole = _simpson(f, a, fa, b, fb, m, fm)
-    return _adapt(f, a, fa, b, fb, m, fm, whole, tol * (1.0 + crude), 0)
+    whole = _simpson(a, b, fa, fm, fb)
+    return adapt(a, fa, b, fb, m, fm, whole, tol * (1.0 + crude), 0)
+
+
+def _ratio(num: UPoly, den: UPoly) -> Callable[[float], float]:
+    nc = num.float_coeffs()
+    dc = den.float_coeffs()
+    return lambda t: _horner(nc, t) / _horner(dc, t)
 
 
 def _sqrt_of_reduced(num, den, sign_poly):
@@ -85,21 +103,15 @@ def _sqrt_of_reduced(num, den, sign_poly):
     """
     nc = num.float_coeffs()
     dc = den.float_coeffs()
-    sc = sign_poly
 
     def ev(t: float) -> float:
-        n = 0.0
-        for c in reversed(nc):
-            n = n * t + c
-        d = 0.0
-        for c in reversed(dc):
-            d = d * t + c
+        d = _horner(dc, t)
         if d == 0.0:
             return math.inf
-        ratio = n / d
+        ratio = _horner(nc, t) / d
         if ratio < 0:
             return math.nan
-        s = sc(t)
+        s = sign_poly(t)
         if s == 0.0:
             s = 1.0
         return math.copysign(math.sqrt(ratio), s)
@@ -109,69 +121,28 @@ def _sqrt_of_reduced(num, den, sign_poly):
 
 def lhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The x-side integrand as a plain float function of s."""
-    if spec.radical:
-        num, den = spec.lhs_sq
-        wc = spec.weight.float_coeffs()
-        rc = spec.problem.R.float_coeffs()
-        rpc = spec.problem.rprime().float_coeffs()
+    if not spec.radical:
+        # lhs_num is already the composition weight(R(s))
+        return _ratio(spec.lhs_num, spec.lhs_den)
+    wc = spec.weight.float_coeffs()
+    rc = spec.problem.R.float_coeffs()
+    rpc = spec.problem.rprime().float_coeffs()
 
-        def signp(s: float) -> float:
-            r = 0.0
-            for c in reversed(rc):
-                r = r * s + c
-            w = 0.0
-            for c in reversed(wc):
-                w = w * r + c
-            if spec.remark2:
-                rp = 0.0
-                for c in reversed(rpc):
-                    rp = rp * s + c
-                return w * rp
-            return w * spec.sign_rp0
+    def signp(s: float) -> float:
+        w = _horner(wc, _horner(rc, s))
+        if spec.remark2:
+            return w * _horner(rpc, s)
+        return w * spec.sign_rp0
 
-        return _sqrt_of_reduced(num, den, signp)
-    # lhs_num is already the composition weight(R(s)); evaluate directly
-    ncf = spec.lhs_num.float_coeffs()
-    dcf = spec.lhs_den.float_coeffs()
-
-    def ev(s: float) -> float:
-        n = 0.0
-        for c in reversed(ncf):
-            n = n * s + c
-        d = 0.0
-        for c in reversed(dcf):
-            d = d * s + c
-        return n / d
-
-    return ev
+    return _sqrt_of_reduced(*spec.lhs_sq, signp)
 
 
 def rhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The q-side integrand as a plain float function of t."""
-    if spec.radical:
-        num, den = spec.rhs_sq
-        wc = spec.weight.float_coeffs()
-
-        def signp(t: float) -> float:
-            w = 0.0
-            for c in reversed(wc):
-                w = w * t + c
-            return w
-
-        return _sqrt_of_reduced(num, den, signp)
-    ncf = spec.rhs_num.float_coeffs()
-    dcf = spec.rhs_den.float_coeffs()
-
-    def ev(t: float) -> float:
-        n = 0.0
-        for c in reversed(ncf):
-            n = n * t + c
-        d = 0.0
-        for c in reversed(dcf):
-            d = d * t + c
-        return n / d
-
-    return ev
+    if not spec.radical:
+        return _ratio(spec.rhs_num, spec.rhs_den)
+    wc = spec.weight.float_coeffs()
+    return _sqrt_of_reduced(*spec.rhs_sq, lambda t: _horner(wc, t))
 
 
 @dataclass(frozen=True)

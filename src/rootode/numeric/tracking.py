@@ -3,17 +3,16 @@
 Integrates x' = W(x, q)/D(q) from (0, 0) with an embedded Cash-Karp 4(5)
 pair and polishes each accepted step with Newton on R(x) - q, so the
 result carries full Newton accuracy while the integration supplies branch
-selection and starting points.  Branch points are located beforehand from
-the real roots of D, and targets at or beyond the first one are refused.
+selection and starting points.  The first branch point, the nearest real
+root of D on the side of the target, is isolated beforehand in exact
+arithmetic by Sturm's theorem, and targets at or beyond it are refused.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..algebra import UPoly, poly_gcd
+from ..algebra import UPoly, _horner
 from ..derive import ProblemSpec, abel_ode
 from ..errors import DomainError
 
@@ -22,6 +21,7 @@ __all__ = [
     "TrackResult",
     "newton_polish",
     "first_branch_point",
+    "past_branch_point",
     "track_root",
 ]
 
@@ -42,32 +42,44 @@ def newton_polish(r: UPoly, q: float, x0: float, tol: float = 1e-12,
     x = x0
     scale = tol * (1.0 + abs(q))
     for it in range(1, max_iter + 1):
-        f = 0.0
-        for c in reversed(coeffs):
-            f = f * x + c
-        f -= q
+        f = _horner(coeffs, x) - q
         if abs(f) <= scale:
             return PolishResult(x=x, residual=abs(f), iters=it - 1, converged=True)
-        fp = 0.0
-        for c in reversed(dcoeffs):
-            fp = fp * x + c
+        fp = _horner(dcoeffs, x)
         if fp == 0.0 or not math.isfinite(f):
             break
         x -= f / fp
-    f = 0.0
-    for c in reversed(coeffs):
-        f = f * x + c
-    f -= q
+    f = _horner(coeffs, x) - q
     return PolishResult(x=x, residual=abs(f), iters=max_iter,
                         converged=abs(f) <= scale)
+
+
+def _at(cs: list[int], n: int, s: int) -> int:
+    """s^deg * p(n/s) for integer coefficients cs and s > 0: an integer
+    with the sign of p at n/s."""
+    acc, pw = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        pw *= s
+        acc = acc * n + c * pw
+    return acc
+
+
+def _sign_changes(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def first_branch_point(d: UPoly, direction: int) -> float | None:
     """Nearest real root of D on the given side of 0, or None.
 
-    Roots are taken from the square-free part of D so multiple roots do
-    not degrade the float accuracy, then polished by Newton.  A root at 0
-    itself (multiple root of R) is always reported.
+    Sturm's theorem isolates the root exactly: the remainder chain of D
+    and D', divided by its last member gcd(D, D') so that a multiple root
+    counts once, loses one sign change per distinct root in (a, b] from a
+    to b.  Bisection on dyadic rationals shrinks (0, B], B past Cauchy's
+    bound, to an interval of relative width 2^-32 about that root alone.
+    Newton on the square-free part, in floats, then gives a float whose
+    two neighbours bracket the root, or else bisection goes on to 2^-60.
+    A root at 0 itself (multiple root of R) is always reported.
     """
     if d.var != "q" or not d:
         raise ValueError("expected a nonzero polynomial in q")
@@ -77,28 +89,62 @@ def first_branch_point(d: UPoly, direction: int) -> float | None:
         return 0.0
     if d.degree == 0:
         return None
-    sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
-    roots = np.roots(list(reversed(sf.float_coeffs())))
-    sfc = sf.float_coeffs()
+    # search q > 0 on D(direction * q)
+    d = UPoly("q", (c * direction**k for k, c in enumerate(d.coeffs)))
+    chain = [d, d.derivative()]
+    while rem := chain[-2] % chain[-1]:
+        chain.append(-rem)
+    if chain[-1].degree > 0:
+        g = chain[-1].monic()
+        chain = [p.exact_div(g) for p in chain]
+    ints = []
+    for p in chain:
+        den = math.lcm(*(c.denominator for c in p.coeffs))
+        ints.append([c.numerator * (den // c.denominator) for c in p.coeffs])
+    top = ints[0]
+    # (lo / 2^k, hi / 2^k] holds v_lo - v_hi distinct roots and lo is none
+    # of them, so the square-free part has the sign top[0] it has at 0 there
+    lo, hi, k = 0, 1 << (sum(map(abs, top)) // abs(top[-1])).bit_length(), 0
+    v_lo = _sign_changes(cs[0] for cs in ints)
+    v_hi = _sign_changes(cs[-1] for cs in ints)
+    if v_lo == v_hi:
+        return None
+    sfc = chain[0].float_coeffs()
     dsfc = [i * c for i, c in enumerate(sfc)][1:]
-    best = None
-    for z in roots:
-        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
+    bits = 32
+    while True:
+        if v_lo - v_hi > 1 or (hi - lo) << bits > hi:
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            mid = (lo + hi) // 2
+            if v_lo - v_hi > 1:
+                v_mid = _sign_changes(_at(cs, mid, 1 << k) for cs in ints)
+            else:
+                v_mid = v_lo if _at(top, mid, 1 << k) * top[0] > 0 else v_hi
+            if v_mid < v_lo:
+                hi, v_hi = mid, v_mid
+            else:
+                lo, v_lo = mid, v_mid
             continue
-        t = z.real
+        t = (lo + hi) / (2 << k)
+        if bits == 60:
+            return direction * t
         for _ in range(8):
-            f = 0.0
-            for c in reversed(sfc):
-                f = f * t + c
-            fp = 0.0
-            for c in reversed(dsfc):
-                fp = fp * t + c
+            fp = _horner(dsfc, t)
             if fp == 0.0:
                 break
-            t -= f / fp
-        if t * direction > 0 and (best is None or abs(t) < abs(best)):
-            best = t
-    return best
+            t -= _horner(sfc, t) / fp
+        if math.isfinite(t):
+            (an, ad), (bn, bd) = (math.nextafter(t, u).as_integer_ratio()
+                                  for u in (0.0, math.inf))
+            if (lo * ad < an << k and bn << k <= hi * bd
+                    and _at(top, an, ad) * _at(top, bn, bd) <= 0):
+                return direction * t
+        bits = 60
+
+
+def past_branch_point(q: float, q_star: float | None) -> bool:
+    """True when q lies at or beyond the branch point q_star, if any."""
+    return q_star is not None and abs(q) >= abs(q_star) - 1e-12 * (1.0 + abs(q_star))
 
 
 @dataclass(frozen=True)
@@ -157,7 +203,7 @@ def track_root(
         return TrackResult(0.0, 0.0, 0.0, 0, 0, "ok", None)
     direction = 1 if q_target > 0 else -1
     q_star = first_branch_point(ode.D, direction)
-    if q_star is not None and abs(q_target) >= abs(q_star) - 1e-12 * (1.0 + abs(q_star)):
+    if past_branch_point(q_target, q_star):
         return TrackResult(q_target, math.nan, math.nan, 0, 0,
                            "hit_branch_point", q_star)
 
@@ -165,16 +211,7 @@ def track_root(
     dq = ode.D.float_coeffs()
 
     def f(q: float, x: float) -> float:
-        den = 0.0
-        for c in reversed(dq):
-            den = den * q + c
-        num = 0.0
-        for cs in reversed(wq):
-            w = 0.0
-            for c in reversed(cs):
-                w = w * q + c
-            num = num * x + w
-        return num / den
+        return _horner([_horner(cs, q) for cs in wq], x) / _horner(dq, q)
 
     rpoly = spec.R
     q = 0.0

@@ -1,5 +1,6 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,27 @@ class TestVerbs:
         assert report.status == "ok"
         assert report.result["remark2"] is True
         assert abs(report.result["diff"]) <= report.result["tol"]
+
+    def test_check_beyond_branch_point(self):
+        for kind in ("theorem1", "corollary2"):
+            report, code = run(Command("check", problem="x^3-x", q="-1", kind=kind))
+            assert code == 2
+            assert report.status == "hit_branch_point"
+            assert report.result["q_star"] == pytest.approx(-((4 / 27) ** 0.5), abs=1e-12)
+
+    @pytest.mark.parametrize("problem, q, kind", [
+        ("x^5-3x^4+2x^2-x", "-7.55021", "corollary2"),
+        ("x^5-3x^4-x^3+2x^2+3x", "1.92451", "theorem1"),
+        ("x^3-3x^2+x", "1", "corollary2"),
+        ("x^4-2x^2+x", "1", "corollary2"),
+    ])
+    def test_check_former_hangs_refused(self, problem, q, kind):
+        # a pole just off the path, a target near q*, two targets past q*
+        t0 = time.perf_counter()
+        report, code = run(Command("check", problem=problem, q=q, kind=kind))
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 2
+        assert report.status in ("domain_error", "hit_branch_point")
 
     def test_series(self):
         report, code = run(Command("series", problem="x^2+x", order=6))

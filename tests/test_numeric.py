@@ -1,11 +1,17 @@
 """Floating-point side: quadrature, closed forms, tracking, identity checks."""
 import math
 import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rootode.algebra import UPoly
+from rootode.algebra import UPoly, discriminant, poly_gcd
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
 from rootode.errors import DomainError
 from rootode.numeric import (
@@ -14,7 +20,6 @@ from rootode.numeric import (
     bisect_branch_root,
     cardano_root,
     check_identity,
-    closed_form_root,
     depress_quartic,
     depressed_cubic_real_roots,
     ferrari_real_roots,
@@ -135,14 +140,6 @@ class TestClosedForms:
         roots = ferrari_real_roots(0.0, p, -q)
         assert min(abs(x - r) for r in roots) < 1e-10
 
-    def test_dispatcher(self):
-        got = closed_form_root("babylonian", p=1.0, q=2.0)
-        assert got.method == "babylonian"
-        assert got.value == babylonian_root(1.0, 2.0)
-        assert "p != 0" in got.validity
-        with pytest.raises(ValueError):
-            closed_form_root("newton")
-
     def test_bisect_branch_root(self):
         r3 = mono_trinomial(3, 1)
         for q in (0.5, -0.5, 2.0):
@@ -168,7 +165,74 @@ class TestPolish:
         assert not res.converged
 
 
+def _reference_first_branch_point(d, direction):
+    """The float-root version: np.roots of the square-free part of D, each
+    real root polished by eight Newton steps, the nearest on the side kept."""
+    if d.coefficient(0) == 0:
+        return 0.0
+    if d.degree == 0:
+        return None
+    sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
+    sfc = sf.float_coeffs()
+    dsfc = [i * c for i, c in enumerate(sfc)][1:]
+    best = None
+    for z in np.roots(list(reversed(sfc))):
+        if abs(z.imag) > 1e-8 * (1.0 + abs(z.real)):
+            continue
+        t = z.real
+        for _ in range(8):
+            f = 0.0
+            for c in reversed(sfc):
+                f = f * t + c
+            fp = 0.0
+            for c in reversed(dsfc):
+                fp = fp * t + c
+            if fp == 0.0:
+                break
+            t -= f / fp
+        if t * direction > 0 and (best is None or abs(t) < abs(best)):
+            best = t
+    return best
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def discriminants(draw):
+    """D(q) of R of degree 2..6 with R(0) = 0 and small rational coefficients."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
+    lead = draw(small_rationals.filter(bool))
+    return discriminant(UPoly("x", [0, *lower, lead]))
+
+
 class TestBranchPoint:
+    @settings(max_examples=150, deadline=None)
+    @given(discriminants(), st.sampled_from([1, -1]))
+    def test_matches_float_roots(self, d, direction):
+        got = first_branch_point(d, direction)
+        ref = _reference_first_branch_point(d, direction)
+        if ref is None:
+            assert got is None
+            return
+        # float roots lose digits on clustered roots, so they are matched to
+        # that accuracy; the certified value has the root between its float
+        # neighbours
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-300)
+        if got:
+            sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
+            below, above = (sf(Fraction(math.nextafter(got, t))) for t in (-math.inf, math.inf))
+            assert below * above <= 0
+
+    def test_rational_root_behind_a_nearer_one(self):
+        # D = -16 (q+1)^2 (16q+7); bisecting (-4, 0) meets the double root -1
+        # before the nearer -7/16
+        d = discriminant(UPoly("x", (0, 2, 3, 2, 1)))
+        assert d == -16 * UPoly("q", (1, 1)) ** 2 * UPoly("q", (7, 16))
+        assert first_branch_point(d, -1) == -7 / 16
+        assert first_branch_point(d, 1) is None
+
     def test_cubic_fold(self):
         d = UPoly("q", (4, 0, -27))
         q_star = math.sqrt(4 / 27)
@@ -297,3 +361,14 @@ class TestIdentities:
         target = quad(lhs_integrand(spec), 0.0, x0)
         got = invert_phi(spec, target, (0.0, 2 * x0))
         assert abs(got - x0) < 1e-10
+
+
+def test_cli_import_loads_no_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import rootode.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(src)},
+    )
+    assert out.stdout.strip() == "False"
