@@ -23,14 +23,12 @@ from .derive import (
     IntegrandSpec,
     LinearODE,
     ProblemSpec,
-    TableReport,
     abel_ode,
     build_integrands,
     derivative_tower,
     factorize,
     linear_ode,
     trinomial,
-    verify_trinomial_table,
 )
 from .errors import (
     DomainError,
@@ -83,7 +81,6 @@ __all__ = [
     "RootodeError",
     "SeriesQ",
     "SingularIntegrandError",
-    "TableReport",
     "TrackResult",
     "UPoly",
     "VariableMismatchError",
@@ -114,5 +111,4 @@ __all__ = [
     "series_ode_residual",
     "track_root",
     "trinomial",
-    "verify_trinomial_table",
 ]

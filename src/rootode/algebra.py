@@ -237,9 +237,6 @@ class UPoly:
                 rem[k - dn + i] -= f * dv[i]
         return UPoly(self.var, quo), UPoly(self.var, rem[:dn])
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 
@@ -344,10 +341,6 @@ class BiPoly:
         return cls(())
 
     @classmethod
-    def one(cls) -> "BiPoly":
-        return cls((UPoly.one("q"),))
-
-    @classmethod
     def const(cls, c) -> "BiPoly":
         return cls((UPoly.const("q", c),))
 
@@ -447,18 +440,6 @@ class BiPoly:
         return BiPoly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        result = BiPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def divmod_x(self, other: "BiPoly"):
         """Division in x; the divisor must be monic in x."""

@@ -14,7 +14,7 @@ Verbs:
 * ``series`` — exact branch series coefficients, certified against the
   linear equation when possible.
 * ``demo`` — built-in end-to-end reproductions (babylonian, cardano,
-  quartic23, betti, hypergeom, remark5).
+  quartic23, betti, hypergeom, remark5), which live in ``rootode.demos``.
 
 Reports serialize exact quantities as rational strings and round-trip
 losslessly through JSON.  Exit codes: 0 success, 1 usage error, 2 domain
@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import UPoly
+from .demos import DEMOS
 from .derive import (
     ProblemSpec,
     build_integrands,
@@ -38,26 +39,16 @@ from .derive import (
     linear_ode,
     abel_ode,
     needs_remark2,
-    trinomial,
 )
 from .errors import ParseError, RootodeError
 from .numeric import (
-    babylonian_root,
     bisect_branch_root,
-    cardano_root,
     check_identity,
     first_branch_point,
     lagrange_series,
-    lhs_integrand,
     past_branch_point,
-    quad,
-    quartic_real_roots,
-    quartic_series_2f1_product,
-    quartic_series_3f2,
-    rhs_integrand,
     series_ode_residual,
     track_root,
-    vieta_hyp_root,
 )
 from .render import (
     abel_coeff_arrays,
@@ -81,7 +72,7 @@ __all__ = [
     "DEMO_NAMES",
 ]
 
-DEMO_NAMES = ("babylonian", "cardano", "quartic23", "betti", "hypergeom", "remark5")
+DEMO_NAMES = tuple(DEMOS)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +238,6 @@ class Report:
             d["timing_ms"] = self.timing_ms
         return json.dumps(d, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        d = json.loads(text)
-        return cls(
-            verb=d["verb"],
-            input=d["input"],
-            result=d["result"],
-            status=d["status"],
-            errors=list(d.get("errors", [])),
-            timing_ms=d.get("timing_ms"),
-        )
-
 
 # ---------------------------------------------------------------------------
 # verb handlers: each returns a result dict; "_status"/"_errors" override
@@ -335,10 +314,7 @@ def _h_check(cmd: Command) -> dict:
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
     if qv != 0.0:
-        # a root of D at q = 0 (a multiple root of R) does not count
-        zeros = next(k for k, c in enumerate(fact.D.coeffs) if c)
-        q_star = first_branch_point(UPoly("q", fact.D.coeffs[zeros:]),
-                                    1 if qv > 0 else -1)
+        q_star = first_branch_point(fact.D, 1 if qv > 0 else -1)
         if past_branch_point(qv, q_star):
             return {"kind": cmd.kind, "weight": str(weight), "q": cmd.q, "q_star": q_star,
                     "_status": "hit_branch_point",
@@ -386,211 +362,10 @@ def _h_series(cmd: Command) -> dict:
     return out
 
 
-# ---------------------------------------------------------------------------
-# demos
-
-def _check(name: str, ok: bool, **detail) -> dict:
-    return {"name": name, "ok": bool(ok), **detail}
-
-
-def _demo_babylonian() -> list[dict]:
-    spec = trinomial(2, 1)
-    fact = factorize(spec)
-    checks = [
-        _check("discriminant_exact", fact.D == UPoly("q", (1, 4))),
-        _check("cofactor_exact", fact.U == UPoly.one("x")),
-    ]
-    worst = 0.0
-    for qv in (-0.2, -0.1, 0.5, 1.0, 2.0):
-        res = track_root(spec, qv)
-        worst = max(worst, abs(res.x - babylonian_root(1.0, qv)))
-    checks.append(_check("tracked_vs_closed_form", worst <= 1e-9, max_diff=worst))
-    qv = 2.0
-    x = babylonian_root(1.0, qv)
-    rad = check_identity(build_integrands(fact, UPoly.one("q")), x, qv)
-    closed = (math.sqrt(1.0 + 4.0 * qv) - 1.0) / 2.0
-    checks.append(
-        _check(
-            "radical_identity",
-            abs(rad.diff) <= 1e-8 and abs(rad.rhs - closed) <= 1e-8,
-            diff=rad.diff,
-        )
-    )
-    rat = check_identity(
-        build_integrands(fact, UPoly.one("q"), "corollary2"), x, qv
-    )
-    closed_log = 0.25 * math.log(1.0 + 4.0 * qv)
-    checks.append(
-        _check(
-            "log_identity",
-            abs(rat.diff) <= 1e-8 and abs(rat.rhs - closed_log) <= 1e-8,
-            diff=rat.diff,
-        )
-    )
-    return checks
-
-
-def _demo_cardano() -> list[dict]:
-    spec = trinomial(3, 1)
-    fact = factorize(spec)
-    checks = [
-        _check("discriminant_exact", fact.script_d == UPoly("q", (4, 0, 27))),
-        _check("cofactor_exact", fact.script_u == UPoly("x", (4, 0, 3))),
-    ]
-    worst = 0.0
-    worst_sinh = 0.0
-    for qv in (-2.0, -0.5, 0.5, 1.0, 2.0):
-        res = track_root(spec, qv)
-        worst = max(worst, abs(res.x - cardano_root(1.0, qv)))
-        worst_sinh = max(worst_sinh, abs(cardano_root(1.0, qv) - vieta_hyp_root(1.0, qv)))
-    checks.append(_check("tracked_vs_cardano", worst <= 1e-9, max_diff=worst))
-    checks.append(
-        _check("cardano_vs_sinh_form", worst_sinh <= 1e-12, max_diff=worst_sinh)
-    )
-    return checks
-
-
-def _quartic23_spec() -> ProblemSpec:
-    return ProblemSpec(UPoly("x", (0, -1, 2, -2, 1)))
-
-
-def _demo_quartic23() -> list[dict]:
-    spec = _quartic23_spec()
-    fact = factorize(spec)
-    # the positive-near-0 normalization; the signed discriminant is its negative
-    d_expected = UPoly("q", (1, 4)) ** 2 * UPoly("q", (3, 16))
-    u_expected = UPoly("x", (1, -2, 2)) ** 2 * UPoly("x", (3, -4, 4))
-    checks = [
-        _check("script_d_exact", fact.script_d == d_expected and fact.D == -d_expected),
-        _check("script_u_exact", fact.script_u == u_expected and fact.U == -u_expected),
-    ]
-
-    def closed_roots(qv: float) -> list[float]:
-        roots = []
-        for s2 in (1.0, -1.0):
-            inner = -1.0 + s2 * 2.0 * math.sqrt(1.0 + 4.0 * qv)
-            if inner >= 0.0:
-                for s1 in (1.0, -1.0):
-                    roots.append(0.5 + s1 * 0.5 * math.sqrt(inner))
-        return sorted(roots)
-
-    worst_roots = 0.0
-    worst_branch = 0.0
-    for qv in (0.25, 0.75):
-        cf = closed_roots(qv)
-        ferrari = [
-            y + 0.5 for y in quartic_real_roots(0.5, 0.0, -3.0 / 16.0 - qv)
-        ]
-        if len(cf) != len(ferrari):
-            worst_roots = math.inf
-        else:
-            worst_roots = max(
-                worst_roots, max(abs(a - b) for a, b in zip(cf, sorted(ferrari)))
-            )
-        branch = 0.5 - 0.5 * math.sqrt(-1.0 + 2.0 * math.sqrt(1.0 + 4.0 * qv))
-        res = track_root(spec, qv)
-        worst_branch = max(worst_branch, abs(res.x - branch))
-    checks.append(_check("closed_roots_vs_ferrari", worst_roots <= 1e-10, max_diff=worst_roots))
-    checks.append(_check("tracked_vs_closed_branch", worst_branch <= 1e-10, max_diff=worst_branch))
-
-    ispec = build_integrands(fact, UPoly.const("q", -2))
-    phi_f = lhs_integrand(ispec)
-    psi_f = rhs_integrand(ispec)
-    worst_arctan = 0.0
-    for qv in (0.25, 0.75):
-        x = 0.5 - 0.5 * math.sqrt(-1.0 + 2.0 * math.sqrt(1.0 + 4.0 * qv))
-        phi = quad(phi_f, 0.0, x)
-        psi = quad(psi_f, 0.0, qv)
-        phi_closed = (
-            2.0 * math.atan((2.0 * x - 1.0) / math.sqrt(4.0 * x * x - 4.0 * x + 3.0))
-            + math.pi / 3.0
-        )
-        psi_closed = -math.atan(math.sqrt(16.0 * qv + 3.0)) + math.pi / 3.0
-        worst_arctan = max(
-            worst_arctan,
-            abs(phi - phi_closed),
-            abs(psi - psi_closed),
-            abs(phi - psi),
-        )
-    checks.append(_check("arctan_identity", worst_arctan <= 1e-8, max_diff=worst_arctan))
-    return checks
-
-
-def _demo_betti() -> list[dict]:
-    spec = ProblemSpec(UPoly("x", (0, 0, 0, 5, 0, 1)))
-    fact = factorize(spec)
-    d_expected = 5**5 * UPoly("q", (0, 0, 1)) * UPoly("q", (108, 0, 1))
-    u_expected = (
-        5**3
-        * UPoly("x", (0, 0, 1))
-        * UPoly("x", (5, 0, 1)) ** 2
-        * UPoly("x", (12, 0, -8, 0, 4, 0, 1))
-    )
-    checks = [
-        _check("script_d_exact", fact.script_d == d_expected),
-        _check("script_u_exact", fact.script_u == u_expected),
-    ]
-    ispec = build_integrands(
-        fact, UPoly("q", (0, 5)), surd=5, remark2=True
-    )
-    worst = 0.0
-    for qv in (0.5, 1.0, 2.0):
-        x = bisect_branch_root(spec.R, qv)
-        rep = check_identity(ispec, x, qv)
-        worst = max(worst, abs(rep.diff))
-    checks.append(_check("elliptic_identity", worst <= 1e-8, max_diff=worst))
-    return checks
-
-
-def _demo_hypergeom() -> list[dict]:
-    order = 12
-    lag = lagrange_series(trinomial(4, 1), order)
-    x1 = quartic_series_3f2(Fraction(1), order)
-    x2 = quartic_series_2f1_product(Fraction(1), order)
-    return [
-        _check("series_3f2_equals_lagrange", x1.coeffs == lag.coeffs),
-        _check("series_2f1_product_equals_lagrange", x2.coeffs == lag.coeffs),
-    ]
-
-
-def _demo_remark5() -> list[dict]:
-    checks = []
-    for s in (1, 2):
-        ode = linear_ode(ProblemSpec(UPoly("x", (0, 1, s, 1)))).normalized()
-        # (4p^3 + 27q^2 + 18pqs - p^2 s^2 - 4qs^3) at p = 1
-        b2 = UPoly("q", (4 - s * s, 18 * s - 4 * s**3, 27))
-        b1 = UPoly("q", (9 * s - 2 * s**3, 27))
-        want = (
-            ode.order == 2
-            and ode.b == (UPoly("q", (-3,)), b1, b2)
-            and ode.inhomogeneous == UPoly("q", (-s,))
-        )
-        checks.append(_check(f"nonhomogeneous_s{s}", want))
-    reduced = linear_ode(trinomial(3, 1)).normalized()
-    checks.append(
-        _check(
-            "s0_reduces_to_homogeneous",
-            reduced.b == (UPoly("q", (-3,)), UPoly("q", (0, 27)), UPoly("q", (4, 0, 27)))
-            and not reduced.inhomogeneous,
-        )
-    )
-    return checks
-
-
-_DEMOS = {
-    "babylonian": _demo_babylonian,
-    "cardano": _demo_cardano,
-    "quartic23": _demo_quartic23,
-    "betti": _demo_betti,
-    "hypergeom": _demo_hypergeom,
-    "remark5": _demo_remark5,
-}
-
-
 def _h_demo(cmd: Command) -> dict:
-    if cmd.demo not in _DEMOS:
+    if cmd.demo not in DEMOS:
         raise ValueError(f"unknown demo {cmd.demo!r}; choose from {', '.join(DEMO_NAMES)}")
-    checks = _DEMOS[cmd.demo]()
+    checks = DEMOS[cmd.demo]()
     failed = [c["name"] for c in checks if not c["ok"]]
     out = {"demo": cmd.demo, "checks": checks, "passed": not failed}
     if failed:

@@ -11,7 +11,9 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   script_d) or rational form (weight / R'U resp. weight / D);
 * the first-order equation x' = W(x, q)/D(q) with deg_x W <= n-1, obtained
   by reducing R'U modulo P;
-* the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1;
+* the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1,
+  obtained by differentiating the first-order equation along W and
+  reducing modulo P at every step;
 * the linear differential equation of order n-1 with polynomial coefficients
   annihilating the branch (up to an inhomogeneous constant term), found as
   the kernel of the linear system that kills every power of x when the
@@ -37,7 +39,6 @@ __all__ = [
     "AbelODE",
     "DerivativeTower",
     "LinearODE",
-    "TableReport",
     "trinomial",
     "factorize",
     "needs_remark2",
@@ -45,7 +46,6 @@ __all__ = [
     "abel_ode",
     "derivative_tower",
     "linear_ode",
-    "verify_trinomial_table",
 ]
 
 
@@ -260,14 +260,10 @@ class AbelODE:
         return tuple(_normalize_vector([self.W.coefficient(j), self.D], anchor=1))
 
 
-def _require_monic(spec: ProblemSpec):
-    if not spec.is_monic():
-        raise ValueError("R must be monic for division by R(x) - q")
-
-
 def abel_ode(spec: ProblemSpec) -> AbelODE:
     """Derive the degree-(n-1) polynomial ODE for the branch."""
-    _require_monic(spec)
+    if not spec.is_monic():
+        raise ValueError("R must be monic for division by R(x) - q")
     fact = factorize(spec)
     ru = BiPoly.from_x(spec.rprime() * fact.U)
     p = spec.p_bipoly()
@@ -279,7 +275,7 @@ def abel_ode(spec: ProblemSpec) -> AbelODE:
 class DerivativeTower:
     """Numerators B_k with x^(k) = B_k(x, q) / D(q)^k along the branch.
 
-    ``raw[k-1]`` is B_k, already reduced modulo P to x-degree at most n-1,
+    ``raw[k-1]`` is B_k for k = 1..n-1, reduced modulo P to x-degree at most n-1,
     so x^(k) = sum_j a_{k,j}(q) x^j with a_{k,j} = B_k[j] / D^k.  The first
     row is the first-order equation: B_1 = W and a_{1,j} = W_j / D.
     """
@@ -288,36 +284,26 @@ class DerivativeTower:
     D: UPoly
     raw: tuple[BiPoly, ...]
 
-    @property
-    def k_max(self) -> int:
-        return len(self.raw)
 
+def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
+    """Differentiate the first-order equation n-2 times, reducing modulo P
+    at every step.
 
-def derivative_tower(spec: ProblemSpec, k_max: int | None = None) -> DerivativeTower:
-    """Iterate the derivative recursion, reducing modulo P at every step.
+    Differentiating x^(k) = B_k / D^k along x' = W / D gives
 
-    Differentiating x^(k) = C_k / D^k along x' = R'U / D gives
+        B_{k+1} = dB_k/dx * W + dB_k/dq * D - k B_k D'.
 
-        C_{k+1} = dC_k/dx * R'U + dC_k/dq * D - k C_k D'.
-
-    Reduction modulo P commutes with this recursion because the discarded
-    terms are multiples of P (using D(R(x)) - D(q) = 0 mod P), so working
-    with the reduced numerators keeps every degree bounded.
+    Since W = R'U - Q P, recursing along W in place of R'U changes each
+    product by a multiple of P, so the rows reduced modulo P are the same;
+    the products have x-degree at most 2n-3 instead of (n-1)^2 + n-2.
     """
-    _require_monic(spec)
-    n = spec.n
-    if k_max is None:
-        k_max = n - 1
-    if k_max < 1:
-        raise ValueError("need k_max >= 1")
-    fact = factorize(spec)
-    D, Dp = fact.D, fact.D.derivative()
-    ru = BiPoly.from_x(spec.rprime() * fact.U)
+    ode = abel_ode(spec)
+    D, Dp = ode.D, ode.D.derivative()
     p = spec.p_bipoly()
-    b = ru.divmod_x(p)[1]
+    b = ode.W
     raw = [b]
-    for k in range(1, k_max):
-        c = b.derivative_x() * ru + b.derivative_q() * D - (k * b) * Dp
+    for k in range(1, spec.n - 1):
+        c = b.derivative_x() * ode.W + b.derivative_q() * D - (k * b) * Dp
         b = c.divmod_x(p)[1]
         raw.append(b)
     return DerivativeTower(problem=spec, D=D, raw=tuple(raw))
@@ -427,7 +413,7 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     lower order.
     """
     n = spec.n
-    tower = derivative_tower(spec, n - 1)
+    tower = derivative_tower(spec)
     B = tower.raw
     core = [[B[k - 1].coefficient(j) for k in range(1, n)] for j in range(2, n)]
     basis, ambiguous = _kernel(core, n - 1)
@@ -447,56 +433,3 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
         inhomogeneous=best[order + 1],
         ambiguous=ambiguous,
     )
-
-
-@dataclass(frozen=True)
-class TableReport:
-    """Comparison of a derived linear ODE against the classical table."""
-
-    n: int
-    p: Fraction
-    ok: bool
-    derived: LinearODE
-    expected: LinearODE
-
-
-def _table_entry(n: int, p: Fraction) -> LinearODE:
-    q = lambda *cs: UPoly("q", cs)
-    if n == 3:
-        b = [q(-3), q(0, 27), q(4 * p**3, 0, 27)]
-    elif n == 4:
-        b = [q(-40), q(0, 688), q(0, 0, 1152), q(27 * p**4, 0, 0, 256)]
-    elif n == 5:
-        b = [
-            q(-1155),
-            q(0, 31875),
-            q(0, 0, 73125),
-            q(0, 0, 0, 31250),
-            q(256 * p**5, 0, 0, 0, 3125),
-        ]
-    elif n == 6:
-        b = [
-            q(-57456),
-            q(0, 2307456),
-            q(0, 0, 6658200),
-            q(0, 0, 0, 4153680),
-            q(0, 0, 0, 0, 816480),
-            q(3125 * p**6, 0, 0, 0, 0, 46656),
-        ]
-    else:
-        raise ValueError("table covers n = 3..6 only")
-    return LinearODE(order=n - 1, b=tuple(b), inhomogeneous=UPoly.zero("q")).normalized()
-
-
-def verify_trinomial_table(n: int, p=1) -> TableReport:
-    """Re-derive the linear ODE of x^n + p x = q and diff it against the
-    classical closed-form table for n = 3..6."""
-    p = Fraction(p)
-    expected = _table_entry(n, p)
-    derived = linear_ode(trinomial(n, p))
-    ok = (
-        derived.order == expected.order
-        and derived.b == expected.b
-        and derived.inhomogeneous == expected.inhomogeneous
-    )
-    return TableReport(n=n, p=p, ok=ok, derived=derived, expected=expected)

@@ -27,6 +27,11 @@ __all__ = [
     "bisect_branch_root",
 ]
 
+# continuation steps in q of quartic_w_root
+W_SUBSTEPS = 32
+# doublings of the bracket that bisect_branch_root tries on each side
+EXPAND_LIMIT = 200
+
 
 def _cbrt(t: float) -> float:
     """Real cube root."""
@@ -188,7 +193,7 @@ def depress_quartic(r: UPoly) -> tuple[float, float, float, float]:
     )
 
 
-def quartic_w_root(p: float, q: float, substeps: int = 32) -> float:
+def quartic_w_root(p: float, q: float) -> float:
     """Branch root of x^4 + p x = q via the auxiliary sextic in w.
 
     Follows the real branch of -p^2 w^6 + 4 q w^4 + 1 = 0 with
@@ -198,8 +203,8 @@ def quartic_w_root(p: float, q: float, substeps: int = 32) -> float:
     if p == 0:
         raise DomainError("needs p != 0")
     v = abs(p) ** (-2.0 / 3.0)
-    for i in range(1, substeps + 1):
-        qi = q * i / substeps
+    for i in range(1, W_SUBSTEPS + 1):
+        qi = q * i / W_SUBSTEPS
         for _ in range(40):
             f = -p * p * v**3 + 4.0 * qi * v * v + 1.0
             fp = -3.0 * p * p * v * v + 8.0 * qi * v
@@ -219,7 +224,7 @@ def quartic_w_root(p: float, q: float, substeps: int = 32) -> float:
     return _polish([-q, p, 0.0, 0.0, 1.0], x)
 
 
-def bisect_branch_root(r: UPoly, q: float, expand_limit: int = 200) -> float:
+def bisect_branch_root(r: UPoly, q: float) -> float:
     """Root of R(x) = q reached from 0 along a monotone stretch of R.
 
     Works whenever R is monotone between 0 and the root, which covers
@@ -248,7 +253,7 @@ def bisect_branch_root(r: UPoly, q: float, expand_limit: int = 200) -> float:
     for direction in directions:
         lo, hi = 0.0, direction * 1e-6
         found = False
-        for _ in range(expand_limit):
+        for _ in range(EXPAND_LIMIT):
             if f(hi) * f0 < 0:
                 found = True
                 break

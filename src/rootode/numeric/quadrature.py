@@ -30,16 +30,18 @@ __all__ = [
 
 # a converging identity check takes under 10,000 per integral
 MAX_EVALS = 100_000
+# relative error target of every integral
+QUAD_TOL = 1e-12
 
 
 def _simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
     return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def quad(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) -> float:
+def quad(f: Callable[[float], float], a: float, b: float) -> float:
     """Adaptive Simpson integral of f over [a, b].
 
-    The error target is tol * (1 + |result|), and the recursion stops at
+    The error target is QUAD_TOL * (1 + |result|), and the recursion stops at
     depth 40.  Endpoints where f is not finite are nudged inward by a
     relative 1e-12; a non-finite value in the interior raises
     SingularIntegrandError.  The recursion raises QuadratureError once it
@@ -84,7 +86,7 @@ def quad(f: Callable[[float], float], a: float, b: float, tol: float = 1e-12) ->
         raise SingularIntegrandError("integrand not finite at the endpoints")
     crude = abs(span) * (abs(fa) + abs(fm) + abs(fb)) / 3.0
     whole = _simpson(a, b, fa, fm, fb)
-    return adapt(a, fa, b, fb, m, fm, whole, tol * (1.0 + crude), 0)
+    return adapt(a, fa, b, fb, m, fm, whole, QUAD_TOL * (1.0 + crude), 0)
 
 
 def _ratio(num: UPoly, den: UPoly) -> Callable[[float], float]:
@@ -154,21 +156,19 @@ class IdentityReport:
     q: float
 
 
-def check_identity(spec: IntegrandSpec, x: float, q: float,
-                   tol: float = 1e-12) -> IdentityReport:
+def check_identity(spec: IntegrandSpec, x: float, q: float) -> IdentityReport:
     """Compare the x-side and q-side integrals at a matched pair (x, q).
 
     The caller supplies x with R(x) = q on the branch through 0; both
     integrals then measure the same quantity and should agree up to
     quadrature error.
     """
-    lhs = quad(lhs_integrand(spec), 0.0, x, tol)
-    rhs = quad(rhs_integrand(spec), 0.0, q, tol)
+    lhs = quad(lhs_integrand(spec), 0.0, x)
+    rhs = quad(rhs_integrand(spec), 0.0, q)
     return IdentityReport(lhs=lhs, rhs=rhs, diff=lhs - rhs, x=x, q=q)
 
 
-def invert_phi(spec: IntegrandSpec, target: float, bracket: tuple[float, float],
-               tol: float = 1e-12) -> float:
+def invert_phi(spec: IntegrandSpec, target: float, bracket: tuple[float, float]) -> float:
     """Solve phi(x) = target for x, where phi is the x-side integral from 0.
 
     phi is monotone wherever the integrand keeps one sign, which holds on
@@ -178,7 +178,7 @@ def invert_phi(spec: IntegrandSpec, target: float, bracket: tuple[float, float],
     a, b = bracket
 
     def phi(x: float) -> float:
-        return quad(f, 0.0, x, tol) - target
+        return quad(f, 0.0, x) - target
 
     fa = phi(a)
     fb = phi(b)

@@ -3,9 +3,10 @@
 Integrates x' = W(x, q)/D(q) from (0, 0) with an embedded Cash-Karp 4(5)
 pair and polishes each accepted step with Newton on R(x) - q, so the
 result carries full Newton accuracy while the integration supplies branch
-selection and starting points.  The first branch point, the nearest real
-root of D on the side of the target, is isolated beforehand in exact
-arithmetic by Sturm's theorem, and targets at or beyond it are refused.
+selection and starting points.  The first branch point, the nearest
+nonzero real root of D on the side of the target, is isolated beforehand
+in exact arithmetic by Sturm's theorem, and targets at or beyond it are
+refused.
 """
 from __future__ import annotations
 
@@ -24,6 +25,11 @@ __all__ = [
     "past_branch_point",
     "track_root",
 ]
+
+# Newton's residual target after each accepted step, relative to 1 + |q|
+RESIDUAL_TOL = 1e-10
+# RK steps before tracking gives up without an answer
+MAX_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ def _sign_changes(values) -> int:
 
 
 def first_branch_point(d: UPoly, direction: int) -> float | None:
-    """Nearest real root of D on the given side of 0, or None.
+    """Nearest nonzero real root of D on the given side of 0, or None.
 
     Sturm's theorem isolates the root exactly: the remainder chain of D
     and D', divided by its last member gcd(D, D') so that a multiple root
@@ -79,18 +85,17 @@ def first_branch_point(d: UPoly, direction: int) -> float | None:
     bound, to an interval of relative width 2^-32 about that root alone.
     Newton on the square-free part, in floats, then gives a float whose
     two neighbours bracket the root, or else bisection goes on to 2^-60.
-    A root at 0 itself (multiple root of R) is always reported.
+    A root at 0 itself (a multiple root of R) is divided out first.
     """
     if d.var != "q" or not d:
         raise ValueError("expected a nonzero polynomial in q")
     if direction not in (1, -1):
         raise ValueError("direction must be +1 or -1")
-    if d.coefficient(0) == 0:
-        return 0.0
-    if d.degree == 0:
+    zeros = next(k for k, c in enumerate(d.coeffs) if c)
+    if d.degree == zeros:
         return None
-    # search q > 0 on D(direction * q)
-    d = UPoly("q", (c * direction**k for k, c in enumerate(d.coeffs)))
+    # search q > 0 on D(direction * q) / q^zeros
+    d = UPoly("q", (c * direction**k for k, c in enumerate(d.coeffs[zeros:])))
     chain = [d, d.derivative()]
     while rem := chain[-2] % chain[-1]:
         chain.append(-rem)
@@ -184,14 +189,13 @@ def track_root(
     *,
     atol: float = 1e-12,
     rtol: float = 1e-10,
-    residual_tol: float = 1e-10,
-    max_steps: int = 100000,
 ) -> TrackResult:
     """Follow the branch x(q), x(0) = 0, to q_target.
 
     Requires R monic with R'(0) != 0 (otherwise the branch leaves 0 with
-    infinite slope and the first-order equation cannot start) and a
-    finite q_target.
+    infinite slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin,
+    and the first-order equation cannot start there) and a finite
+    q_target.
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):
@@ -199,6 +203,8 @@ def track_root(
     if spec.rprime().coefficient(0) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
     ode = abel_ode(spec)
+    if not ode.D.coefficient(0):
+        raise DomainError("D(0) = 0: R has a multiple root, and x' = W/D is 0/0 at the origin")
     if q_target == 0.0:
         return TrackResult(0.0, 0.0, 0.0, 0, 0, "ok", None)
     direction = 1 if q_target > 0 else -1
@@ -219,10 +225,11 @@ def track_root(
     h = q_target / 16.0
     steps = 0
     polish_total = 0
-    while steps < max_steps:
+    while steps < MAX_STEPS:
         if (q_target - q) * direction <= 0:
             break
-        if abs(h) > abs(q_target - q):
+        last = abs(h) > abs(q_target - q)
+        if last:
             h = q_target - q
         k = [0.0] * 6
         try:
@@ -243,8 +250,9 @@ def track_root(
             err = math.inf
             scale = 1.0
         if ok_eval and err <= scale:
-            q += h
-            pol = newton_polish(rpoly, q, x5, tol=residual_tol)
+            # q + (q_target - q) can miss q_target by an ulp
+            q = q_target if last else q + h
+            pol = newton_polish(rpoly, q, x5, tol=RESIDUAL_TOL)
             x = pol.x
             polish_total += pol.iters
             steps += 1
@@ -255,7 +263,7 @@ def track_root(
         if abs(h) < 1e-15 * (1.0 + abs(q)):
             return TrackResult(q_target, x, abs(rpoly(x) - q), steps,
                                polish_total, "step_underflow", q_star)
-    pol = newton_polish(rpoly, q_target, x, tol=min(residual_tol, 1e-13))
+    pol = newton_polish(rpoly, q_target, x, tol=1e-13)
     polish_total += pol.iters
     return TrackResult(q_target, pol.x, pol.residual, steps, polish_total,
                        "ok", q_star)

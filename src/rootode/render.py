@@ -17,7 +17,6 @@ from .derive import AbelODE, LinearODE
 __all__ = [
     "frac_str",
     "coeff_strings",
-    "poly_from_strings",
     "poly_latex",
     "latex_linear",
     "latex_abel",
@@ -38,11 +37,6 @@ def coeff_strings(p: UPoly) -> list[str]:
     if not p:
         return ["0"]
     return [frac_str(c) for c in p.coeffs]
-
-
-def poly_from_strings(coeffs: list[str], var: str) -> UPoly:
-    """Inverse of coeff_strings."""
-    return UPoly(var, [Fraction(c) for c in coeffs])
 
 
 def _latex_term(c: Fraction, var: str, k: int) -> str:

@@ -154,6 +154,13 @@ class TestVerbs:
         assert report.result["remark2"] is True
         assert abs(report.result["diff"]) <= report.result["tol"]
 
+    def test_solve_multiple_root_refused(self):
+        # the same R as above: check answers ok, but tracking cannot start
+        report, code = run(Command("solve", problem="x^3+2x^2+x", q="0.01"))
+        assert code == 2
+        assert report.status == "domain_error"
+        assert "D(0) = 0" in report.errors[0]
+
     def test_check_beyond_branch_point(self):
         for kind in ("theorem1", "corollary2"):
             report, code = run(Command("check", problem="x^3-x", q="-1", kind=kind))
@@ -226,7 +233,7 @@ class TestDemos:
 class TestReportFormats:
     def test_json_round_trip(self):
         report, _ = run(Command("derive-linear", problem="x^3+x"))
-        again = Report.from_json(report.to_json())
+        again = Report(**json.loads(report.to_json()))
         assert again == report
 
     def test_json_is_strict(self):

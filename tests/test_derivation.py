@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootode.algebra import BiPoly, UPoly, compose_q
 from rootode.derive import (
@@ -16,7 +18,6 @@ from rootode.derive import (
     factorize,
     linear_ode,
     trinomial,
-    verify_trinomial_table,
 )
 from rootode.errors import DomainError
 from rootode.render import text_linear
@@ -250,7 +251,39 @@ class TestAbel:
             abel_ode(ProblemSpec(x_poly(0, 1, 2)))
 
 
+def _reference_tower(spec):
+    """The tower as first derived: R'U lifted and reduced modulo P again,
+    every row differentiated along the unreduced R'U."""
+    fact = factorize(spec)
+    D, Dp = fact.D, fact.D.derivative()
+    ru = BiPoly.from_x(spec.rprime() * fact.U)
+    p = spec.p_bipoly()
+    b = ru.divmod_x(p)[1]
+    raw = [b]
+    for k in range(1, spec.n - 1):
+        c = b.derivative_x() * ru + b.derivative_q() * D - (k * b) * Dp
+        b = c.divmod_x(p)[1]
+        raw.append(b)
+    return raw
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def monic_problems(draw):
+    """Monic R of degree 2..7 with R(0) = 0 and small rational coefficients."""
+    n = draw(st.integers(min_value=2, max_value=7))
+    lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
+    return ProblemSpec(UPoly("x", [0, *lower, 1]))
+
+
 class TestTower:
+    @settings(max_examples=40, deadline=None)
+    @given(monic_problems())
+    def test_matches_reference(self, spec):
+        assert list(derivative_tower(spec).raw) == _reference_tower(spec)
+
     def test_first_row_is_abel(self):
         spec = trinomial(3, 1)
         tower = derivative_tower(spec)
@@ -272,7 +305,7 @@ class TestTower:
         for _ in range(10):
             spec = rand_problem(rng, max_n=6)
             tower = derivative_tower(spec)
-            assert tower.k_max == spec.n - 1
+            assert len(tower.raw) == spec.n - 1
             for bk in tower.raw:
                 assert bk.deg_x <= spec.n - 1
 
@@ -297,7 +330,7 @@ class TestTower:
                 return out
 
             deriv = dense
-            for k in range(1, tower.k_max + 1):
+            for k in range(1, len(tower.raw) + 1):
                 deriv = [i * deriv[i] for i in range(1, len(deriv))]
                 # rhs_num = sum_j B_k[j] * S^j must equal deriv * D^k as series
                 dk = tower.D ** k
@@ -329,15 +362,23 @@ class TestLinearODE:
         assert not ode.ambiguous
 
     def test_table_various_p(self):
-        for n in (3, 4, 5, 6):
-            assert verify_trinomial_table(n, 1).ok
-        for p in (2, Fraction(1, 2), -1):
-            assert verify_trinomial_table(3, p).ok
-            assert verify_trinomial_table(4, p).ok
-
-    def test_table_rejects_other_n(self):
-        with pytest.raises(ValueError):
-            verify_trinomial_table(7)
+        # x^n + p x = q: b_0 .. b_{n-1} of the classical table; only the
+        # constant term of the top coefficient depends on p, as c p^n
+        table = {
+            3: ((-3,), (0, 27), (4, 0, 27)),
+            4: ((-40,), (0, 688), (0, 0, 1152), (27, 0, 0, 256)),
+            5: ((-1155,), (0, 31875), (0, 0, 73125), (0, 0, 0, 31250),
+                (256, 0, 0, 0, 3125)),
+            6: ((-57456,), (0, 2307456), (0, 0, 6658200), (0, 0, 0, 4153680),
+                (0, 0, 0, 0, 816480), (3125, 0, 0, 0, 0, 46656)),
+        }
+        cases = [(n, 1) for n in table] + [(n, p) for p in (2, Fraction(1, 2), -1) for n in (3, 4)]
+        for n, p in cases:
+            *lower, top = (q_poly(*cs) for cs in table[n])
+            top = top + (p**n - 1) * top.coefficient(0)
+            want = LinearODE(n - 1, (*lower, top), UPoly.zero("q")).normalized()
+            got = linear_ode(trinomial(n, p)).normalized()
+            assert (got.order, got.b, got.inhomogeneous) == (want.order, want.b, want.inhomogeneous)
 
     def test_remark5_nonhomogeneous(self):
         for s in (1, 2):

@@ -167,9 +167,9 @@ class TestPolish:
 
 def _reference_first_branch_point(d, direction):
     """The float-root version: np.roots of the square-free part of D, each
-    real root polished by eight Newton steps, the nearest on the side kept."""
-    if d.coefficient(0) == 0:
-        return 0.0
+    real root polished by eight Newton steps, the nearest on the side kept;
+    a root at 0 is divided out first."""
+    d = UPoly("q", d.coeffs[next(k for k, c in enumerate(d.coeffs) if c):])
     if d.degree == 0:
         return None
     sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
@@ -240,7 +240,10 @@ class TestBranchPoint:
         assert abs(first_branch_point(d, -1) + q_star) < 1e-14
 
     def test_zero_at_origin(self):
-        assert first_branch_point(UPoly("q", (0, 1)), 1) == 0.0
+        # a root at 0 (a multiple root of R) is not a branch point
+        assert first_branch_point(UPoly("q", (0, 1)), 1) is None
+        assert first_branch_point(UPoly("q", (0, -1, 1)), 1) == 1.0
+        assert first_branch_point(UPoly("q", (0, -1, 1)), -1) is None
 
     def test_no_real_zero(self):
         d = UPoly("q", (1, 0, 1))
@@ -296,6 +299,20 @@ class TestTracking:
     def test_degenerate_origin_rejected(self):
         with pytest.raises(DomainError):
             track_root(ProblemSpec(UPoly("x", (0, 0, 0, 5, 0, 1))), 0.5)
+
+    def test_multiple_root_rejected(self):
+        # R = x (x+1)^2: D(0) = 0, so x' = W/D is 0/0 at the origin
+        with pytest.raises(DomainError, match=r"D\(0\) = 0"):
+            track_root(ProblemSpec(UPoly("x", (0, 1, 2, 1))), 0.01)
+
+    def test_last_step_lands_on_target(self):
+        # q + (q_target - q) fell one ulp short of this target, and the
+        # step after it underflowed
+        spec = ProblemSpec(UPoly("x", (0, 1, 1, -1, 0, 1)))
+        q = 0.00702746
+        res = track_root(spec, q)
+        assert res.status == "ok"
+        assert abs(res.x - bisect_branch_root(spec.R, q)) < 1e-12
 
     def test_random_trinomials_residual(self):
         rng = random.Random(5150)
