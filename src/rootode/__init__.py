@@ -48,7 +48,6 @@ from .numeric import (
     cardano_root,
     check_identity,
     first_branch_point,
-    invert_phi,
     lagrange_series,
     newton_polish,
     pfq_series,
@@ -96,7 +95,6 @@ __all__ = [
     "discriminant",
     "factorize",
     "first_branch_point",
-    "invert_phi",
     "lagrange_series",
     "linear_ode",
     "newton_polish",

@@ -17,6 +17,7 @@ from .numeric import (
     bisect_branch_root,
     cardano_root,
     check_identity,
+    depress_quartic,
     lagrange_series,
     lhs_integrand,
     quad,
@@ -82,7 +83,7 @@ def _quartic23_branch(qv: float) -> float:
     return 0.5 - 0.5 * math.sqrt(-1.0 + 2.0 * math.sqrt(1.0 + 4.0 * qv))
 
 
-def _quartic23_roots_diff(qv: float) -> float:
+def _quartic23_roots_diff(r: UPoly, qv: float) -> float:
     """Worst gap between the closed-form real roots and Ferrari's."""
     closed = []
     for s2 in (1.0, -1.0):
@@ -90,7 +91,8 @@ def _quartic23_roots_diff(qv: float) -> float:
         if inner >= 0.0:
             for s1 in (1.0, -1.0):
                 closed.append(0.5 + s1 * 0.5 * math.sqrt(inner))
-    ferrari = sorted(y + 0.5 for y in quartic_real_roots(0.5, 0.0, -3.0 / 16.0 - qv))
+    shift, c, d, e0 = depress_quartic(r)
+    ferrari = sorted(y + shift for y in quartic_real_roots(c, d, e0 - qv))
     if len(closed) != len(ferrari):
         return math.inf
     return max(abs(a - b) for a, b in zip(sorted(closed), ferrari))
@@ -119,7 +121,8 @@ def quartic23() -> list[dict]:
     return [
         _check("script_d_exact", fact.script_d == d_expected and fact.D == -d_expected),
         _check("script_u_exact", fact.script_u == u_expected and fact.U == -u_expected),
-        _within("closed_roots_vs_ferrari", map(_quartic23_roots_diff, (0.25, 0.75)), 1e-10),
+        _within("closed_roots_vs_ferrari",
+                (_quartic23_roots_diff(spec.R, qv) for qv in (0.25, 0.75)), 1e-10),
         _within("tracked_vs_closed_branch",
                 (abs(track_root(spec, q).x - _quartic23_branch(q)) for q in (0.25, 0.75)), 1e-10),
         _within("arctan_identity", arctan, 1e-8),

@@ -193,6 +193,8 @@ def build_integrands(
     on the q side; ``surd`` scales it by sqrt(surd) exactly (needed for
     weights such as 5*sqrt(5)*t).  A weight vanishing at 0, or a problem
     with a multiple root at 0 of R, is only accepted under ``remark2``.
+    A theorem1 pair whose q-side integral diverges at 0, ord_0 D >= 2 +
+    2 ord_0 w, raises DomainError.
     """
     if kind not in ("theorem1", "corollary2"):
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -211,6 +213,11 @@ def build_integrands(
         )
     lhs_num = compose_q(weight, spec.R)
     if kind == "theorem1":
+        # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
+        ord_w, ord_d = (next(k for k, c in enumerate(p.coeffs) if c) for p in (weight, fact.D))
+        if ord_d >= 2 + 2 * ord_w:
+            raise DomainError(f"the q-side integrand w/sqrt(D) ~ t^({ord_w} - {ord_d}/2)"
+                              " is not integrable at t = 0")
         lhs_den = fact.script_u
         rhs_den = fact.script_d
         lhs_sq = tuple(_normalize_vector([lhs_num * lhs_num * surd, lhs_den], anchor=1))

@@ -1,10 +1,11 @@
 """Closed-form and bisection root oracles.
 
 Radical and trigonometric solution formulas for quadratics, cubics and
-quartics, plus a bisection fallback that follows the branch through 0 for
-any monotone stretch of R.  These provide values independent of the
-differential equations, so agreement between the two routes is meaningful
-evidence of correctness.
+quartics, plus a bisection fallback for the branch through 0 of any R:
+its bracket runs from 0 to the first critical point of R, isolated
+exactly by Sturm's theorem, so it holds that branch's root and no other.
+These provide values independent of the differential equations, so
+agreement between the two routes is meaningful evidence of correctness.
 """
 from __future__ import annotations
 
@@ -12,6 +13,7 @@ import math
 
 from ..algebra import UPoly, _horner
 from ..errors import DomainError
+from .tracking import _nearest_root
 
 __all__ = [
     "babylonian_root",
@@ -29,8 +31,6 @@ __all__ = [
 
 # continuation steps in q of quartic_w_root
 W_SUBSTEPS = 32
-# doublings of the bracket that bisect_branch_root tries on each side
-EXPAND_LIMIT = 200
 
 
 def _cbrt(t: float) -> float:
@@ -225,15 +225,20 @@ def quartic_w_root(p: float, q: float) -> float:
 
 
 def bisect_branch_root(r: UPoly, q: float) -> float:
-    """Root of R(x) = q reached from 0 along a monotone stretch of R.
+    """Root of R(x) = q on the monotone stretch of R that starts at 0.
 
-    Works whenever R is monotone between 0 and the root, which covers
-    every branch inside its first branch-point radius and strictly
-    monotone cases such as odd R with R'(0) = 0.  Pure bracketing plus
-    bisection; no derivative information is used.
+    The branch leaves 0 on the side where the lowest nonzero term c_k x^k
+    of R has the sign of q; for even k both sides are tried, positive
+    first.  On a side, R is monotone from 0 to x_c, the nearest nonzero
+    real root of R' isolated exactly by Sturm's theorem, or to Cauchy's
+    bound on the roots of R - q when R' has none.  So [0, x_c] is an exact
+    bracket: it holds the root if and only if R - q changes sign on it,
+    and bisection shrinks it to a float.  Inside the first branch-point
+    radius the branch root always lies there; a q that R does not reach on
+    the stretch raises DomainError.
     """
-    if r.var != "x":
-        raise ValueError("expected a polynomial in x")
+    if r.var != "x" or r.degree < 1:
+        raise ValueError("expected a nonconstant polynomial in x")
     coeffs = r.float_coeffs()
 
     def f(x: float) -> float:
@@ -244,22 +249,18 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
         return 0.0
     # near 0, R ~ c_k x^k with c_k the lowest nonzero coefficient; for odd k
     # the branch leaves 0 on the side where c_k x^k has the sign of q
-    directions = (1.0, -1.0)
+    directions = (1, -1)
     for k, c in enumerate(coeffs):
         if k and c:
             if k % 2:
-                directions = (math.copysign(1.0, q * c),)
+                directions = (int(math.copysign(1.0, q * c)),)
             break
+    bound = 1.0 + max(abs(f0), *map(abs, coeffs[1:-1])) / abs(coeffs[-1])
     for direction in directions:
-        lo, hi = 0.0, direction * 1e-6
-        found = False
-        for _ in range(EXPAND_LIMIT):
-            if f(hi) * f0 < 0:
-                found = True
-                break
-            lo, hi = hi, hi * 2.0
-        if found:
-            a, b = (lo, hi) if lo < hi else (hi, lo)
+        x_c = _nearest_root(r.derivative(), direction)
+        hi = direction * bound if x_c is None else x_c
+        if f(hi) * f0 < 0:
+            a, b = (0.0, hi) if hi > 0 else (hi, 0.0)
             fa = f(a)
             for _ in range(200):
                 mid = 0.5 * (a + b)
@@ -272,4 +273,4 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
                 else:
                     b = mid
             return 0.5 * (a + b)
-    raise DomainError("no sign change found from 0 in either direction")
+    raise DomainError("R does not reach q between 0 and its first critical point")

@@ -25,7 +25,6 @@ __all__ = [
     "rhs_integrand",
     "IdentityReport",
     "check_identity",
-    "invert_phi",
 ]
 
 # a converging identity check takes under 10,000 per integral
@@ -166,35 +165,3 @@ def check_identity(spec: IntegrandSpec, x: float, q: float) -> IdentityReport:
     lhs = quad(lhs_integrand(spec), 0.0, x)
     rhs = quad(rhs_integrand(spec), 0.0, q)
     return IdentityReport(lhs=lhs, rhs=rhs, diff=lhs - rhs, x=x, q=q)
-
-
-def invert_phi(spec: IntegrandSpec, target: float, bracket: tuple[float, float]) -> float:
-    """Solve phi(x) = target for x, where phi is the x-side integral from 0.
-
-    phi is monotone wherever the integrand keeps one sign, which holds on
-    any branch segment; plain bisection on the bracket is enough.
-    """
-    f = lhs_integrand(spec)
-    a, b = bracket
-
-    def phi(x: float) -> float:
-        return quad(f, 0.0, x) - target
-
-    fa = phi(a)
-    fb = phi(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0) == (fb > 0):
-        raise QuadratureError("bracket does not straddle the target")
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        fm = phi(mid)
-        if fm == 0.0 or (b - a) < 1e-14 * (1.0 + abs(mid)):
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return 0.5 * (a + b)

@@ -28,7 +28,7 @@ __all__ = [
 
 # Newton's residual target after each accepted step, relative to 1 + |q|
 RESIDUAL_TOL = 1e-10
-# RK steps before tracking gives up without an answer
+# accepted RK steps before tracking gives up with status step_limit
 MAX_STEPS = 100_000
 
 
@@ -75,27 +75,24 @@ def _sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def first_branch_point(d: UPoly, direction: int) -> float | None:
-    """Nearest nonzero real root of D on the given side of 0, or None.
+def _nearest_root(p: UPoly, direction: int) -> float | None:
+    """Nearest nonzero real root of the nonzero p on the given side of 0,
+    or None.
 
-    Sturm's theorem isolates the root exactly: the remainder chain of D
-    and D', divided by its last member gcd(D, D') so that a multiple root
+    Sturm's theorem isolates the root exactly: the remainder chain of p
+    and p', divided by its last member gcd(p, p') so that a multiple root
     counts once, loses one sign change per distinct root in (a, b] from a
     to b.  Bisection on dyadic rationals shrinks (0, B], B past Cauchy's
     bound, to an interval of relative width 2^-32 about that root alone.
     Newton on the square-free part, in floats, then gives a float whose
     two neighbours bracket the root, or else bisection goes on to 2^-60.
-    A root at 0 itself (a multiple root of R) is divided out first.
+    A root at 0 itself is divided out first.
     """
-    if d.var != "q" or not d:
-        raise ValueError("expected a nonzero polynomial in q")
-    if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
-    zeros = next(k for k, c in enumerate(d.coeffs) if c)
-    if d.degree == zeros:
+    zeros = next(k for k, c in enumerate(p.coeffs) if c)
+    if p.degree == zeros:
         return None
-    # search q > 0 on D(direction * q) / q^zeros
-    d = UPoly("q", (c * direction**k for k, c in enumerate(d.coeffs[zeros:])))
+    # search t > 0 on p(direction * t) / t^zeros
+    d = UPoly(p.var, (c * direction**k for k, c in enumerate(p.coeffs[zeros:])))
     chain = [d, d.derivative()]
     while rem := chain[-2] % chain[-1]:
         chain.append(-rem)
@@ -147,6 +144,17 @@ def first_branch_point(d: UPoly, direction: int) -> float | None:
         bits = 60
 
 
+def first_branch_point(d: UPoly, direction: int) -> float | None:
+    """Nearest nonzero real root of D on the given side of 0, or None,
+    isolated exactly by Sturm's theorem.  A root at 0 itself (a multiple
+    root of R) does not count."""
+    if d.var != "q" or not d:
+        raise ValueError("expected a nonzero polynomial in q")
+    if direction not in (1, -1):
+        raise ValueError("direction must be +1 or -1")
+    return _nearest_root(d, direction)
+
+
 def past_branch_point(q: float, q_star: float | None) -> bool:
     """True when q lies at or beyond the branch point q_star, if any."""
     return q_star is not None and abs(q) >= abs(q_star) - 1e-12 * (1.0 + abs(q_star))
@@ -157,8 +165,9 @@ class TrackResult:
     """Outcome of following the branch from q = 0 to q_target.
 
     status is "ok", "hit_branch_point" (target at or past the first real
-    root of D; x is NaN) or "step_underflow".  q_star is the first branch
-    point in the direction of travel when one exists.
+    root of D; x is NaN), "step_limit" (MAX_STEPS accepted steps did not
+    reach the target; x is NaN) or "step_underflow".  q_star is the first
+    branch point in the direction of travel when one exists.
     """
 
     q_target: float
@@ -225,9 +234,10 @@ def track_root(
     h = q_target / 16.0
     steps = 0
     polish_total = 0
-    while steps < MAX_STEPS:
-        if (q_target - q) * direction <= 0:
-            break
+    while (q_target - q) * direction > 0:
+        if steps == MAX_STEPS:
+            return TrackResult(q_target, math.nan, math.nan, steps, polish_total,
+                               "step_limit", q_star)
         last = abs(h) > abs(q_target - q)
         if last:
             h = q_target - q

@@ -4,6 +4,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootode.algebra import UPoly
 from rootode.cli import (
@@ -170,17 +172,38 @@ class TestVerbs:
 
     @pytest.mark.parametrize("problem, q, kind", [
         ("x^5-3x^4+2x^2-x", "-7.55021", "corollary2"),
-        ("x^5-3x^4-x^3+2x^2+3x", "1.92451", "theorem1"),
         ("x^3-3x^2+x", "1", "corollary2"),
         ("x^4-2x^2+x", "1", "corollary2"),
     ])
     def test_check_former_hangs_refused(self, problem, q, kind):
-        # a pole just off the path, a target near q*, two targets past q*
+        # a pole just off the path, two targets past q*
         t0 = time.perf_counter()
         report, code = run(Command("check", problem=problem, q=q, kind=kind))
         assert time.perf_counter() - t0 < 5.0
         assert code == 2
         assert report.status in ("domain_error", "hit_branch_point")
+
+    @pytest.mark.parametrize("problem, q, kind", [
+        ("x^5-3x^4-x^3+2x^2+3x", "1.92451", "theorem1"),
+        ("x^3+2x^2-x", "2.09518", "theorem1"),
+        ("x^3+2x^2-x", "2.09518", "corollary2"),
+    ])
+    def test_check_root_on_monotone_stretch(self, problem, q, kind):
+        # R turns back soon after passing q: a bracket doubled out from 0
+        # stepped past the local extremum, onto a root of another branch
+        # (1.92451) or over every root (2.09518)
+        report, code = run(Command("check", problem=problem, q=q, kind=kind))
+        assert code == 0 and report.status == "ok"
+        solved, _ = run(Command("solve", problem=problem, q=q))
+        assert abs(report.result["x"] - solved.result["x"]) <= 1e-12
+
+    @pytest.mark.parametrize("problem, q", [("x^5+5x^3", "0.5"), ("x^4-3x^3+3x^2-x", "1")])
+    def test_check_divergent_identity_refused(self, problem, q):
+        # ord_0 D = 2 with weight 1: both sides are divergent integrals
+        report, code = run(Command("check", problem=problem, q=q))
+        assert code == 2
+        assert report.status == "domain_error"
+        assert "not integrable" in report.errors[0]
 
     def test_series(self):
         report, code = run(Command("series", problem="x^2+x", order=6))
@@ -199,6 +222,26 @@ class TestVerbs:
         assert code == 0
         assert report.status == "ok"
         assert len(report.result["coeffs"]) == 1000
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+           st.lists(st.integers(-3, 3), max_size=5),
+           st.floats(allow_nan=False, allow_infinity=False))
+    def test_solve_and_check_agree(self, c1, middle, q):
+        # monic R of degree 2-7 with R'(0) != 0; check's x comes from the
+        # bisection bracket, solve's from tracking the Abel equation
+        problem = "".join(f"{c:+d}*x^{k}" for k, c in enumerate([c1, *middle, 1], 1) if c)
+        reports = {}
+        for verb, kind in (("solve", "theorem1"), ("check", "theorem1"),
+                           ("check", "corollary2")):
+            t0 = time.perf_counter()
+            reports[verb, kind], _ = run(Command(verb, problem=problem, q=repr(q), kind=kind))
+            assert time.perf_counter() - t0 < 5.0
+        solved = reports.pop(("solve", "theorem1"))
+        for report in reports.values():
+            if solved.status == report.status == "ok":
+                x = solved.result["x"]
+                assert abs(report.result["x"] - x) <= 1e-9 * (1.0 + abs(x))
 
     def test_domain_error_exit_2(self):
         report, code = run(Command("solve", problem="x^5+5x^3", q="1"))

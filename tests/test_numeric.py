@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from rootode.algebra import UPoly, discriminant, poly_gcd
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
 from rootode.errors import DomainError
+from rootode.numeric import tracking
 from rootode.numeric import (
     babylonian_root,
     biquadratic_real_roots,
@@ -24,8 +25,6 @@ from rootode.numeric import (
     depressed_cubic_real_roots,
     ferrari_real_roots,
     first_branch_point,
-    invert_phi,
-    lhs_integrand,
     newton_polish,
     quad,
     quartic_real_roots,
@@ -148,6 +147,19 @@ class TestClosedForms:
         x = bisect_branch_root(r23, 0.75)
         closed = 0.5 - 0.5 * math.sqrt(-1 + 2 * math.sqrt(1 + 4 * 0.75))
         assert abs(x - closed) < 1e-12
+
+    def test_bisect_stays_before_first_critical_point(self):
+        # R has a local maximum at x_c ~ 0.8134 and passes 1.92451 again
+        # at 3.0268, on another branch
+        r = UPoly("x", (0, 3, 2, -1, -3, 1))
+        x = bisect_branch_root(r, 1.92451)
+        assert 0.0 < x < 0.8134
+        assert abs(x - track_root(ProblemSpec(r), 1.92451).x) < 1e-12
+        # x - x^3 peaks at 2/sqrt(27) ~ 0.385 before it turns back
+        with pytest.raises(DomainError, match="does not reach q"):
+            bisect_branch_root(UPoly("x", (0, 1, 0, -1)), 1.0)
+        # no critical point on the side of q: the bracket runs to Cauchy's bound
+        assert abs(bisect_branch_root(mono_trinomial(5, 1), 34.0) - 2.0) < 1e-12
 
 
 class TestPolish:
@@ -329,6 +341,12 @@ class TestTracking:
             ref = bisect_branch_root(mono_trinomial(n, p), q)
             assert abs(res.x - ref) < 1e-9
 
+    def test_step_limit(self, monkeypatch):
+        monkeypatch.setattr(tracking, "MAX_STEPS", 2)
+        res = track_root(trinomial(3, 1), 2.0)
+        assert res.status == "step_limit"
+        assert res.steps == 2 and math.isnan(res.x)
+
     def test_dense_polynomial(self):
         spec = ProblemSpec(UPoly("x", (0, 3, -1, 0, 1)))
         res = track_root(spec, 1.2)
@@ -371,13 +389,6 @@ class TestIdentities:
             x = bisect_branch_root(r, q)
             rep = check_identity(spec, x, q)
             assert abs(rep.diff) < 1e-8
-
-    def test_invert_phi_recovers_x(self):
-        spec = build_integrands(factorize(trinomial(3, 1)), UPoly("q", (1,)), surd=1)
-        x0 = cardano_root(1.0, 0.8)
-        target = quad(lhs_integrand(spec), 0.0, x0)
-        got = invert_phi(spec, target, (0.0, 2 * x0))
-        assert abs(got - x0) < 1e-10
 
 
 def test_cli_import_loads_no_numpy():
