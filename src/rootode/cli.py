@@ -10,7 +10,7 @@ Verbs:
 * ``check`` — numerically verify the separated-variables integral identity;
   a target at or past the first nonzero real root of D on its side is
   refused as ``hit_branch_point``, and a divergent identity or a quadrature
-  that does not converge within its evaluation budget as ``domain_error``.
+  that does not converge by its finest level as ``domain_error``.
 * ``series`` — exact branch series coefficients, certified against the
   linear equation when possible.
 * ``demo`` — built-in end-to-end reproductions (babylonian, cardano,

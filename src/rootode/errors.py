@@ -30,7 +30,8 @@ class SingularIntegrandError(RootodeError):
 
 
 class QuadratureError(RootodeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Tanh-sinh quadrature did not converge by its finest step, or the
+    integrand carries weight nearer an end than its nodes reach."""
 
 
 class ParseError(RootodeError):

@@ -233,9 +233,9 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
     real root of R' isolated exactly by Sturm's theorem, or to Cauchy's
     bound on the roots of R - q when R' has none.  So [0, x_c] is an exact
     bracket: it holds the root if and only if R - q changes sign on it,
-    and bisection shrinks it to a float.  Inside the first branch-point
-    radius the branch root always lies there; a q that R does not reach on
-    the stretch raises DomainError.
+    and bisection shrinks it to two neighbouring floats.  Inside the first
+    branch-point radius the branch root always lies there; a q that R does
+    not reach on the stretch raises DomainError.
     """
     if r.var != "x" or r.degree < 1:
         raise ValueError("expected a nonconstant polynomial in x")
@@ -262,15 +262,14 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
         if f(hi) * f0 < 0:
             a, b = (0.0, hi) if hi > 0 else (hi, 0.0)
             fa = f(a)
-            for _ in range(200):
-                mid = 0.5 * (a + b)
+            # at most about 2100 halvings to neighbouring floats
+            while a < (mid := a + 0.5 * (b - a)) < b:
                 fm = f(mid)
-                if fm == 0.0 or (b - a) < 1e-16 * (1.0 + abs(mid)):
-                    a = b = mid
+                if fm == 0.0:
                     break
                 if (fm > 0) == (fa > 0):
                     a, fa = mid, fm
                 else:
                     b = mid
-            return 0.5 * (a + b)
+            return mid
     raise DomainError("R does not reach q between 0 and its first critical point")

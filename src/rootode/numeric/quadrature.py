@@ -1,13 +1,13 @@
-"""Adaptive quadrature and integral-identity checks.
+"""Tanh-sinh quadrature and integral-identity checks.
 
 Evaluates both sides of the change-of-variables identities produced by
 ``build_integrands``: an x-side integral of a weight composed with R
 against 1/sqrt(U) (or 1/(R' U) in the rational form) and a q-side
 integral of the same weight against 1/sqrt(D) (or 1/D).  Radical
 integrands are evaluated through their gcd-reduced squares so removable
-0/0 points, such as s = 0 when R'(0) = 0, cause no trouble.  A budget
-of ``MAX_EVALS`` integrand evaluations per ``quad`` call turns a pole
-just off the path into a QuadratureError instead of minutes of work.
+0/0 points, such as s = 0 when R'(0) = 0, cause no trouble, and the
+integrable 1/sqrt endpoint singularity left where D(0) = 0 costs the
+double-exponential rule of ``quad`` no accuracy.
 """
 from __future__ import annotations
 
@@ -27,65 +27,62 @@ __all__ = [
     "check_identity",
 ]
 
-# a converging identity check takes under 10,000 per integral
-MAX_EVALS = 100_000
-# relative error target of every integral
-QUAD_TOL = 1e-12
-
-
-def _simpson(a: float, b: float, fa: float, fm: float, fb: float) -> float:
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+# tanh-sinh nodes lie at |t| <= T_MAX, with steps h = 1, 1/2, ... 2^-MAX_LEVEL:
+# at most 9 * 2^MAX_LEVEL + 1 integrand evaluations per integral
+T_MAX = 4.5
+MAX_LEVEL = 12
+# the last level may change the sum by this share of the integral of |f|; on
+# a smooth integrand the error left is far smaller, as each level squares it
+QUAD_TOL = 1e-11
 
 
 def quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Simpson integral of f over [a, b].
+    """Tanh-sinh integral of f over [a, b].
 
-    The error target is QUAD_TOL * (1 + |result|), and the recursion stops at
-    depth 40.  Endpoints where f is not finite are nudged inward by a
-    relative 1e-12; a non-finite value in the interior raises
-    SingularIntegrandError.  The recursion raises QuadratureError once it
-    has evaluated f MAX_EVALS times.
+    Substitutes x = (a+b)/2 + (b-a)/2 tanh(pi/2 sinh t) over |t| <= T_MAX,
+    which crowds the nodes double-exponentially towards both endpoints.
+    Each node is placed by its distance from the nearer endpoint to keep
+    its relative precision there, and f is never evaluated at a or b.  The
+    step h halves from 1 until a level changes the sum by at most QUAD_TOL
+    times the same sum over |f|, a test free of the scale of f and of
+    [a, b]; none by h = 2^-MAX_LEVEL raises QuadratureError.  So do terms
+    at |t| = T_MAX that are not negligible beside that sum: no node comes
+    within 6e-62 (b - a) of an end, and f may carry weight there.  A
+    non-finite value of f raises SingularIntegrandError.
     """
     if a == b:
         return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise QuadratureError("infinite interval")
-    evals = 0
-
-    def adapt(a, fa, b, fb, m, fm, whole, tol, depth):
-        nonlocal evals
-        evals += 2
-        if evals > MAX_EVALS:
-            raise QuadratureError(f"no convergence within {MAX_EVALS} integrand evaluations")
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm = f(lm)
-        frm = f(rm)
-        if not (math.isfinite(flm) and math.isfinite(frm)):
-            raise SingularIntegrandError(f"integrand not finite near [{a}, {b}]")
-        left = _simpson(a, m, fa, flm, fm)
-        right = _simpson(m, b, fm, frm, fb)
-        err = left + right - whole
-        if abs(err) <= 15.0 * tol or depth >= 40:
-            return left + right + err / 15.0
-        half = 0.5 * tol
-        return (adapt(a, fa, m, fm, lm, flm, left, half, depth + 1)
-                + adapt(m, fm, b, fb, rm, frm, right, half, depth + 1))
-
     span = b - a
-    fa = f(a)
-    if not math.isfinite(fa):
-        fa = f(a + 1e-12 * span)
-    fb = f(b)
-    if not math.isfinite(fb):
-        fb = f(b - 1e-12 * span)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not (math.isfinite(fa) and math.isfinite(fb) and math.isfinite(fm)):
-        raise SingularIntegrandError("integrand not finite at the endpoints")
-    crude = abs(span) * (abs(fa) + abs(fm) + abs(fb)) / 3.0
-    whole = _simpson(a, b, fa, fm, fb)
-    return adapt(a, fa, b, fb, m, fm, whole, QUAD_TOL * (1.0 + crude), 0)
+    if not math.isfinite(span):
+        raise QuadratureError("infinite interval")
+    # sums over the nodes of w f, of |w f|, and the largest |w f| at |t| = T_MAX
+    acc = l1 = edge = 0.0
+    est = math.nan
+    for level in range(MAX_LEVEL + 1):
+        h = 0.5**level
+        # h = 1 takes every node; each later level adds the odd multiples of h
+        first, step = (1, 2) if level else (0, 1)
+        for k in range(first, int(T_MAX / h) + 1, step):
+            t = k * h
+            e = math.exp(-math.pi * math.sinh(t))
+            dist = span * e / (1.0 + e)
+            w = math.cosh(t) * e / (1.0 + e) ** 2
+            for x in (a + dist, b - dist) if k else (a + dist,):
+                if x != a and x != b:
+                    y = w * f(x)
+                    if not math.isfinite(y):
+                        raise SingularIntegrandError(f"integrand not finite at {x}")
+                    acc += y
+                    l1 += abs(y)
+                    if t == T_MAX:
+                        edge = max(edge, abs(y))
+        prev, est = est, h * acc
+        scale = QUAD_TOL * h * l1
+        if abs(est - prev) <= scale:
+            if edge > scale:
+                raise QuadratureError("integrand not negligible at the ends of [a, b]")
+            return math.pi * span * est
+    raise QuadratureError(f"no convergence at step 2^-{MAX_LEVEL}")
 
 
 def _ratio(num: UPoly, den: UPoly) -> Callable[[float], float]:
@@ -99,8 +96,8 @@ def _sqrt_of_reduced(num, den, sign_poly):
 
     num and den are the reduced squares of the original integrand, so a
     common zero has been cancelled exactly and any remaining zero of den
-    is a genuine singularity, reported as inf so ``quad`` can step off an
-    endpoint there.
+    is a genuine singularity, reported as inf, which ``quad`` refuses with
+    SingularIntegrandError.
     """
     nc = num.float_coeffs()
     dc = den.float_coeffs()

@@ -231,7 +231,8 @@ def track_root(
     rpoly = spec.R
     q = 0.0
     x = 0.0
-    h = q_target / 16.0
+    # a subnormal q_target / 16 can round to 0
+    h = q_target / 16.0 or q_target
     steps = 0
     polish_total = 0
     while (q_target - q) * direction > 0:
@@ -270,7 +271,7 @@ def track_root(
             h *= grow
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.25) if math.isfinite(err) else 0.2
-        if abs(h) < 1e-15 * (1.0 + abs(q)):
+        if abs(h) <= 1e-15 * abs(q):
             return TrackResult(q_target, x, abs(rpoly(x) - q), steps,
                                polish_total, "step_underflow", q_star)
     pol = newton_polish(rpoly, q_target, x, tol=1e-13)

@@ -146,15 +146,47 @@ class TestVerbs:
         assert report.status == "usage_error"
         assert "finite" in report.errors[0]
 
-    @pytest.mark.parametrize("q", ["0.01", "0.1"])
+    @pytest.mark.parametrize("q", ["0.01", "0.1", "0.2", "0.5", "1", "2"])
     def test_check_double_root_at_origin(self, q):
-        # R = x(x+1)^2 has D(0) = 0: the reduced q-side denominator vanishes
-        # at the endpoint t = 0, which quad must step off, not divide by
+        # R = x(x+1)^2 has D(0) = 0: the reduced q-side integrand has an
+        # integrable 1/sqrt singularity at the endpoint t = 0, where quad
+        # places nodes ever closer but never evaluates
         report, code = run(Command("check", problem="x^3+2x^2+x", q=q))
         assert code == 0
         assert report.status == "ok"
         assert report.result["remark2"] is True
         assert abs(report.result["diff"]) <= report.result["tol"]
+
+    @pytest.mark.parametrize("kind", ["theorem1", "corollary2"])
+    @pytest.mark.parametrize("q", ["250620518.77099216", "1e20"])
+    def test_check_large_q(self, q, kind):
+        report, code = run(Command("check", problem="x^3+x", q=q, kind=kind))
+        assert code == 0
+        assert report.status == "ok"
+
+    def test_check_beyond_quadrature_reach_refused(self):
+        # the q-side integrand's weight sits at t ~ 1, a share 1e-130 of
+        # [0, q] from its end, nearer than any node reaches: a refusal, not
+        # an ok between two wrong sums
+        report, code = run(Command("check", problem="x^3+2x", q="1.445675032715203e+130",
+                                   kind="corollary2"))
+        assert code == 2
+        assert report.status == "domain_error"
+
+    @pytest.mark.parametrize("q", ["1e-20", "1e-14"])
+    def test_check_tiny_q_matches_solve(self, q):
+        checked, _ = run(Command("check", problem="x^7+x", q=q))
+        solved, _ = run(Command("solve", problem="x^7+x", q=q))
+        assert checked.status == solved.status == "ok"
+        x = solved.result["x"]
+        assert abs(checked.result["x"] - x) <= 1e-15 * abs(x)
+
+    @pytest.mark.parametrize("q", ["1e-20", "5e-324"])
+    def test_solve_tiny_q(self, q):
+        report, code = run(Command("solve", problem="x^7+x", q=q))
+        assert code == 0
+        assert report.status == "ok"
+        assert report.result["x"] == float(q)
 
     def test_solve_multiple_root_refused(self):
         # the same R as above: check answers ok, but tracking cannot start

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from rootode.algebra import UPoly, discriminant, poly_gcd
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
-from rootode.errors import DomainError
+from rootode.errors import DomainError, QuadratureError
 from rootode.numeric import tracking
 from rootode.numeric import (
     babylonian_root,
@@ -58,6 +58,31 @@ class TestQuad:
 
     def test_zero_width(self):
         assert quad(math.exp, 1.0, 1.0) == 0.0
+
+    def test_inverse_sqrt_endpoint_singularity(self):
+        # f(0) is not defined: no node may land on an endpoint
+        f = lambda t: t**-0.5
+        assert abs(quad(f, 0.0, 1.0) - 2.0) < 1e-14
+        assert abs(quad(f, 1.0, 0.0) + 2.0) < 1e-14
+
+    def test_near_pole_refused_within_level_cap(self):
+        calls = 0
+
+        def f(t):
+            nonlocal calls
+            calls += 1
+            return 1.0 / ((t - 0.5) ** 2 + 1e-14)
+
+        with pytest.raises(QuadratureError):
+            quad(f, 0.0, 1.0)
+        assert calls <= 9 * 2**12 + 1
+
+    def test_weight_beyond_the_outermost_nodes_refused(self):
+        # the mass of 1/(1+t^2) lies within 1e-100 of the end 0 of the
+        # interval, closer than any node reaches
+        with pytest.raises(QuadratureError):
+            quad(lambda t: 1.0 / (1.0 + t * t), 0.0, 1e100)
+        assert abs(quad(lambda t: 1.0 / (1.0 + t * t), 0.0, 1e30) - math.pi / 2) < 1e-14
 
 
 class TestClosedForms:
@@ -160,6 +185,17 @@ class TestClosedForms:
             bisect_branch_root(UPoly("x", (0, 1, 0, -1)), 1.0)
         # no critical point on the side of q: the bracket runs to Cauchy's bound
         assert abs(bisect_branch_root(mono_trinomial(5, 1), 34.0) - 2.0) < 1e-12
+
+    def test_bisect_branch_root_to_neighbouring_floats(self):
+        r = mono_trinomial(7, 1)
+        for q in (1e-20, -1e-14, 5e-324):
+            assert bisect_branch_root(r, q) == q
+        # x - c x^2 turns at 1/(2c) ~ 1.2e308, and its root at q = 5.9e307
+        # lies near 1.05e308, where the sum of the bracket's ends overflows
+        r = UPoly("x", (0, 1, Fraction(-3, 2**1026)))
+        x = bisect_branch_root(r, 5.9e307)
+        assert 1e308 < x < 1.1e308
+        assert abs(r(x) - 5.9e307) <= 1e-15 * 5.9e307
 
 
 class TestPolish:
