@@ -3,14 +3,21 @@
 Two immutable value types:
 
 ``UPoly``
-    dense univariate polynomial with ``fractions.Fraction`` coefficients and
-    a variable tag (``"x"`` or ``"q"``).  Operations on mismatched tags raise.
+    dense univariate polynomial with canonical rational coefficients and a
+    variable tag (``"x"`` or ``"q"``).  Operations on mismatched tags raise.
 ``BiPoly``
     polynomial in x whose coefficients are ``UPoly`` in q; used for objects
     such as ``R(x) - q`` that genuinely live in both variables.
 
-On top of these sit a gcd, a fraction-free (Bareiss) determinant over any
-integral domain, the Sylvester resultant, and the discriminant of R(x) - q.
+A canonical rational is an ``int`` when the value is integral and a reduced
+``fractions.Fraction`` otherwise, so integral polynomials are computed on
+Python ints.  ``int / int`` is a float, which ``UPoly`` refuses: every
+division of coefficients goes through ``Fraction`` (or ``//`` when it is
+exact).
+
+On top of these sit a gcd by primitive pseudo-remainders over Z, a
+fraction-free (Bareiss) determinant over any integral domain, the Sylvester
+resultant, and the discriminant of R(x) - q.
 The discriminant is a characteristic polynomial: with n = deg R and M the
 matrix of multiplication by R on Q[x]/(R'), whose eigenvalues are the
 critical values R(xi) at the roots xi of R',
@@ -25,6 +32,7 @@ degrades to float arithmetic explicitly.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import NonExactDivisionError, VariableMismatchError
@@ -32,10 +40,17 @@ from .errors import NonExactDivisionError, VariableMismatchError
 VARS = ("x", "q")
 
 
-def _rat(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return Fraction(value)
+def _rat(value):
+    """The canonical rational of ``value``: an int when it is integral,
+    else a reduced Fraction.  Floats are refused."""
+    cls = type(value)
+    if cls is int:
+        return value
+    if cls is not Fraction:
+        if isinstance(value, float):
+            raise TypeError("float coefficients are not allowed; use Fraction")
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _horner(coeffs: Sequence[float], t: float) -> float:
@@ -49,14 +64,20 @@ def _horner(coeffs: Sequence[float], t: float) -> float:
 
 
 class UPoly:
-    """Dense univariate polynomial, coefficients ascending by degree."""
+    """Dense univariate polynomial, coefficients ascending by degree.
+
+    Each coefficient is a canonical rational (see ``_rat``): an int when
+    integral, a reduced Fraction otherwise, so a result is an int exactly
+    where its value is integral.  Divide a coefficient through Fraction,
+    never with ``/`` on two ints.
+    """
 
     __slots__ = ("var", "coeffs")
 
     def __init__(self, var: str, coeffs: Iterable = ()):
         if var not in VARS:
             raise ValueError(f"unknown variable tag {var!r}, expected one of {VARS}")
-        cs = [_rat(c) for c in coeffs]
+        cs = [c if type(c) is int else _rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "var", var)
@@ -109,7 +130,7 @@ class UPoly:
         raise ValueError("zero polynomial has no trailing coefficient")
 
     def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def is_const(self) -> bool:
         return len(self.coeffs) <= 1
@@ -184,7 +205,7 @@ class UPoly:
             return NotImplemented
         if not self or not o:
             return UPoly.zero(self.var)
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
@@ -226,12 +247,19 @@ class UPoly:
         lead = dv[-1]
         if len(rem) - 1 < dn:
             return UPoly.zero(self.var), self
-        quo = [Fraction(0)] * (len(rem) - dn)
+        quo = [0] * (len(rem) - dn)
         for k in range(len(rem) - 1, dn - 1, -1):
             c = rem[k]
             if c == 0:
                 continue
-            f = c / lead
+            if lead == 1:
+                f = c
+            elif type(c) is int and type(lead) is int:
+                f, r = divmod(c, lead)
+                if r:
+                    f = Fraction(c, lead)
+            else:
+                f = Fraction(c) / lead
             quo[k - dn] = f
             for i in range(dn + 1):
                 rem[k - dn + i] -= f * dv[i]
@@ -257,7 +285,7 @@ class UPoly:
     def monic(self) -> "UPoly":
         if not self:
             raise ValueError("cannot normalize the zero polynomial")
-        return self / self.lc
+        return self if self.lc == 1 else self / self.lc
 
     def compose(self, inner: "UPoly") -> "UPoly":
         """Substitute ``inner`` for the variable; result is in ``inner.var``."""
@@ -301,17 +329,54 @@ def compose_q(f: UPoly, r: UPoly) -> UPoly:
     return f.compose(r)
 
 
+def _primitive(coeffs: Sequence) -> list[int]:
+    """Integer coefficients of the primitive part of a nonzero polynomial:
+    its denominators cleared and its integer content divided out."""
+    den = lcm(*(c.denominator for c in coeffs))
+    cs = [c.numerator * (den // c.denominator) for c in coeffs]
+    g = gcd(*cs)
+    return [c // g for c in cs] if g != 1 else cs
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """A pseudo-remainder over Z: a nonzero integer multiple of a mod b,
+    with trailing zeros trimmed; deg a >= deg b >= 1.  Each step cancels
+    the top term c x^k of r as (lc(b)/g) r - (c/g) x^(k - deg b) b, with
+    g = gcd(c, lc(b)), which keeps the multipliers small."""
+    r = list(a)
+    dn = len(b) - 1
+    lead = b[-1]
+    for k in range(len(r) - 1, dn - 1, -1):
+        c = r.pop()
+        if c:
+            g = gcd(c, lead)
+            scale, c = lead // g, c // g
+            r = [scale * e for e in r]
+            for i in range(dn):
+                r[k - dn + i] -= c * b[i]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor by Euclid's algorithm."""
+    """Monic greatest common divisor, by primitive pseudo-remainders over Z
+    (the integer content is removed at every step) and made monic last."""
     if a.var != b.var:
         raise VariableMismatchError("gcd of polynomials in different variables")
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
-    while b:
-        a, b = b, a % b
-        if b:
-            b = b.monic()
-    return a.monic()
+    if not a or not b:
+        return (a or b).monic()
+    x, y = _primitive(a.coeffs), _primitive(b.coeffs)
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _prem(x, y)
+        if not r:
+            return UPoly(a.var, y).monic()
+        x, y = y, _primitive(r)
+    return UPoly.one(a.var)
 
 
 class BiPoly:
@@ -491,9 +556,9 @@ class BiPoly:
 
 
 def _exact_quot(a, b):
-    if isinstance(a, Fraction):
-        return a / b
-    return a.exact_div(b)
+    if isinstance(a, UPoly):
+        return a.exact_div(b)
+    return _rat(Fraction(a, b))
 
 
 def sylvester_matrix(a: Sequence, b: Sequence, zero):
@@ -557,8 +622,10 @@ def resultant(a: UPoly, b: UPoly) -> Fraction:
 def discriminant(R: UPoly) -> UPoly:
     """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1.
 
-    det(qI - M) is taken by Bareiss elimination over Q[q], with M in the
+    det(qI - M) is taken by Bareiss elimination over Z[q], with M in the
     basis 1, x, ..., x^(n-2) of Q[x]/(R'): column j holds x^j R mod R'.
+    Each row is first scaled by the lcm of its denominators, and the
+    product of those scales is divided out of the final constant.
     See the module docstring for the identity and its sign.
     """
     if R.var != "x":
@@ -572,8 +639,13 @@ def discriminant(R: UPoly) -> UPoly:
     for _ in range(n - 1):
         cols.append(col)
         col = (col * UPoly.monomial("x", 1)) % rp
-    rows = [[UPoly("q", (-cols[j].coefficient(i), int(i == j))) for j in range(n - 1)]
-            for i in range(n - 1)]
+    # row i of qI - M, times the lcm of its denominators, lies in Z[q]
+    rows, scale = [], 1
+    for i in range(n - 1):
+        entries = [cols[j].coefficient(i) for j in range(n - 1)]
+        den = lcm(*(c.denominator for c in entries))
+        rows.append([UPoly("q", (-c * den, den * (i == j))) for j, c in enumerate(entries)])
+        scale *= den
     charpoly = bareiss_determinant(rows, UPoly.one("q"))
     sign = -1 if (n * (n - 1) // 2 + n - 1) % 2 else 1
-    return charpoly * (sign * Fraction(n) ** n * R.lc ** (n - 1))
+    return charpoly * (Fraction(sign * n**n, scale) * R.lc ** (n - 1))

@@ -323,7 +323,10 @@ def _h_check(cmd: Command) -> dict:
     ispec = build_integrands(fact, weight, cmd.kind, remark2=remark2)
     x = bisect_branch_root(spec.R, qv)
     rep = check_identity(ispec, x, qv)
-    tol = cmd.tol_abs if cmd.tol_abs is not None else 1e-8
+    # absolute near 0, relative once the integrals are large
+    atol = cmd.tol_abs if cmd.tol_abs is not None else 1e-8
+    rtol = cmd.tol_rel if cmd.tol_rel is not None else 1e-10
+    tol = max(atol, rtol * max(abs(rep.lhs), abs(rep.rhs)))
     ok = abs(rep.diff) <= tol
     out = {
         "kind": cmd.kind,

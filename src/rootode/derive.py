@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .algebra import BiPoly, UPoly, compose_q, discriminant, poly_gcd
@@ -260,11 +260,19 @@ class AbelODE:
     W: BiPoly
     Q: BiPoly
 
+    @cached_property
+    def _coefficients(self) -> dict[int, tuple[UPoly, UPoly]]:
+        return {}
+
     def coefficient(self, j: int) -> tuple[UPoly, UPoly]:
         """a_j = W_j / D as a reduced (numerator, denominator) pair with
         integer coefficients and a positive leading denominator
-        coefficient; a zero a_j gives (0, 1)."""
-        return tuple(_normalize_vector([self.W.coefficient(j), self.D], anchor=1))
+        coefficient; a zero a_j gives (0, 1).  Each pair is normalised
+        once, on first use."""
+        cache = self._coefficients
+        if j not in cache:
+            cache[j] = tuple(_normalize_vector([self.W.coefficient(j), self.D], anchor=1))
+        return cache[j]
 
 
 def abel_ode(spec: ProblemSpec) -> AbelODE:
@@ -357,44 +365,60 @@ def _normalize_vector(polys: list[UPoly], anchor: int) -> list[UPoly]:
         raise ValueError("cannot normalize the zero vector")
     g = reduce(poly_gcd, nonzero)
     if g.degree > 0:
+        # the monic g times its denominators is primitive in Z[q], so an
+        # integral entry has an integral quotient
+        g = g * _int_lcm(*(c.denominator for c in g.coeffs))
         polys = [p.exact_div(g) if p else p for p in polys]
-    denom = reduce(_int_lcm, (c.denominator for p in polys for c in p.coeffs), 1)
-    numer = reduce(_int_gcd, (abs(c.numerator * denom // c.denominator) for p in polys for c in p.coeffs if c), 0)
-    scale = Fraction(denom, numer if numer else 1)
-    polys = [p * scale for p in polys]
+    denom = _int_lcm(*(c.denominator for p in polys for c in p.coeffs))
+    if denom != 1:
+        polys = [p * denom for p in polys]
+    content = _int_gcd(*(c for p in polys for c in p.coeffs))
     ref = polys[anchor] if polys[anchor] else next(p for p in polys if p)
     if ref.lc < 0:
-        polys = [-p for p in polys]
+        content = -content
+    if content != 1:
+        polys = [UPoly(p.var, [c // content for c in p.coeffs]) for p in polys]
     return polys
 
 
-def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], bool]:
-    """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan.
+def _integral_row(row: list[UPoly]) -> list[UPoly]:
+    """The row times the lcm of its denominators, so it lies in Z[q] and
+    has the same kernel."""
+    den = _int_lcm(*(c.denominator for p in row for c in p.coeffs))
+    return [p * den for p in row] if den != 1 else row
 
-    Each update (piv * e - f * g) / previous pivot divides exactly, and
-    every pivot entry ends equal to the last pivot d; the vector for free
-    column f is then v_f = d, v_c = -m[row(c)][f] on the pivot columns.
+
+def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], bool]:
+    """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan;
+    on rows in Z[q] every entry stays in Z[q].
+
+    Each update (piv * e - f * g) / previous pivot divides exactly and
+    leaves in every pivot column the last pivot d on its row and 0 on the
+    others, so those columns are known and never computed; the vector for
+    free column f is then v_f = d, v_c = -m[row(c)][f] on the pivot columns.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: dict[int, int] = {}
     prev = UPoly.one("q")
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
         if r == nrows:
             break
         prow = next((i for i in range(r, nrows) if m[i][c]), None)
         if prow is None:
             continue
         m[r], m[prow] = m[prow], m[r]
-        piv = m[r][c]
-        for i in range(nrows):
+        top = m[r]
+        piv = top[c]
+        live = [j for j in range(ncols) if j != c and j not in pivots]
+        for i, row in enumerate(m):
             if i != r:
-                f = m[i][c]
-                m[i] = [(piv * e - f * g).exact_div(prev) for e, g in zip(m[i], m[r])]
+                f = row[c]
+                for j in live:
+                    row[j] = (piv * row[j] - f * top[j]).exact_div(prev)
         prev = piv
         pivots[c] = r
-        r += 1
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -413,16 +437,16 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     collecting powers of x gives n linear constraints on the n+1 unknowns
     (b_0, ..., b_{n-1}, b_n).  Writing b_k = g_k D^k for 1 <= k <= n-1,
     the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0, a
-    system over Q[q] whose kernel is computed fraction-free; b_0 and b_n
-    then follow from the x^1 and x^0 constraints, and the vector is
-    normalized.  The order is that of the highest nonzero b_k: n-1 unless
-    the kernel is ambiguous, where the chosen representative may be of
-    lower order.
+    system over Q[q] whose kernel is computed fraction-free, each row
+    first scaled into Z[q]; b_0 and b_n then follow from the x^1 and x^0
+    constraints, and the vector is normalized.  The order is that of the
+    highest nonzero b_k: n-1 unless the kernel is ambiguous, where the
+    chosen representative may be of lower order.
     """
     n = spec.n
     tower = derivative_tower(spec)
     B = tower.raw
-    core = [[B[k - 1].coefficient(j) for k in range(1, n)] for j in range(2, n)]
+    core = [_integral_row([B[k - 1].coefficient(j) for k in range(1, n)]) for j in range(2, n)]
     basis, ambiguous = _kernel(core, n - 1)
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")

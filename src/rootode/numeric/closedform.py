@@ -10,6 +10,8 @@ agreement between the two routes is meaningful evidence of correctness.
 from __future__ import annotations
 
 import math
+import sys
+from fractions import Fraction
 
 from ..algebra import UPoly, _horner
 from ..errors import DomainError
@@ -182,7 +184,7 @@ def depress_quartic(r: UPoly) -> tuple[float, float, float, float]:
     """
     if r.var != "x" or r.degree != 4 or r.lc != 1:
         raise ValueError("expected a monic quartic in x")
-    s = -r.coefficient(3) / 4
+    s = Fraction(-r.coefficient(3), 4)
     shifted = r.compose(UPoly("x", (s, 1)))
     assert shifted.coefficient(3) == 0
     return (
@@ -255,7 +257,10 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
             if k % 2:
                 directions = (int(math.copysign(1.0, q * c)),)
             break
-    bound = 1.0 + max(abs(f0), *map(abs, coeffs[1:-1])) / abs(coeffs[-1])
+    # Cauchy's bound on the roots of R - q, doubled: alone it can round onto
+    # the root of a linear R
+    cauchy = 1.0 + max([abs(f0), *map(abs, coeffs[1:-1])]) / abs(coeffs[-1])
+    bound = min(2.0 * cauchy, sys.float_info.max)
     for direction in directions:
         x_c = _nearest_root(r.derivative(), direction)
         hi = direction * bound if x_c is None else x_c

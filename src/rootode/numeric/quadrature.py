@@ -48,7 +48,9 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     [a, b]; none by h = 2^-MAX_LEVEL raises QuadratureError.  So do terms
     at |t| = T_MAX that are not negligible beside that sum: no node comes
     within 6e-62 (b - a) of an end, and f may carry weight there.  A
-    non-finite value of f raises SingularIntegrandError.
+    non-finite value of f raises SingularIntegrandError.  A sum whose every
+    term w f is 0, as when f underflows at every node, raises
+    QuadratureError; an interval too short to hold a node gives 0.
     """
     if a == b:
         return 0.0
@@ -57,6 +59,7 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
         raise QuadratureError("infinite interval")
     # sums over the nodes of w f, of |w f|, and the largest |w f| at |t| = T_MAX
     acc = l1 = edge = 0.0
+    evaluated = False
     est = math.nan
     for level in range(MAX_LEVEL + 1):
         h = 0.5**level
@@ -70,6 +73,7 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
             for x in (a + dist, b - dist) if k else (a + dist,):
                 if x != a and x != b:
                     y = w * f(x)
+                    evaluated = True
                     if not math.isfinite(y):
                         raise SingularIntegrandError(f"integrand not finite at {x}")
                     acc += y
@@ -79,6 +83,8 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
         prev, est = est, h * acc
         scale = QUAD_TOL * h * l1
         if abs(est - prev) <= scale:
+            if evaluated and not l1:
+                raise QuadratureError("every term of the sum underflowed to 0")
             if edge > scale:
                 raise QuadratureError("integrand not negligible at the ends of [a, b]")
             return math.pi * span * est

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..algebra import UPoly
+from ..algebra import UPoly, _rat
 from ..derive import LinearODE, ProblemSpec
 
 __all__ = [
@@ -30,7 +30,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SeriesQ:
-    """Truncated series sum c_m q^m, m = 1..order (no constant term)."""
+    """Truncated series sum c_m q^m, m = 1..order (no constant term), with
+    canonical rational coefficients (ints where integral)."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -98,7 +99,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
     top = min(spec.n, order)
     c = [Fraction(0)] * (order + 1)
     pw = [None, c] + [[Fraction(0)] * (order + 1) for _ in range(2, top + 1)]
-    c[1] = 1 / rp0
+    c[1] = Fraction(1, rp0)
     nonzero = [1]  # the indices i with c_i != 0, ascending
     for m in range(2, order + 1):
         rest = Fraction(0)
@@ -117,7 +118,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
         c[m] = -rest / rp0
         if c[m]:
             nonzero.append(m)
-    return SeriesQ(tuple(c[1:]))
+    return SeriesQ(tuple(_rat(a) for a in c[1:]))
 
 
 def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:

@@ -164,6 +164,32 @@ class TestVerbs:
         assert code == 0
         assert report.status == "ok"
 
+    @pytest.mark.parametrize("q", ["1e20", "1e30"])
+    def test_check_tolerance_relative_for_large_integrals(self, q):
+        # the sides agree to 7e-14 relative at 1e20, and differ by 0.125 at 1e30
+        report, code = run(Command("check", problem="x^2+x", q=q))
+        assert (code, report.status) == (0, "ok")
+        r = report.result
+        assert r["tol"] == max(1e-8, 1e-10 * max(abs(r["lhs"]), abs(r["rhs"])))
+        assert abs(r["diff"]) <= r["tol"]
+        strict, code = run(Command("check", problem="x^2+x", q=q, tol_rel=1e-16))
+        assert (code, strict.status) == (2, "identity_mismatch")
+        assert abs(strict.result["diff"]) > strict.result["tol"] >= 1e-8
+
+    @pytest.mark.parametrize("q, kind", [("1e130", "corollary2"), ("1e200", "theorem1"),
+                                         ("1e200", "corollary2")])
+    def test_check_underflowed_integral_refused(self, q, kind):
+        # the rational q-side integrand is 0.0 at every node: a refusal, not
+        # a mismatch against a right lhs
+        report, code = run(Command("check", problem="x^5+x", q=q, kind=kind))
+        assert (code, report.status) == (2, "domain_error")
+        assert "underflowed" in report.errors[0]
+
+    def test_check_smallest_subnormal_q(self):
+        report, code = run(Command("check", problem="x^7+x", q="5e-324"))
+        assert (code, report.status) == (0, "ok")
+        assert report.result["lhs"] == report.result["rhs"] == 0.0
+
     def test_check_beyond_quadrature_reach_refused(self):
         # the q-side integrand's weight sits at t ~ 1, a share 1e-130 of
         # [0, q] from its end, nearer than any node reaches: a refusal, not

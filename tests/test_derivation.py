@@ -19,7 +19,9 @@ from rootode.derive import (
     linear_ode,
     trinomial,
 )
+from rootode import derive
 from rootode.errors import DomainError
+from rootode.numeric import lagrange_series, series_ode_residual
 from rootode.render import text_linear
 
 
@@ -250,6 +252,18 @@ class TestAbel:
         with pytest.raises(ValueError):
             abel_ode(ProblemSpec(x_poly(0, 1, 2)))
 
+    def test_coefficients_normalised_once_on_demand(self, monkeypatch):
+        ode = abel_ode(trinomial(4, 1))
+        calls = []
+        normalize = derive._normalize_vector
+        monkeypatch.setattr(derive, "_normalize_vector",
+                            lambda *a, **k: calls.append(1) or normalize(*a, **k))
+        assert not calls
+        first = [ode.coefficient(j) for j in range(ode.n)]
+        assert len(calls) == ode.n
+        assert [ode.coefficient(j) for j in range(ode.n)] == first
+        assert len(calls) == ode.n
+
 
 def _reference_tower(spec):
     """The tower as first derived: R'U lifted and reduced modulo P again,
@@ -447,6 +461,15 @@ class TestLinearODE:
             assert ode.b[ode.order].lc > 0
             assert text_linear(ode) == text
 
+    def test_dense_octic_annihilates_its_series(self):
+        # the dense octic's tower rows reach 292-bit entries of q-degree 41
+        spec = ProblemSpec(x_poly(0, 5, 0, 1, 0, -2, 0, 3, 1))
+        ode = linear_ode(spec)
+        assert (ode.order, ode.ambiguous) == (7, False)
+        residual = series_ode_residual(ode, lagrange_series(spec, 60))
+        assert len(residual) > 20
+        assert not any(residual)
+
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):
             LinearODE(2, (q_poly(1),), UPoly.zero("q"))
@@ -456,7 +479,45 @@ def annihilates(rows, v):
     return all(not sum((a * b for a, b in zip(row, v)), UPoly.zero("q")) for row in rows)
 
 
+def _reference_kernel(rows, ncols):
+    """Fraction-free Gauss-Jordan updating every entry of every row."""
+    m = [list(r) for r in rows]
+    pivots, prev, r = {}, UPoly.one("q"), 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        prow = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if prow is None:
+            continue
+        m[r], m[prow] = m[prow], m[r]
+        piv = m[r][c]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [(piv * e - f * g).exact_div(prev) for e, g in zip(m[i], m[r])]
+        prev, pivots[c], r = piv, r, r + 1
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [UPoly.zero("q")] * ncols
+        v[f] = prev
+        for c, rr in pivots.items():
+            v[c] = -m[rr][f]
+        basis.append(v)
+    return basis
+
+
 class TestKernel:
+    def test_matches_full_update_reference(self):
+        # the pivot columns are set, not computed: the basis is the same
+        rng = random.Random(72)
+        for _ in range(40):
+            nrows, ncols = rng.randint(1, 4), rng.randint(2, 5)
+            rows = [[q_poly(*(rng.randint(-3, 3) for _ in range(rng.randint(0, 3))))
+                     for _ in range(ncols)] for _ in range(nrows)]
+            if rng.random() < 0.3:
+                rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
+            assert _kernel(rows, ncols)[0] == _reference_kernel(rows, ncols)
+
     def test_unique_kernel_vector(self):
         one = UPoly.one("q")
         q = UPoly.monomial("q", 1)

@@ -77,6 +77,15 @@ class TestQuad:
             quad(f, 0.0, 1.0)
         assert calls <= 9 * 2**12 + 1
 
+    def test_sum_underflowed_to_zero_refused(self):
+        # every node is evaluated and every term is 0: no silent 0
+        with pytest.raises(QuadratureError):
+            quad(lambda t: math.exp(-t), 1e6, 2e6)
+
+    def test_interval_without_nodes_is_zero(self):
+        # no node fits between 0 and the smallest subnormal
+        assert quad(lambda t: 1.0, 0.0, 5e-324) == 0.0
+
     def test_weight_beyond_the_outermost_nodes_refused(self):
         # the mass of 1/(1+t^2) lies within 1e-100 of the end 0 of the
         # interval, closer than any node reaches
@@ -185,6 +194,13 @@ class TestClosedForms:
             bisect_branch_root(UPoly("x", (0, 1, 0, -1)), 1.0)
         # no critical point on the side of q: the bracket runs to Cauchy's bound
         assert abs(bisect_branch_root(mono_trinomial(5, 1), 34.0) - 2.0) < 1e-12
+
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("q", [2.0, -3.0, 1e17])
+    def test_bisect_branch_root_linear(self, c, q):
+        # Cauchy's bound alone rounds onto the root once |q| > 2^53
+        x = bisect_branch_root(UPoly("x", (0, c)), q)
+        assert abs(x - q / c) <= 1e-15 * abs(q / c)
 
     def test_bisect_branch_root_to_neighbouring_floats(self):
         r = mono_trinomial(7, 1)

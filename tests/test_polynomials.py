@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rootode.algebra import (
     BiPoly,
@@ -25,6 +27,94 @@ def rand_poly(rng, var="x", max_deg=6, lo=-9, hi=9, nonzero=False):
     if nonzero and not p:
         return p + 1
     return p
+
+
+# -- references on plain Fraction lists (ascending, trailing zeros trimmed) --
+
+
+def _trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        f = rem[k + len(b) - 1] / b[-1]
+        quo[k] = f
+        for i, y in enumerate(b):
+            rem[k + i] -= f * y
+    return _trim(quo), _trim(rem[: len(b) - 1])
+
+
+def _ref_compose(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = _ref_add(_ref_mul(acc, b), [c])
+    return acc
+
+
+def _canonical(p):
+    """Every coefficient an int where integral, else a reduced Fraction."""
+    return all(type(c) is int if c.denominator == 1 else type(c) is Fraction
+               for c in p.coeffs)
+
+
+_rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+_coeff_lists = st.lists(_rationals, max_size=5)
+
+
+def _rational_euclid(a, b):
+    """Monic gcd by Euclid's algorithm over Q, remainders made monic."""
+    while b:
+        a, b = b, a % b
+        if b:
+            b = b.monic()
+    return a.monic()
+
+
+class TestCanonicalCoefficients:
+    @settings(max_examples=150, deadline=None)
+    @given(_coeff_lists, _coeff_lists, _coeff_lists)
+    def test_results_int_where_integral(self, a, b, c):
+        pa, pb, pc = UPoly("x", a), UPoly("x", b), UPoly("x", c)
+        ra, rb = _trim(a), _trim(b)
+        results = [
+            (pa + pb, _ref_add(ra, rb)),
+            (pa - pb, _ref_add(ra, [-y for y in rb])),
+            (pa * pb, _ref_mul(ra, rb)),
+            (pa.compose(pb), _ref_compose(ra, rb)),
+            (pa.derivative(), _trim(i * y for i, y in enumerate(ra) if i)),
+        ]
+        if pc:
+            quo, rem = divmod(pa, pc)
+            results += list(zip((quo, rem), _ref_divmod(ra, _trim(c))))
+            results.append(((pa * pc).exact_div(pc), ra))
+        for got, want in results:
+            assert _canonical(got), got
+            assert list(got.coeffs) == want
+
+    def test_constructor_canonicalizes(self):
+        p = UPoly("q", (Fraction(4, 2), Fraction(1, 3), True, 0))
+        assert [type(c) for c in p.coeffs] == [int, Fraction, int]
+        assert p.coefficient(7) == 0 and type(p.coefficient(7)) is int
+        with pytest.raises(TypeError):
+            UPoly("x", (0.5,))
 
 
 class TestUPolyBasics:
@@ -134,6 +224,17 @@ class TestGcd:
 
     def test_gcd_of_coprime_is_one(self):
         assert poly_gcd(UPoly("x", (1, 1)), UPoly("x", (2, 1))) == UPoly.one("x")
+
+    def test_matches_rational_euclid(self):
+        # rational coefficients, a planted common factor, and zero operands
+        rng = random.Random(17)
+        for _ in range(150):
+            g = UPoly("x", [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
+            a = rand_poly(rng, max_deg=4) * g
+            b = rand_poly(rng, max_deg=4) * g * Fraction(rng.randint(1, 5), rng.randint(1, 5))
+            if a or b:
+                assert poly_gcd(a, b) == _rational_euclid(a, b)
+                assert poly_gcd(b, a) == _rational_euclid(a, b)
 
     def test_gcd_zero_zero_undefined(self):
         with pytest.raises(ValueError):
@@ -265,6 +366,22 @@ class TestDiscriminant:
                 t = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
                 ref = sign * resultant(r - t, r.derivative()) / r.lc
                 assert d(t) == ref, f"D({t}) differs for R = {r}"
+
+    def test_rational_coefficients_match_sylvester_resultant(self):
+        # non-integral coefficients below the lead: the rows of qI - M are
+        # scaled into Z[q] and the scales divided out again
+        rng = random.Random(910)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(n)]
+            coeffs.append(Fraction(rng.choice([1, -2, 3]), rng.choice([1, 2, 7])))
+            r = UPoly("x", coeffs)
+            d = discriminant(r)
+            assert d.degree == n - 1
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            for _ in range(3):
+                t = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                assert d(t) == sign * resultant(r - t, r.derivative()) / r.lc
 
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError):

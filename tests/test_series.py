@@ -32,7 +32,7 @@ def _reference_series(spec, order):
     S, [q^m] R(S + c_m q^m) = [q^m] R(S) + R'(0) c_m.  O(n order^3)."""
     rp0 = spec.R.coefficient(1)
     s = [Fraction(0)] * (order + 1)
-    s[1] = 1 / rp0
+    s[1] = Fraction(1) / rp0
     for m in range(2, order + 1):
         acc = [Fraction(0)] * (order + 1)
         for c in reversed(spec.R.coeffs):
@@ -106,7 +106,16 @@ class TestLagrange:
     @settings(max_examples=60, deadline=None)
     @given(spec=branch_polynomials(), order=st.integers(min_value=1, max_value=30))
     def test_matches_reference(self, spec, order):
-        assert lagrange_series(spec, order).coeffs == _reference_series(spec, order)
+        coeffs = lagrange_series(spec, order).coeffs
+        assert coeffs == _reference_series(spec, order)
+        # canonical whatever R's denominators: an int exactly where integral
+        assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in coeffs)
+
+    def test_coefficients_canonical(self):
+        # R'(0) = 1: Lagrange inversion over Z, every coefficient an int
+        assert all(type(c) is int for c in lagrange_series(trinomial(5, 1), 40).coeffs)
+        halves = lagrange_series(trinomial(3, 2), 12).coeffs
+        assert all(type(c) is Fraction and c.denominator > 1 for c in halves if c)
 
     def test_order_bounds(self):
         spec = trinomial(3, 1)
