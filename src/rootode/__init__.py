@@ -14,7 +14,6 @@ from .algebra import (
     compose_q,
     discriminant,
     poly_gcd,
-    resultant,
 )
 from .derive import (
     AbelODE,
@@ -105,7 +104,6 @@ __all__ = [
     "quartic_series_2f1_product",
     "quartic_series_3f2",
     "quartic_w_root",
-    "resultant",
     "series_ode_residual",
     "track_root",
     "trinomial",

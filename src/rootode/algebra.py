@@ -16,8 +16,8 @@ division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
 On top of these sit a gcd by primitive pseudo-remainders over Z, a
-fraction-free (Bareiss) determinant over any integral domain, the Sylvester
-resultant, and the discriminant of R(x) - q.
+fraction-free (Bareiss) determinant over any integral domain, and the
+discriminant of R(x) - q.
 The discriminant is a characteristic polynomial: with n = deg R and M the
 matrix of multiplication by R on Q[x]/(R'), whose eigenvalues are the
 critical values R(xi) at the roots xi of R',
@@ -552,27 +552,13 @@ class BiPoly:
         return " + ".join(parts)
 
 
-# -- resultants and discriminants -------------------------------------
+# -- determinants and discriminants ----------------------------------
 
 
 def _exact_quot(a, b):
     if isinstance(a, UPoly):
         return a.exact_div(b)
     return _rat(Fraction(a, b))
-
-
-def sylvester_matrix(a: Sequence, b: Sequence, zero):
-    """Sylvester matrix of two coefficient sequences (ascending order)."""
-    m, n = len(a) - 1, len(b) - 1
-    if m < 0 or n < 0:
-        raise ValueError("resultant of the zero polynomial")
-    ra, rb = list(reversed(a)), list(reversed(b))
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + ra + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + rb + [zero] * (m - 1 - i))
-    return rows
 
 
 def bareiss_determinant(rows, one):
@@ -600,23 +586,6 @@ def bareiss_determinant(rows, one):
         prev = m[k][k]
     det = m[n - 1][n - 1]
     return det if sign > 0 else -det
-
-
-def resultant_elems(a: Sequence, b: Sequence, zero, one):
-    """Resultant of two coefficient sequences over any integral domain."""
-    if not a or not b or not a[-1] or not b[-1]:
-        raise ValueError("resultant requires nonzero leading coefficients")
-    return bareiss_determinant(sylvester_matrix(a, b, zero), one)
-
-
-def resultant(a: UPoly, b: UPoly) -> Fraction:
-    """Resultant of two univariate polynomials in the same variable."""
-    if a.var != b.var:
-        raise VariableMismatchError("resultant of polynomials in different variables")
-    if not a or not b:
-        raise ValueError("resultant of the zero polynomial")
-    out = resultant_elems(list(a.coeffs), list(b.coeffs), Fraction(0), Fraction(1))
-    return Fraction(out)
 
 
 def discriminant(R: UPoly) -> UPoly:

@@ -38,7 +38,6 @@ from .derive import (
     factorize,
     linear_ode,
     abel_ode,
-    needs_remark2,
 )
 from .errors import ParseError, RootodeError
 from .numeric import (
@@ -270,7 +269,7 @@ def _h_derive_abel(cmd: Command) -> dict:
 
 def _h_derive_linear(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
-    ode = linear_ode(spec).normalized()
+    ode = linear_ode(spec)
     return {
         "order": ode.order,
         "b": linear_coeff_arrays(ode),
@@ -319,8 +318,7 @@ def _h_check(cmd: Command) -> dict:
             return {"kind": cmd.kind, "weight": str(weight), "q": cmd.q, "q_star": q_star,
                     "_status": "hit_branch_point",
                     "_errors": [f"q is at or past the branch point q* = {q_star!r}"]}
-    remark2 = needs_remark2(fact, weight) and cmd.kind == "theorem1"
-    ispec = build_integrands(fact, weight, cmd.kind, remark2=remark2)
+    ispec = build_integrands(fact, weight, cmd.kind)
     x = bisect_branch_root(spec.R, qv)
     rep = check_identity(ispec, x, qv)
     # absolute near 0, relative once the integrals are large
@@ -331,7 +329,7 @@ def _h_check(cmd: Command) -> dict:
     out = {
         "kind": cmd.kind,
         "weight": str(weight),
-        "remark2": remark2,
+        "remark2": ispec.remark2,
         "q": cmd.q,
         "x": x,
         "lhs": rep.lhs,

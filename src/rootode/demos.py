@@ -24,9 +24,11 @@ from .numeric import (
     quartic_real_roots,
     quartic_series_2f1_product,
     quartic_series_3f2,
+    quartic_w_root,
     rhs_integrand,
     track_root,
     vieta_hyp_root,
+    vieta_trig_root,
 )
 
 __all__ = ["DEMOS"]
@@ -75,6 +77,10 @@ def cardano() -> list[dict]:
                 (abs(track_root(spec, q).x - cardano_root(1.0, q)) for q in qs), 1e-9),
         _within("cardano_vs_sinh_form",
                 (abs(cardano_root(1.0, q) - vieta_hyp_root(1.0, q)) for q in qs), 1e-12),
+        # p = -1: all three roots are real while |q| < sqrt(4/27)
+        _within("tracked_vs_trig_form",
+                (abs(track_root(trinomial(3, -1), q).x - vieta_trig_root(-1.0, q))
+                 for q in (-0.3, -0.1, 0.1, 0.3)), 1e-9),
     ]
 
 
@@ -139,7 +145,7 @@ def betti() -> list[dict]:
         * UPoly("x", (5, 0, 1)) ** 2
         * UPoly("x", (12, 0, -8, 0, 4, 0, 1))
     )
-    ispec = build_integrands(fact, UPoly("q", (0, 5)), surd=5, remark2=True)
+    ispec = build_integrands(fact, UPoly("q", (0, 5)), surd=5)
     return [
         _check("script_d_exact", fact.script_d == d_expected),
         _check("script_u_exact", fact.script_u == u_expected),
@@ -151,19 +157,24 @@ def betti() -> list[dict]:
 
 def hypergeom() -> list[dict]:
     order = 12
-    lag = lagrange_series(trinomial(4, 1), order)
+    spec = trinomial(4, 1)
+    lag = lagrange_series(spec, order)
     x1 = quartic_series_3f2(Fraction(1), order)
     x2 = quartic_series_2f1_product(Fraction(1), order)
     return [
         _check("series_3f2_equals_lagrange", x1.coeffs == lag.coeffs),
         _check("series_2f1_product_equals_lagrange", x2.coeffs == lag.coeffs),
+        # the auxiliary sextic's real w-branch, inside q* = -3/4^(4/3)
+        _within("tracked_vs_w_form",
+                (abs(track_root(spec, q).x - quartic_w_root(1.0, q))
+                 for q in (-0.4, -0.2, 0.2, 1.0)), 1e-9),
     ]
 
 
 def remark5() -> list[dict]:
     checks = []
     for s in (1, 2):
-        ode = linear_ode(ProblemSpec(UPoly("x", (0, 1, s, 1)))).normalized()
+        ode = linear_ode(ProblemSpec(UPoly("x", (0, 1, s, 1))))
         # (4p^3 + 27q^2 + 18pqs - p^2 s^2 - 4qs^3) at p = 1
         b2 = UPoly("q", (4 - s * s, 18 * s - 4 * s**3, 27))
         b1 = UPoly("q", (9 * s - 2 * s**3, 27))
@@ -173,7 +184,7 @@ def remark5() -> list[dict]:
             and ode.inhomogeneous == UPoly("q", (-s,))
         )
         checks.append(_check(f"nonhomogeneous_s{s}", want))
-    reduced = linear_ode(trinomial(3, 1)).normalized()
+    reduced = linear_ode(trinomial(3, 1))
     checks.append(
         _check(
             "s0_reduces_to_homogeneous",

@@ -41,7 +41,6 @@ __all__ = [
     "LinearODE",
     "trinomial",
     "factorize",
-    "needs_remark2",
     "build_integrands",
     "abel_ode",
     "derivative_tower",
@@ -146,12 +145,14 @@ class IntegrandSpec:
 
         sign * weight(R(s)) * sqrt(surd) / sqrt(script_u(s))
 
-    and the q-side is weight(t) * sqrt(surd) / sqrt(script_d(t)), where
-    sign is sign(R'(0)), or the pointwise sign of R'(s) when the relaxed
-    rule is enabled (``remark2``) for branches with R'(0) = 0.
+    and the q-side is weight(t) * sqrt(surd) / sqrt(script_d(t)), with
+    ``surd`` the scale given to ``build_integrands``.  sign is sign(R'(0)),
+    or the pointwise sign of R'(s) under the relaxed rule.
+    ``remark2`` says that rule holds: for a theorem1 pair whose weight or
+    R' vanishes at 0, or whose R has a multiple root there (D(0) = 0).
 
     kind "corollary2" (rational): weight(R(s)) / (R'(s) U(s)) against
-    weight(t) / D(t), with no sign factor.
+    weight(t) / D(t), with no sign factor and ``remark2`` false.
 
     ``lhs_sq`` and ``rhs_sq`` hold the gcd-reduced squares of the radical
     integrands, so removable zero-over-zero endpoints can be evaluated.
@@ -160,23 +161,13 @@ class IntegrandSpec:
     kind: str
     problem: ProblemSpec
     weight: UPoly
-    surd: int
     remark2: bool
     sign_rp0: int
     lhs_num: UPoly
     lhs_den: UPoly
-    rhs_num: UPoly
     rhs_den: UPoly
-    radical: bool
     lhs_sq: tuple[UPoly, UPoly] | None
     rhs_sq: tuple[UPoly, UPoly] | None
-
-
-def needs_remark2(fact: Factorization, weight: UPoly) -> bool:
-    """True when the weight or R' vanishes at 0, or R has a multiple root
-    there: the radical pair is then only defined under the relaxed sign
-    rule (remark2)."""
-    return weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
 
 
 def build_integrands(
@@ -185,16 +176,15 @@ def build_integrands(
     kind: str = "theorem1",
     *,
     surd: int = 1,
-    remark2: bool = False,
 ) -> IntegrandSpec:
     """Build the separated-variables integrand pair for a polynomial weight.
 
     ``weight`` is a polynomial in q applied to R(s) on the x side and to t
     on the q side; ``surd`` scales it by sqrt(surd) exactly (needed for
-    weights such as 5*sqrt(5)*t).  A weight vanishing at 0, or a problem
-    with a multiple root at 0 of R, is only accepted under ``remark2``.
-    A theorem1 pair whose q-side integral diverges at 0, ord_0 D >= 2 +
-    2 ord_0 w, raises DomainError.
+    weights such as 5*sqrt(5)*t).  A theorem1 pair takes the relaxed sign
+    rule (``remark2``) by itself when w(0) = 0, R'(0) = 0 or D(0) = 0.  A
+    theorem1 pair whose q-side integral diverges at 0, ord_0 D >= 2 +
+    2 ord_0 w, raises DomainError, as does a corollary2 pair with D(0) = 0.
     """
     if kind not in ("theorem1", "corollary2"):
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -207,10 +197,6 @@ def build_integrands(
     spec = fact.problem
     if kind == "corollary2" and fact.disc_zero:
         raise DomainError("rational integrands need simple roots of R")
-    if needs_remark2(fact, weight) and not remark2:
-        raise DomainError(
-            "weight or R' vanishes at 0; enable the relaxed sign rule (remark2)"
-        )
     lhs_num = compose_q(weight, spec.R)
     if kind == "theorem1":
         # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
@@ -222,24 +208,21 @@ def build_integrands(
         rhs_den = fact.script_d
         lhs_sq = tuple(_normalize_vector([lhs_num * lhs_num * surd, lhs_den], anchor=1))
         rhs_sq = tuple(_normalize_vector([weight * weight * surd, rhs_den], anchor=1))
-        radical = True
+        remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
     else:
         lhs_den = spec.rprime() * fact.U
         rhs_den = fact.D
         lhs_sq = rhs_sq = None
-        radical = False
+        remark2 = False
     return IntegrandSpec(
         kind=kind,
         problem=spec,
         weight=weight,
-        surd=surd,
         remark2=remark2,
         sign_rp0=fact.sign_rp0,
         lhs_num=lhs_num,
         lhs_den=lhs_den,
-        rhs_num=weight,
         rhs_den=rhs_den,
-        radical=radical,
         lhs_sq=lhs_sq,
         rhs_sq=rhs_sq,
     )
@@ -329,10 +312,10 @@ class LinearODE:
     """Linear equation sum_k b_k(q) x^(k) + inhomogeneous(q) = 0.
 
     ``b[k]`` multiplies the k-th derivative (b[0] multiplies x itself).
-    Normal form: integer coefficients of overall content 1, polynomial gcd
-    of all entries equal to 1, and a positive leading coefficient on the
-    highest-derivative term, b[order], which is nonzero.  From
-    ``linear_ode`` the order is at most n-1, with equality unless
+    ``linear_ode`` builds it in normal form: integer coefficients of
+    overall content 1, polynomial gcd of all entries equal to 1, and a
+    positive leading coefficient on the highest-derivative term, b[order],
+    which is nonzero.  Its order is at most n-1, with equality unless
     ``ambiguous``: that flags a kernel of dimension greater than one, in
     which case a minimal-total-degree representative was chosen.
     """
@@ -348,10 +331,6 @@ class LinearODE:
 
     def vector(self) -> list[UPoly]:
         return list(self.b) + [self.inhomogeneous]
-
-    def normalized(self) -> "LinearODE":
-        vec = _normalize_vector(self.vector(), anchor=self.order)
-        return LinearODE(self.order, tuple(vec[:-1]), vec[-1], self.ambiguous)
 
 
 def _normalize_vector(polys: list[UPoly], anchor: int) -> list[UPoly]:

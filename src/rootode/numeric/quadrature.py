@@ -125,7 +125,7 @@ def _sqrt_of_reduced(num, den, sign_poly):
 
 def lhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The x-side integrand as a plain float function of s."""
-    if not spec.radical:
+    if spec.kind == "corollary2":
         # lhs_num is already the composition weight(R(s))
         return _ratio(spec.lhs_num, spec.lhs_den)
     wc = spec.weight.float_coeffs()
@@ -143,8 +143,8 @@ def lhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
 
 def rhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The q-side integrand as a plain float function of t."""
-    if not spec.radical:
-        return _ratio(spec.rhs_num, spec.rhs_den)
+    if spec.kind == "corollary2":
+        return _ratio(spec.weight, spec.rhs_den)
     wc = spec.weight.float_coeffs()
     return _sqrt_of_reduced(*spec.rhs_sq, lambda t: _horner(wc, t))
 

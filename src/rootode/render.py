@@ -83,7 +83,6 @@ def _join(parts: list[str]) -> str:
 def latex_linear(ode: LinearODE) -> str:
     """Display such as (27q^{2}+4)x''+27qx'-3x=0, descending derivative
     order, nonzero inhomogeneous term last."""
-    ode = ode.normalized()
     parts = []
     for k in range(ode.order, -1, -1):
         b = ode.b[k]
@@ -118,7 +117,6 @@ def latex_abel(ode: AbelODE) -> str:
 
 
 def text_linear(ode: LinearODE) -> str:
-    ode = ode.normalized()
     parts = []
     for k in range(ode.order, -1, -1):
         b = ode.b[k]
@@ -150,7 +148,6 @@ def text_abel(ode: AbelODE) -> str:
 
 def linear_coeff_arrays(ode: LinearODE) -> list[list[str]]:
     """[b_order, ..., b_1, b_0, inhomogeneous], each in ascending powers."""
-    ode = ode.normalized()
     return [coeff_strings(ode.b[k]) for k in range(ode.order, -1, -1)] + [
         coeff_strings(ode.inhomogeneous)
     ]

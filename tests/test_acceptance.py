@@ -80,7 +80,7 @@ def test_criterion_01_trinomial_linear_ode_table():
     failures = []
     for n, (b, label) in expected.items():
         t0 = time.perf_counter()
-        ode = linear_ode(trinomial(n, 1)).normalized()
+        ode = linear_ode(trinomial(n, 1))
         elapsed = time.perf_counter() - t0
         if ode.b != b:
             failures.append(f"n={n}: coefficients differ from the display {label}")
@@ -137,7 +137,7 @@ def test_criterion_04_exact_series_annihilation():
     for n in (3, 4, 5, 6):
         for p in (1, 2, Fraction(1, 2)):
             spec = trinomial(n, p)
-            ode = linear_ode(spec).normalized()
+            ode = linear_ode(spec)
             s = lagrange_series(spec, 2 * n + 6)
             residual = series_ode_residual(ode, s)
             if any(c != 0 for c in residual):
@@ -248,7 +248,7 @@ def test_criterion_07_degenerate_quintic():
         "x", (12, 0, -8, 0, 4, 0, 1)
     ):
         failures.append("sign-normalized cofactor differs")
-    ispec = build_integrands(fact, q_poly(0, 5), surd=5, remark2=True)
+    ispec = build_integrands(fact, q_poly(0, 5), surd=5)
     for qv in (0.5, 1.0, 2.0):
         x = bisect_branch_root(r, qv)
         rep = check_identity(ispec, x, qv)
@@ -270,7 +270,7 @@ def test_criterion_08_hypergeometric_equivalence():
 def test_criterion_09_nonhomogeneous_cubic():
     failures = []
     for s in (1, 2):
-        ode = linear_ode(ProblemSpec(UPoly("x", (0, 1, s, 1)))).normalized()
+        ode = linear_ode(ProblemSpec(UPoly("x", (0, 1, s, 1))))
         expected = (
             q_poly(-3),
             q_poly(9 * s - 2 * s**3, 27),
@@ -278,7 +278,7 @@ def test_criterion_09_nonhomogeneous_cubic():
         )
         if ode.b != expected or ode.inhomogeneous != q_poly(-s):
             failures.append(f"s={s}: displayed non-homogeneous form differs")
-    reduced = linear_ode(trinomial(3, 1)).normalized()
+    reduced = linear_ode(trinomial(3, 1))
     if reduced.b != (q_poly(-3), q_poly(0, 27), q_poly(4, 0, 27)) or reduced.inhomogeneous:
         failures.append("s=0 does not reduce to the homogeneous cubic equation")
     verdict(9, "non-homogeneous cubic displays exact; s=0 reduces", failures)

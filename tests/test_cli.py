@@ -138,6 +138,15 @@ class TestVerbs:
         assert code == 0
         assert report.result["remark2"] is True
 
+    @pytest.mark.parametrize("problem,q,weight", [("x^3+x", "0.5", "q"), ("x^4+2x", "-0.3", "q^2")])
+    def test_check_rational_weight_vanishing_at_origin(self, problem, q, weight):
+        # the rational pair has no sign rule, so w(0) = 0 is no reason to refuse
+        report, code = run(Command("check", problem=problem, q=q, weight=weight, kind="corollary2"))
+        assert code == 0
+        assert report.status == "ok"
+        assert report.result["remark2"] is False
+        assert abs(report.result["diff"]) <= report.result["tol"]
+
     @pytest.mark.parametrize("verb", ["solve", "check"])
     @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
     def test_non_finite_q_usage_error(self, verb, q):

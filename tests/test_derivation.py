@@ -153,7 +153,7 @@ class TestIntegrands:
 
     def test_quintic_squares_cancel_origin_zero(self):
         fact = factorize(ProblemSpec(x_poly(0, 0, 0, 5, 0, 1)))
-        spec = build_integrands(fact, q_poly(0, 5), surd=5, remark2=True)
+        spec = build_integrands(fact, q_poly(0, 5), surd=5)
         num, den = spec.lhs_sq
         assert num == x_poly(0, 0, 0, 0, 1)
         assert den == x_poly(12, 0, -8, 0, 4, 0, 1)
@@ -161,28 +161,34 @@ class TestIntegrands:
         assert rnum == q_poly(1)
         assert rden == 25 * q_poly(108, 0, 1)
 
-    def test_degenerate_needs_remark2(self):
-        fact = factorize(ProblemSpec(x_poly(0, 0, 0, 5, 0, 1)))
-        with pytest.raises(DomainError):
-            build_integrands(fact, q_poly(0, 5))
-
-    def test_zero_weight_at_origin_needs_remark2(self):
-        fact = factorize(trinomial(3, 1))
-        with pytest.raises(DomainError):
-            build_integrands(fact, q_poly(0, 1))
-        build_integrands(fact, q_poly(0, 1), remark2=True)
+    def test_remark2_derived(self):
+        # the relaxed sign rule holds for theorem1 exactly when w(0) = 0,
+        # R'(0) = 0 or D(0) = 0; a corollary2 pair never takes it
+        cases = [
+            (x_poly(0, 0, 0, 5, 0, 1), q_poly(0, 5), True),   # R'(0) = 0
+            (x_poly(0, 1, 2, 1), q_poly(1), True),            # D(0) = 0
+            (x_poly(0, 1, 0, 1), q_poly(0, 1), True),         # w(0) = 0
+            (x_poly(0, 1, 0, 1), q_poly(1), False),
+            (x_poly(0, 1, 0, 1), q_poly(2, 1), False),
+            (x_poly(0, 2, 0, 0, 1), q_poly(-1, 0, 3), False),
+        ]
+        for r, weight, relaxed in cases:
+            fact = factorize(ProblemSpec(r))
+            assert build_integrands(fact, weight).remark2 is relaxed
+            if not fact.disc_zero:
+                assert build_integrands(fact, weight, "corollary2").remark2 is False
 
     def test_rational_kind_needs_simple_roots(self):
         fact = factorize(ProblemSpec(x_poly(0, 0, 0, 5, 0, 1)))
         with pytest.raises(DomainError):
-            build_integrands(fact, q_poly(1), "corollary2", remark2=True)
+            build_integrands(fact, q_poly(1), "corollary2")
 
     def test_rational_kind_denominators(self):
         fact = factorize(trinomial(2, 1))
         spec = build_integrands(fact, q_poly(1), "corollary2")
         assert spec.lhs_den == x_poly(1, 2)
         assert spec.rhs_den == q_poly(1, 4)
-        assert not spec.radical
+        assert spec.kind == "corollary2"
 
     def test_weight_validation(self):
         fact = factorize(trinomial(2, 1))
@@ -285,9 +291,9 @@ small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @st.composite
-def monic_problems(draw):
-    """Monic R of degree 2..7 with R(0) = 0 and small rational coefficients."""
-    n = draw(st.integers(min_value=2, max_value=7))
+def monic_problems(draw, max_n=7):
+    """Monic R of degree 2..max_n with R(0) = 0 and small rational coefficients."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
     lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
     return ProblemSpec(UPoly("x", [0, *lower, 1]))
 
@@ -364,13 +370,13 @@ class TestTower:
 
 class TestLinearODE:
     def test_quadratic(self):
-        ode = linear_ode(trinomial(2, 1)).normalized()
+        ode = linear_ode(trinomial(2, 1))
         assert ode.order == 1
         assert ode.b == (q_poly(-2), q_poly(1, 4))
         assert ode.inhomogeneous == q_poly(-1)
 
     def test_cubic_matches_classical(self):
-        ode = linear_ode(trinomial(3, 1)).normalized()
+        ode = linear_ode(trinomial(3, 1))
         assert ode.b == (q_poly(-3), q_poly(0, 27), q_poly(4, 0, 27))
         assert not ode.inhomogeneous
         assert not ode.ambiguous
@@ -390,13 +396,14 @@ class TestLinearODE:
         for n, p in cases:
             *lower, top = (q_poly(*cs) for cs in table[n])
             top = top + (p**n - 1) * top.coefficient(0)
-            want = LinearODE(n - 1, (*lower, top), UPoly.zero("q")).normalized()
-            got = linear_ode(trinomial(n, p)).normalized()
-            assert (got.order, got.b, got.inhomogeneous) == (want.order, want.b, want.inhomogeneous)
+            want = derive._normalize_vector([*lower, top, UPoly.zero("q")], anchor=n - 1)
+            got = linear_ode(trinomial(n, p))
+            assert got.order == n - 1
+            assert got.vector() == want
 
     def test_remark5_nonhomogeneous(self):
         for s in (1, 2):
-            ode = linear_ode(ProblemSpec(x_poly(0, 1, s, 1))).normalized()
+            ode = linear_ode(ProblemSpec(x_poly(0, 1, s, 1)))
             assert ode.b == (
                 q_poly(-3),
                 q_poly(9 * s - 2 * s**3, 27),
@@ -425,18 +432,17 @@ class TestLinearODE:
                     acc = acc + ode.b[k] * tower.raw[k - 1].coefficient(j) * tower.D ** (n - 1 - k)
                 assert not acc, f"power x^{j} not annihilated for {spec.R}"
 
-    def test_normalization_idempotent(self):
-        rng = random.Random(8)
-        for _ in range(10):
-            ode = linear_ode(rand_problem(rng, max_n=5)).normalized()
-            again = ode.normalized()
-            assert again.b == ode.b
-            assert again.inhomogeneous == ode.inhomogeneous
+    @settings(max_examples=40, deadline=None)
+    @given(monic_problems(max_n=6))
+    def test_built_in_normal_form(self, spec):
+        # renormalising what linear_ode returns changes nothing
+        ode = linear_ode(spec)
+        assert derive._normalize_vector(ode.vector(), anchor=ode.order) == ode.vector()
 
     def test_normal_form_properties(self):
         rng = random.Random(44)
         for _ in range(10):
-            ode = linear_ode(rand_problem(rng, max_n=5)).normalized()
+            ode = linear_ode(rand_problem(rng, max_n=5))
             assert ode.b[ode.order].lc > 0
             for poly in ode.vector():
                 for c in poly.coeffs:
@@ -459,6 +465,7 @@ class TestLinearODE:
             assert ode.order == order
             assert ode.b[ode.order] != 0
             assert ode.b[ode.order].lc > 0
+            assert derive._normalize_vector(ode.vector(), anchor=ode.order) == ode.vector()
             assert text_linear(ode) == text
 
     def test_dense_octic_annihilates_its_series(self):

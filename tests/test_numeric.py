@@ -435,7 +435,7 @@ class TestIdentities:
     def test_degenerate_branch_identity(self):
         r = UPoly("x", (0, 0, 0, 5, 0, 1))
         spec = build_integrands(
-            factorize(ProblemSpec(r)), UPoly("q", (0, 5)), surd=5, remark2=True
+            factorize(ProblemSpec(r)), UPoly("q", (0, 5)), surd=5
         )
         for q in (0.5, 2.0):
             x = bisect_branch_root(r, q)

@@ -14,8 +14,6 @@ from rootode.algebra import (
     compose_q,
     discriminant,
     poly_gcd,
-    resultant,
-    resultant_elems,
 )
 from rootode.errors import NonExactDivisionError, VariableMismatchError
 
@@ -261,6 +259,29 @@ class TestBiPoly:
             quo, rem = a.divmod_x(p)
             assert quo * p + rem == a
             assert rem.deg_x < p.deg_x
+
+# -- the Sylvester resultant, the reference for discriminant --
+
+
+def sylvester_matrix(a, b, zero):
+    """Sylvester matrix of two coefficient sequences (ascending order)."""
+    m, n = len(a) - 1, len(b) - 1
+    ra, rb = list(reversed(a)), list(reversed(b))
+    return ([[zero] * i + ra + [zero] * (n - 1 - i) for i in range(n)]
+            + [[zero] * i + rb + [zero] * (m - 1 - i) for i in range(m)])
+
+
+def resultant_elems(a, b, zero, one):
+    """Resultant of two coefficient sequences with nonzero leads, over any
+    integral domain, by Bareiss elimination of their Sylvester matrix."""
+    return bareiss_determinant(sylvester_matrix(a, b, zero), one)
+
+
+def resultant(a, b):
+    """Resultant of two nonzero polynomials in the same variable."""
+    assert a.var == b.var and a and b
+    return Fraction(resultant_elems(list(a.coeffs), list(b.coeffs), Fraction(0), Fraction(1)))
+
 
 class TestResultant:
     def test_linear_pair_fixture(self):
