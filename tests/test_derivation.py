@@ -434,7 +434,7 @@ class TestLinearODE:
 
     @settings(max_examples=40, deadline=None)
     @given(monic_problems(max_n=6))
-    def test_built_in_normal_form(self, spec):
+    def test_normalization_idempotent(self, spec):
         # renormalising what linear_ode returns changes nothing
         ode = linear_ode(spec)
         assert derive._normalize_vector(ode.vector(), anchor=ode.order) == ode.vector()
