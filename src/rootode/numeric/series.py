@@ -2,18 +2,24 @@
 
 The branch x(q) of R(x) = q through (0, 0) has a rational power series
 x(q) = sum_{m>=1} c_m q^m whenever R'(0) != 0.  The coefficients are found
-order by order from R(x(q)) = q alone, keeping a table of the powers S^k
-of the partial sum that grows one column per order, in O(n N^2) rational
-operations for N coefficients.  They are deliberately not generated from
-the derived linear ODE (whose recurrence would be cheaper), because they
-serve as independent evidence when checking the derived differential
-equations; hypergeometric closed forms for x^4 + p x = q are expanded here
-for the same purpose.
+order by order from R(x(q)) = q alone.  A substitution x = rho y,
+L q = rho^2 v (L the lcm of R's denominators, rho = L R'(0)) makes the
+inversion monic over the integers, so a table of the powers of the
+partial sum, growing one column per order, is filled in O(n N^2) integer
+operations for N coefficients, and each coefficient is divided once when
+it is returned; order 1000 on a dense quintic takes seconds.  The ODE
+residual is likewise accumulated in integers on one common denominator.
+The coefficients are deliberately not generated from the derived linear
+ODE (whose recurrence would be cheaper), because they serve as
+independent evidence when checking the derived differential equations;
+hypergeometric closed forms for x^4 + p x = q are expanded here for the
+same purpose.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ..algebra import UPoly, _rat
 from ..derive import LinearODE, ProblemSpec
@@ -42,11 +48,11 @@ class SeriesQ:
     def coefficient(self, m: int) -> Fraction:
         if m < 1:
             raise ValueError("coefficients start at m = 1")
-        return self.coeffs[m - 1] if m <= len(self.coeffs) else Fraction(0)
+        return self.coeffs[m - 1] if m <= len(self.coeffs) else 0
 
     def dense(self) -> list[Fraction]:
         """Coefficient list starting at q^0."""
-        return [Fraction(0)] + list(self.coeffs)
+        return [0, *self.coeffs]
 
     def __call__(self, t: float) -> float:
         acc = 0.0
@@ -67,7 +73,7 @@ def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fractio
 
 
 # Largest order lagrange_series accepts.  The work grows as n * order^2
-# on ever longer rationals, so the order is checked before anything is
+# on ever longer integers, so the order is checked before anything is
 # allocated.
 MAX_SERIES_ORDER = 1000
 
@@ -75,81 +81,104 @@ MAX_SERIES_ORDER = 1000
 def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
     """Series of the branch, solved order by order from R(x(q)) = q.
 
-    With S = sum c_i q^i, [q^m] R(S) = r_1 c_m + sum_{k>=2} r_k [q^m] S^k,
-    and for k >= 2 the coefficient [q^m] S^k only involves c_1..c_{m-1}.
-    A table pw[k][m] = [q^m] S^k, k = 2..min(n, order), is filled one
+    Let L be the lcm of the denominators of R, a_k = L r_k the integer
+    coefficients of L R, and rho = a_1 = L R'(0).  The substitution
+    x = rho y, L q = rho^2 v turns L R(x) = L q into the monic integer
+    inversion
+
+        y + sum_{k>=2} s_k y^k = v,    s_k = a_k rho^(k-2),
+
+    whose branch y(v) = sum e_m v^m has e_1 = 1 and integer e_m.  With
+    Y = sum e_i v^i, [v^m] (Y + sum s_k Y^k) = e_m + sum_k s_k [v^m] Y^k,
+    and for k >= 2 the coefficient [v^m] Y^k only involves e_1..e_{m-1}.
+    A table pw[k][m] = [v^m] Y^k, k = 2..min(n, order), is filled one
     column at a time alongside the coefficients,
 
-        pw[k][m] = sum_{i=1}^{m-k+1} c_i pw[k-1][m-i]    (pw[1] = c),
+        pw[k][m] = sum_{i=1}^{m-k+1} e_i pw[k-1][m-i]    (pw[1] = e),
 
-    and then c_m = ([m = 1] - sum_k r_k pw[k][m]) / R'(0).  That is
-    O(n order^2) rational operations, skipping the zero c_i of sparse R.
-    The series comes from R(S) = q alone, never from the derived linear
-    ODE, so checking it against that ODE stays an independent test.
-    Requires R'(0) != 0 and 1 <= order <= MAX_SERIES_ORDER.
+    and then e_m = -sum_k s_k pw[k][m], with no division.  That is
+    O(n order^2) integer operations, skipping the zero e_i of sparse R;
+    the order cap of 1000 on a dense quintic takes seconds.  Undoing the
+    substitution, c_m = e_m L^m / rho^(2m-1), one division per returned
+    coefficient.  The series comes from R(S) = q alone, never from the
+    derived linear ODE, so checking it against that ODE stays an
+    independent test.  Requires R'(0) != 0 and 1 <= order <= MAX_SERIES_ORDER.
     """
     if order < 1:
         raise ValueError("need order >= 1")
     if order > MAX_SERIES_ORDER:
         raise ValueError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
     r = spec.R.coeffs
-    rp0 = r[1]
-    if rp0 == 0:
+    if r[1] == 0:
         raise ValueError("series inversion needs R'(0) != 0")
+    lcm_den = lcm(*(c.denominator for c in r))
+    a = [c.numerator * (lcm_den // c.denominator) for c in r]
+    rho = a[1]
     top = min(spec.n, order)
-    c = [Fraction(0)] * (order + 1)
-    pw = [None, c] + [[Fraction(0)] * (order + 1) for _ in range(2, top + 1)]
-    c[1] = Fraction(1, rp0)
-    nonzero = [1]  # the indices i with c_i != 0, ascending
+    s = [0, 0] + [a[k] * rho ** (k - 2) for k in range(2, top + 1)]
+    e = [0] * (order + 1)
+    pw = [None, e] + [[0] * (order + 1) for _ in range(2, top + 1)]
+    e[1] = 1
+    nonzero = [1]  # the indices i with e_i != 0, ascending
     for m in range(2, order + 1):
-        rest = Fraction(0)
+        rest = 0
         for k in range(2, min(top, m) + 1):
             prev = pw[k - 1]
-            acc = Fraction(0)
+            acc = 0
             for i in nonzero:
                 if i > m - k + 1:
                     break
                 p = prev[m - i]
                 if p:
-                    acc += c[i] * p
+                    acc += e[i] * p
             pw[k][m] = acc
-            if r[k] and acc:
-                rest += r[k] * acc
-        c[m] = -rest / rp0
-        if c[m]:
+            if s[k] and acc:
+                rest += s[k] * acc
+        e[m] = -rest
+        if rest:
             nonzero.append(m)
-    return SeriesQ(tuple(_rat(a) for a in c[1:]))
+    coeffs = []
+    num, den = lcm_den, rho  # L^m and rho^(2m-1) at m = 1
+    rho2 = rho * rho
+    for em in e[1:]:
+        coeffs.append(_rat(Fraction(em * num, den)))
+        num *= lcm_den
+        den *= rho2
+    return SeriesQ(tuple(coeffs))
 
 
 def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:
     """Apply a linear ODE to a truncated branch series, exactly.
 
-    Returns the residual coefficients through the provable order
-    M - max deg(b) - order; with a series that truly satisfies the
-    equation every returned coefficient is zero.
+    Returns the residual coefficients, as canonical rationals, through the
+    provable order M - max deg(b) - order; with a series that truly
+    satisfies the equation every returned coefficient is zero.  The series
+    is scaled by d, the lcm of its denominators, so with the integer b_k of
+    a normal-form equation the residual of d S is accumulated in ints and
+    each coefficient is divided by d once at the end.
     """
     m = series.order
     degs = [p.degree for p in ode.vector() if p]
     keep = m - max(degs, default=0) - ode.order
     if keep < 0:
         raise ValueError("series too short to test this equation")
-    dense = series.dense()
-    residual = [Fraction(0)] * (keep + 1)
+    d = lcm(*(c.denominator for c in series.coeffs))
+    deriv = [0] + [c.numerator * (d // c.denominator) for c in series.coeffs[: keep + ode.order]]
+    residual = [0] * (keep + 1)
 
-    def add(poly: UPoly, term: list[Fraction]):
-        for i, c in enumerate(poly.coeffs):
-            for j, t in enumerate(term):
-                if i + j > keep:
-                    break
-                residual[i + j] += c * t
+    def add(poly: UPoly, term: list):
+        for i, c in enumerate(poly.coeffs[: keep + 1]):
+            if c:
+                for j, t in enumerate(term[: keep + 1 - i], start=i):
+                    if t:
+                        residual[j] += c * t
 
-    deriv = dense
     add(ode.b[0], deriv)
     for k in range(1, ode.order + 1):
         deriv = [i * deriv[i] for i in range(1, len(deriv))]
         add(ode.b[k], deriv)
-    add(ode.inhomogeneous, [Fraction(1)])
-    return residual
+    add(ode.inhomogeneous, [d])
+    return [_rat(Fraction(v, d)) for v in residual]
 
 
 def pfq_series(
@@ -187,10 +216,7 @@ def pfq_series(
 
 def _with_prefactor(coeffs: list[Fraction], p: Fraction, order: int) -> SeriesQ:
     """Multiply a dense series by q/p and return it as a branch series."""
-    dense = [Fraction(0)] * (order + 1)
-    for i, c in enumerate(coeffs[:order]):
-        dense[i + 1] = c / p
-    return SeriesQ(tuple(dense[1:]))
+    return SeriesQ(tuple(_rat(c / p) for c in coeffs[:order]))
 
 
 def _quartic_argument(p: Fraction) -> Fraction:

@@ -3,10 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rootode.algebra import UPoly
+from rootode.cli import parse_polynomial
 from rootode.derive import ProblemSpec, linear_ode, trinomial
 from rootode.numeric import (
     lagrange_series,
@@ -55,6 +56,35 @@ def _defining_residual(spec, s):
     return acc
 
 
+def _reference_residual(ode, series):
+    """The residual of ``ode`` on ``series`` in Fractions, term by term."""
+    m = series.order
+    degs = [p.degree for p in ode.vector() if p]
+    keep = m - max(degs, default=0) - ode.order
+    dense = series.dense()
+    residual = [Fraction(0)] * (keep + 1)
+
+    def add(poly, term):
+        for i, c in enumerate(poly.coeffs):
+            for j, t in enumerate(term):
+                if i + j > keep:
+                    break
+                residual[i + j] += c * t
+
+    deriv = dense
+    add(ode.b[0], deriv)
+    for k in range(1, ode.order + 1):
+        deriv = [i * deriv[i] for i in range(1, len(deriv))]
+        add(ode.b[k], deriv)
+    add(ode.inhomogeneous, [Fraction(1)])
+    return residual
+
+
+def _canonical(values):
+    """Every value is an int exactly where it is integral."""
+    return all((type(c) is int) == (Fraction(c).denominator == 1) for c in values)
+
+
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -96,9 +126,17 @@ class TestLagrange:
 
     def test_defining_equation(self):
         # R(S(q)) - q must vanish through the computed order
-        cases = (((0, 3, -1, 0, 2), 10), ((0, 1, 0, 0, 0, 1), 200), ((0, -1, 0, 0, 0, 1), 200))
-        for coeffs, order in cases:
-            spec = ProblemSpec(UPoly("x", coeffs))
+        # the last two are rational and non-monic, the first of them with
+        # R'(0) < 0, at orders where a slip in the integer rescale would show
+        cases = (
+            ("2x^4-x^2+3x", 10),
+            ("x^5+x", 200),
+            ("x^5-x", 200),
+            ("-3x^3+x^2-5/4x", 150),
+            ("1/7x^5+3/5x^2+2/9x", 200),
+        )
+        for text, order in cases:
+            spec = parse_polynomial(text)
             s = lagrange_series(spec, order)
             assert s.order == order
             assert all(v == 0 for v in _defining_residual(spec, s))
@@ -109,7 +147,7 @@ class TestLagrange:
         coeffs = lagrange_series(spec, order).coeffs
         assert coeffs == _reference_series(spec, order)
         # canonical whatever R's denominators: an int exactly where integral
-        assert all((type(c) is int) == (Fraction(c).denominator == 1) for c in coeffs)
+        assert _canonical(coeffs)
 
     def test_coefficients_canonical(self):
         # R'(0) = 1: Lagrange inversion over Z, every coefficient an int
@@ -138,6 +176,7 @@ class TestLagrange:
         assert s.dense() == [0, 1, -1, 2, -5]
         assert s.coefficient(2) == -1
         assert s.coefficient(99) == 0
+        assert _canonical([s.coefficient(99), *s.dense()])
         with pytest.raises(ValueError):
             s.coefficient(0)
 
@@ -157,6 +196,24 @@ class TestResidual:
         ode = linear_ode(trinomial(3, 2))
         s = lagrange_series(spec, 12)
         assert any(c != 0 for c in series_ode_residual(ode, s))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec=branch_polynomials(),
+        n=st.integers(min_value=2, max_value=5),
+        p=small_rationals.filter(bool),
+    )
+    # d > 1 and |rho| > 1, with R'(0) < 0
+    @example(spec=parse_polynomial("-3x^3+x^2-5/4x"), n=3, p=Fraction(2))
+    @example(spec=parse_polynomial("1/7x^5+3/5x^2+2/9x"), n=4, p=Fraction(-1, 3))
+    def test_matches_reference(self, spec, n, p):
+        ode_spec = trinomial(n, p)
+        assume(ode_spec.R != spec.R)
+        s = lagrange_series(spec, 20)
+        ode = linear_ode(ode_spec)
+        residual = series_ode_residual(ode, s)
+        assert residual == _reference_residual(ode, s)
+        assert _canonical(residual)
 
     def test_short_series_rejected(self):
         ode = linear_ode(trinomial(5, 1))
@@ -178,5 +235,7 @@ class TestHypergeometric:
     def test_both_quartic_forms_match_lagrange(self):
         for p in (1, 2, Fraction(1, 2)):
             s = lagrange_series(trinomial(4, p), 12)
-            assert quartic_series_3f2(p, 12) == s
-            assert quartic_series_2f1_product(p, 12) == s
+            for form in (quartic_series_3f2, quartic_series_2f1_product):
+                t = form(p, 12)
+                assert t == s
+                assert _canonical(t.coeffs)
