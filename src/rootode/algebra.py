@@ -15,8 +15,7 @@ Python ints.  ``int / int`` is a float, which ``UPoly`` refuses: every
 division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
-On top of these sit a gcd by primitive pseudo-remainders over Z, a
-fraction-free (Bareiss) determinant over any integral domain, and the
+On top of these sit a gcd by primitive pseudo-remainders over Z and the
 discriminant of R(x) - q.
 The discriminant is a characteristic polynomial: with n = deg R and M the
 matrix of multiplication by R on Q[x]/(R'), whose eigenvalues are the
@@ -26,6 +25,9 @@ critical values R(xi) at the roots xi of R',
 
 This is the classical convention D = (-1)^(n(n-1)/2) Res_x(P, P') / lc(P)
 for P = R(x) - q, since Res(P, R') = (n lc(R))^n prod_xi (R(xi) - q).
+After the substitution y = n lc(R) x (denominators cleared first), R' is
+monic over Z and M becomes an integer matrix with scaled eigenvalues, so
+det(qI - M) is taken by Berkowitz's division-free algorithm on ints.
 Floats never enter the representation; evaluation accepts floats and
 degrades to float arithmetic explicitly.
 """
@@ -552,69 +554,64 @@ class BiPoly:
         return " + ".join(parts)
 
 
-# -- determinants and discriminants ----------------------------------
+# -- discriminants ----------------------------------------------------
 
 
-def _exact_quot(a, b):
-    if isinstance(a, UPoly):
-        return a.exact_div(b)
-    return _rat(Fraction(a, b))
+def _charpoly(a: list[list[int]]) -> list[int]:
+    """det(tI - A) of a square integer matrix, coefficients from the top
+    down, by Berkowitz's division-free algorithm.
 
-
-def bareiss_determinant(rows, one):
-    """Fraction-free determinant; entries may live in any integral domain
-    supporting *, -, truth testing and exact division."""
-    n = len(rows)
-    if n == 0:
-        return one
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = t if prev is None else _exact_quot(t, prev)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    For the leading block A_r, its next row u, column v and diagonal entry
+    c, the characteristic polynomial of A_(r+1) is T times that of A_r,
+    with T lower-triangular Toeplitz on the first column
+    1, -c, -u v, -u A_r v, ..., -u A_r^(r-1) v.
+    """
+    chi = [1]
+    for r in range(len(a)):
+        u, c = a[r][:r], a[r][r]
+        v = [a[i][r] for i in range(r)]
+        col = [1, -c]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(u, v)))
+            v = [sum(x * y for x, y in zip(a[i][:r], v)) for i in range(r)]
+        chi = [sum(col[i - j] * chi[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return chi
 
 
 def discriminant(R: UPoly) -> UPoly:
     """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1.
 
-    det(qI - M) is taken by Bareiss elimination over Z[q], with M in the
-    basis 1, x, ..., x^(n-2) of Q[x]/(R'): column j holds x^j R mod R'.
-    Each row is first scaled by the lcm of its denominators, and the
-    product of those scales is divided out of the final constant.
-    See the module docstring for the identity and its sign.
+    With R_Z = d R over Z (d the lcm of R's denominators), m = n-1 and
+    L = n lc(R_Z), the substitution y = L x makes R' monic over Z,
+    g(y) = L^(m-1) R_Z'(y/L), and puts R on ints, h(y) = L^n R_Z(y/L).
+    Multiplication by h on Z[y]/(g) then has an integer matrix A, found
+    by monic division, whose eigenvalues are s R(xi) with s = L^n d; so
+    det(qI - M) = s^(-m) chi(s q) for chi(t) = det(tI - A), which is
+    taken by Berkowitz's algorithm on ints.  See the module docstring for
+    the identity and its sign.
     """
     if R.var != "x":
         raise VariableMismatchError("expected a polynomial in x")
     n = R.degree
     if n < 2:
         raise ValueError("discriminant needs degree >= 2 in x")
-    rp = R.derivative()
-    col = R % rp
-    cols = []
-    for _ in range(n - 1):
+    m = n - 1
+    d = lcm(*(c.denominator for c in R.coeffs))
+    rz = [c.numerator * (d // c.denominator) for c in R.coeffs]
+    L = n * rz[n]
+    g = [k * rz[k] * L ** (m - k) for k in range(1, n)]
+    h = [c * L ** (n - k) for k, c in enumerate(rz)]
+    # column j of A holds y^j h mod g; g is monic, so no division is needed
+    col, cols = h, []
+    for _ in range(m):
+        while len(col) > m:
+            top = col.pop()
+            for i in range(m):
+                col[len(col) - m + i] -= top * g[i]
         cols.append(col)
-        col = (col * UPoly.monomial("x", 1)) % rp
-    # row i of qI - M, times the lcm of its denominators, lies in Z[q]
-    rows, scale = [], 1
-    for i in range(n - 1):
-        entries = [cols[j].coefficient(i) for j in range(n - 1)]
-        den = lcm(*(c.denominator for c in entries))
-        rows.append([UPoly("q", (-c * den, den * (i == j))) for j, c in enumerate(entries)])
-        scale *= den
-    charpoly = bareiss_determinant(rows, UPoly.one("q"))
-    sign = -1 if (n * (n - 1) // 2 + n - 1) % 2 else 1
-    return charpoly * (Fraction(sign * n**n, scale) * R.lc ** (n - 1))
+        col = [0] + col
+    chi = _charpoly([[cols[j][i] for j in range(m)] for i in range(m)])
+    s = L**n * d
+    sign = -1 if (n * (n - 1) // 2 + m) % 2 else 1
+    scale = Fraction(sign * n**n, s**m) * R.lc**m
+    return UPoly("q", [scale * c * s**k for k, c in enumerate(reversed(chi))])

@@ -26,6 +26,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -474,11 +476,21 @@ def format_report(report: Report, fmt: str) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits with code 2 on bad usage; the contract here is 1."""
+    """argparse exits with code 2 on bad usage; the contract here is 1.
+
+    The only single-dash option is -h, so any other argument that starts
+    with one dash is a value: a polynomial such as "-3x^3+x" or a target
+    such as "--q -1e5" needs no "--" in front of it.
+    """
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[:2] != "--" and arg_string != "-h":
+            return None
+        return super()._parse_optional(arg_string)
 
     def error(self, message):
-        self.print_usage()
-        raise SystemExit(1)
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,7 +547,15 @@ def main(argv=None) -> int:
         timing=not ns.no_timing,
     )
     report, code = run(cmd)
-    print(format_report(report, cmd.fmt))
+    try:
+        print(format_report(report, cmd.fmt), flush=True)
+    except BrokenPipeError:
+        # the reader has gone (as in `rootode ... | head`): end quietly, with
+        # stdout pointed at devnull so the interpreter's last flush is silent
+        try:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):
+            pass
     return code
 
 

@@ -10,7 +10,7 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   the branch, in radical form (weight / square root of script_u resp.
   script_d) or rational form (weight / R'U resp. weight / D);
 * the first-order equation x' = W(x, q)/D(q) with deg_x W <= n-1, obtained
-  by reducing R'U modulo P;
+  by reducing R'U modulo P, which reads W off the R-adic digits of R'U;
 * the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1,
   obtained by differentiating the first-order equation along W and
   reducing modulo P at every step;
@@ -233,15 +233,16 @@ class AbelODE:
     """First-order equation x' = W(x, q) / D(q) with deg_x W <= n-1.
 
     The coefficient of x^j is a_j = W_j / D, with W_j the q-polynomial
-    coefficient of x^j in W = R'U - Q P, the certified remainder of R'U
-    modulo P.
+    coefficient of x^j in W, the remainder of R'U modulo P.  W is read off
+    the R-adic digits of R'U = sum_k c_k(x) R(x)^k, deg c_k < n: since
+    R(x) = q modulo P, W(x, q) = sum_k c_k(x) q^k, so W_j has the
+    coefficients c_k[j].
     """
 
     problem: ProblemSpec
     n: int
     D: UPoly
     W: BiPoly
-    Q: BiPoly
 
     @cached_property
     def _coefficients(self) -> dict[int, tuple[UPoly, UPoly]]:
@@ -259,14 +260,20 @@ class AbelODE:
 
 
 def abel_ode(spec: ProblemSpec) -> AbelODE:
-    """Derive the degree-(n-1) polynomial ODE for the branch."""
+    """Derive the degree-(n-1) polynomial ODE for the branch.
+
+    R'U is written in base R by repeated division by the monic R (see
+    ``AbelODE``), so W is found in Q[x] alone; the quotient of R'U by
+    R(x) - q is never formed."""
     if not spec.is_monic():
         raise ValueError("R must be monic for division by R(x) - q")
     fact = factorize(spec)
-    ru = BiPoly.from_x(spec.rprime() * fact.U)
-    p = spec.p_bipoly()
-    quo, rem = ru.divmod_x(p)
-    return AbelODE(problem=spec, n=spec.n, D=fact.D, W=rem, Q=quo)
+    f, digits = spec.rprime() * fact.U, []
+    while f:
+        f, c = divmod(f, spec.R)
+        digits.append(c)
+    W = BiPoly(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n))
+    return AbelODE(problem=spec, n=spec.n, D=fact.D, W=W)
 
 
 @dataclass(frozen=True)
@@ -291,7 +298,7 @@ def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
 
         B_{k+1} = dB_k/dx * W + dB_k/dq * D - k B_k D'.
 
-    Since W = R'U - Q P, recursing along W in place of R'U changes each
+    Since W is R'U modulo P, recursing along W in place of R'U changes each
     product by a multiple of P, so the rows reduced modulo P are the same;
     the products have x-degree at most 2n-3 instead of (n-1)^2 + n-2.
     """
@@ -367,14 +374,24 @@ def _integral_row(row: list[UPoly]) -> list[UPoly]:
     return [p * den for p in row] if den != 1 else row
 
 
-def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], bool]:
+def _kernel(rows: list[list[UPoly]], ncols: int,
+            divisor: UPoly | int = 1) -> tuple[list[list[UPoly]], bool]:
     """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan;
     on rows in Z[q] every entry stays in Z[q].
 
-    Each update (piv * e - f * g) / previous pivot divides exactly and
-    leaves in every pivot column the last pivot d on its row and 0 on the
-    others, so those columns are known and never computed; the vector for
-    free column f is then v_f = d, v_c = -m[row(c)][f] on the pivot columns.
+    Each update (piv * e - f * g) / (previous pivot * divisor) divides
+    exactly and leaves in every pivot column 0 off its row; on its own row,
+    pivot row rr holds d / divisor^(last - rr), d the last pivot and last
+    the last pivot row.  Those columns are known and never computed; the
+    vector for free column f is then v_f = d and
+    v_c = -m[rr][f] divisor^(last - rr) on the pivot column c of row rr.
+
+    With divisor 1 this is Bareiss's elimination.  A divisor is for
+    matrices whose minors carry known powers of it, as the tower's
+    constraints carry powers of D (the pivot of step s a multiple of
+    D^(s(s+1)/2)): each step divides one more power out, so the entries
+    stay that much smaller.  Where it does not divide, ``exact_div``
+    raises rather than a wrong vector being returned.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
@@ -390,21 +407,23 @@ def _kernel(rows: list[list[UPoly]], ncols: int) -> tuple[list[list[UPoly]], boo
         m[r], m[prow] = m[prow], m[r]
         top = m[r]
         piv = top[c]
+        den = prev * divisor
         live = [j for j in range(ncols) if j != c and j not in pivots]
         for i, row in enumerate(m):
             if i != r:
                 f = row[c]
                 for j in live:
-                    row[j] = (piv * row[j] - f * top[j]).exact_div(prev)
+                    row[j] = (piv * row[j] - f * top[j]).exact_div(den)
         prev = piv
         pivots[c] = r
     free = [c for c in range(ncols) if c not in pivots]
+    last = len(pivots) - 1
     basis = []
     for f in free:
         v = [UPoly.zero("q")] * ncols
         v[f] = prev
         for c, rr in pivots.items():
-            v[c] = -m[rr][f]
+            v[c] = -m[rr][f] * divisor ** (last - rr)
         basis.append(v)
     return basis, len(free) > 1
 
@@ -417,7 +436,8 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     (b_0, ..., b_{n-1}, b_n).  Writing b_k = g_k D^k for 1 <= k <= n-1,
     the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0, a
     system over Q[q] whose kernel is computed fraction-free, each row
-    first scaled into Z[q]; b_0 and b_n then follow from the x^1 and x^0
+    first scaled into Z[q] and the powers of D that its minors carry
+    divided out as they arise; b_0 and b_n then follow from the x^1 and x^0
     constraints, and the vector is normalized.  The order is that of the
     highest nonzero b_k: n-1 unless the kernel is ambiguous, where the
     chosen representative may be of lower order.
@@ -426,7 +446,7 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     tower = derivative_tower(spec)
     B = tower.raw
     core = [_integral_row([B[k - 1].coefficient(j) for k in range(1, n)]) for j in range(2, n)]
-    basis, ambiguous = _kernel(core, n - 1)
+    basis, ambiguous = _kernel(core, n - 1, _integral_row([tower.D])[0])
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
     candidates = []

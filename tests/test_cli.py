@@ -382,6 +382,36 @@ class TestMain:
         assert exc.value.code == 1
         capsys.readouterr()
 
+    def test_usage_error_says_what_went_wrong(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "x^2+x"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rootode solve")
+        assert "error: the following arguments are required: --q" in err
+
+    def test_leading_minus_is_a_polynomial(self, capsys):
+        # "-3x^3+..." answers as it does after "--", and so does a target
+        # such as "-1e-3" that is not a plain negative number
+        assert main(["series", "-3x^3+x^2-5/4x", "--order", "5", "--no-timing"]) == 0
+        direct = capsys.readouterr().out
+        assert main(["series", "--order", "5", "--no-timing", "--", "-3x^3+x^2-5/4x"]) == 0
+        assert capsys.readouterr().out == direct
+        assert json.loads(direct)["result"]["coeffs"][0] == "-4/5"
+        assert main(["solve", "x^3+x", "--q", "-1e-3", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+    def test_closed_pipe_ends_quietly(self, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        assert main(["discriminant", "x^3+x", "--no-timing"]) == 0
+
     def test_stdout_is_json(self, capsys):
         code = main(["derive-linear", "x^3+x"])
         out = capsys.readouterr().out

@@ -2,6 +2,7 @@
 linear annihilator."""
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -244,14 +245,15 @@ class TestAbel:
         assert ode.coefficient(2) == (UPoly.zero("q"), q_poly(1))
         assert ode.coefficient(1) == (q_poly(1, 2), q_poly(0, 2, 8))
 
-    def test_division_certificate(self):
+    def test_substitution_certificate(self):
+        # W(x, R(x)) = R'U exactly: W is R'U modulo R(x) - q
         rng = random.Random(9)
         for _ in range(20):
-            spec = rand_problem(rng, max_n=6)
-            fact = factorize(spec)
+            spec = rand_problem(rng, max_n=8)
             ode = abel_ode(spec)
-            ru = BiPoly.from_x(spec.rprime() * fact.U)
-            assert ode.Q * spec.p_bipoly() + ode.W == ru
+            back = sum((compose_q(w, spec.R) * UPoly.monomial("x", j)
+                        for j, w in enumerate(ode.W.coeffs)), x_poly())
+            assert back == spec.rprime() * factorize(spec).U
             assert ode.W.deg_x <= spec.n - 1
 
     def test_nonmonic_rejected(self):
@@ -476,6 +478,18 @@ class TestLinearODE:
         residual = series_ode_residual(ode, lagrange_series(spec, 60))
         assert len(residual) > 20
         assert not any(residual)
+
+    @settings(max_examples=30, deadline=None)
+    @given(monic_problems(max_n=6))
+    def test_divisor_matches_plain_elimination(self, spec):
+        # dividing the known powers of D out of the kernel's elimination
+        # changes no answer
+        def plain_kernel(rows, ncols, divisor):
+            return _kernel(rows, ncols)
+
+        with mock.patch.object(derive, "_kernel", plain_kernel):
+            plain = linear_ode(spec)
+        assert linear_ode(spec) == plain
 
     def test_coefficient_count_enforced(self):
         with pytest.raises(ValueError):

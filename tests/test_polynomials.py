@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from rootode.algebra import (
     BiPoly,
     UPoly,
-    bareiss_determinant,
     compose_q,
     discriminant,
     poly_gcd,
@@ -263,6 +262,36 @@ class TestBiPoly:
 # -- the Sylvester resultant, the reference for discriminant --
 
 
+def bareiss_determinant(rows, one):
+    """Fraction-free determinant; entries may live in any integral domain
+    supporting *, -, truth testing and exact division."""
+    def exact_quot(a, b):
+        return a.exact_div(b) if isinstance(a, UPoly) else Fraction(a, b)
+
+    n = len(rows)
+    if n == 0:
+        return one
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = None
+    for k in range(n - 1):
+        if not m[k][k]:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return m[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                t = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                m[i][j] = t if prev is None else exact_quot(t, prev)
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return det if sign > 0 else -det
+
+
 def sylvester_matrix(a, b, zero):
     """Sylvester matrix of two coefficient sequences (ascending order)."""
     m, n = len(a) - 1, len(b) - 1
@@ -357,6 +386,16 @@ class TestBareiss:
         assert bareiss_determinant(rows, Fraction(1)) == -1
 
 
+@st.composite
+def rational_polys(draw):
+    """R of degree 2..9 with small rational coefficients and a nonzero,
+    not necessarily monic, lead."""
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+    lower = draw(st.lists(small, min_size=2, max_size=9))
+    lead = draw(small.filter(bool))
+    return UPoly("x", lower + [lead])
+
+
 class TestDiscriminant:
     def test_quadratic(self):
         assert discriminant(UPoly("x", (0, 1, 1))) == UPoly("q", (1, 4))
@@ -377,7 +416,7 @@ class TestDiscriminant:
         # elimination of the (2n-1)-size Sylvester matrix at q = t
         rng = random.Random(909)
         for _ in range(60):
-            n = rng.randint(2, 7)
+            n = rng.randint(2, 9)
             lead = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3)])
             coeffs = [Fraction(rng.randint(-6, 6)) for _ in range(n)] + [Fraction(lead)]
             r = UPoly("x", coeffs)
@@ -403,6 +442,26 @@ class TestDiscriminant:
             for _ in range(3):
                 t = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
                 assert d(t) == sign * resultant(r - t, r.derivative()) / r.lc
+
+    def test_degrees_8_and_9_match_sylvester_resultant(self):
+        # the dense octic and nonic, x^9 + x, and a non-monic rational nonic
+        for coeffs in ((0, 5, 0, 1, 0, -2, 0, 3, 1), (0, 4, -1, 0, 0, 3, 0, -1, 2, 1),
+                       (0, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+                       (Fraction(5, 7), 2, 0, 0, Fraction(-1, 3), 0, 0, 1, 0, Fraction(3, 2))):
+            r = UPoly("x", coeffs)
+            n = r.degree
+            d = discriminant(r)
+            assert d.degree == n - 1
+            sign = -1 if (n * (n - 1) // 2) % 2 else 1
+            for t in (Fraction(0), Fraction(-3, 2), Fraction(11, 5)):
+                assert d(t) == sign * resultant(r - t, r.derivative()) / r.lc
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_polys(), st.fractions(min_value=-9, max_value=9, max_denominator=9))
+    def test_rational_nonmonic_matches_sylvester_resultant(self, r, t):
+        n = r.degree
+        sign = -1 if (n * (n - 1) // 2) % 2 else 1
+        assert discriminant(r)(t) == sign * resultant(r - t, r.derivative()) / r.lc
 
     def test_low_degree_rejected(self):
         with pytest.raises(ValueError):
