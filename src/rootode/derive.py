@@ -377,7 +377,8 @@ def _integral_row(row: list[UPoly]) -> list[UPoly]:
 def _kernel(rows: list[list[UPoly]], ncols: int,
             divisor: UPoly | int = 1) -> tuple[list[list[UPoly]], bool]:
     """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan;
-    on rows in Z[q] every entry stays in Z[q].
+    on rows in Z[q], with a divisor whose powers divide over Z, every
+    entry stays in Z[q].
 
     Each update (piv * e - f * g) / (previous pivot * divisor) divides
     exactly and leaves in every pivot column 0 off its row; on its own row,
