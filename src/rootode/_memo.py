@@ -1,0 +1,41 @@
+"""One bounded, process-wide memo for the work that depends on R alone.
+
+The discriminant, the first-order and linear equations and the first
+branch point are fixed by R, while a caller such as a sweep over targets
+asks for them again at every q.  ``memoized`` gives a function a result
+cache in the one shared LRU table below, keyed by the function and its
+arguments (frozen ``ProblemSpec``s, immutable ``UPoly``s, ints).  Results
+are frozen dataclasses, ``UPoly``s or floats, so sharing them is safe.  An
+exception propagates and is not stored, so a certificate that fails raises
+again on the next call.
+"""
+from __future__ import annotations
+
+from functools import lru_cache, wraps
+
+# A sweep cycle works on about 24 polynomials.  Each holds at most three
+# exact derivations (factorize, abel_ode, linear_ode) and four Sturm
+# isolations (D and R' on either side of 0), so 24 * 7 entries keep one
+# cycle's working set; an entry is a few small polynomials.
+SIZE = 24 * (3 + 4)
+
+
+@lru_cache(maxsize=SIZE)
+def _call(fn, *args):
+    return fn(*args)
+
+
+def memoized(fn):
+    """``fn`` computing each result once while it stays in the table.
+    The wrapper is a plain function that keeps fn's name, module and
+    docstring, so tracers that wrap public functions still find it."""
+    @wraps(fn)
+    def cached(*args):
+        return _call(fn, *args)
+    return cached
+
+
+def clear() -> None:
+    """Empty the table, so the next call of every memoized function
+    computes afresh."""
+    _call.cache_clear()

@@ -350,18 +350,17 @@ def _h_series(cmd: Command) -> dict:
     order = cmd.order if cmd.order is not None else 10
     s = lagrange_series(spec, order)
     out = {"order": order, "coeffs": [frac_str(c) for c in s.coeffs]}
-    if spec.is_monic():
-        ode = linear_ode(spec)
-        try:
-            residual = series_ode_residual(ode, s)
-        except ValueError:
-            out["ode_residual_zero"] = None
-        else:
-            out["ode_residual_zero"] = all(c == 0 for c in residual)
-            out["ode_residual_orders"] = len(residual)
-            if not out["ode_residual_zero"]:
-                out["_status"] = "residual_nonzero"
-                out["_errors"] = ["series does not satisfy the derived equation"]
+    ode = linear_ode(spec)
+    try:
+        residual = series_ode_residual(ode, s)
+    except ValueError:
+        out["ode_residual_zero"] = None
+    else:
+        out["ode_residual_zero"] = all(c == 0 for c in residual)
+        out["ode_residual_orders"] = len(residual)
+        if not out["ode_residual_zero"]:
+            out["_status"] = "residual_nonzero"
+            out["_errors"] = ["series does not satisfy the derived equation"]
     return out
 
 

@@ -29,8 +29,9 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
-from .algebra import BiPoly, UPoly, compose_q, discriminant, poly_gcd
-from .errors import DomainError, EmptyKernelError
+from ._memo import memoized
+from .algebra import BiPoly, UPoly, _primitive, compose_q, discriminant, poly_gcd
+from .errors import DomainError, EmptyKernelError, NonExactDivisionError
 
 __all__ = [
     "ProblemSpec",
@@ -73,9 +74,6 @@ class ProblemSpec:
         """R(x) - q as a bivariate polynomial."""
         return BiPoly.from_x(self.R) - BiPoly.from_q(UPoly.monomial("q", 1))
 
-    def is_monic(self) -> bool:
-        return self.R.lc == 1
-
 
 def trinomial(n: int, p) -> ProblemSpec:
     """The equation x^n + p x = q."""
@@ -111,8 +109,10 @@ def _sign(c: Fraction) -> int:
     return (c > 0) - (c < 0)
 
 
+@memoized
 def factorize(spec: ProblemSpec) -> Factorization:
-    """Compute and certify the factorization D(R(x)) = R'(x)^2 U(x)."""
+    """Compute and certify the factorization D(R(x)) = R'(x)^2 U(x).
+    Memoized per process (see ``rootode._memo``)."""
     n = spec.n
     D = discriminant(spec.R)
     if D.degree != n - 1:
@@ -259,14 +259,13 @@ class AbelODE:
         return cache[j]
 
 
+@memoized
 def abel_ode(spec: ProblemSpec) -> AbelODE:
     """Derive the degree-(n-1) polynomial ODE for the branch.
 
-    R'U is written in base R by repeated division by the monic R (see
-    ``AbelODE``), so W is found in Q[x] alone; the quotient of R'U by
-    R(x) - q is never formed."""
-    if not spec.is_monic():
-        raise ValueError("R must be monic for division by R(x) - q")
+    R'U is written in base R by repeated division by R over Q (see
+    ``AbelODE``), so W is found in Q[x] alone, whatever lc(R); the
+    quotient of R'U by R(x) - q is never formed.  Memoized per process."""
     fact = factorize(spec)
     f, digits = spec.rprime() * fact.U, []
     while f:
@@ -301,10 +300,11 @@ def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
     Since W is R'U modulo P, recursing along W in place of R'U changes each
     product by a multiple of P, so the rows reduced modulo P are the same;
     the products have x-degree at most 2n-3 instead of (n-1)^2 + n-2.
+    Reducing modulo P is reducing modulo the monic P / lc(R).
     """
     ode = abel_ode(spec)
     D, Dp = ode.D, ode.D.derivative()
-    p = spec.p_bipoly()
+    p = spec.p_bipoly() * (1 / Fraction(spec.R.lc))
     b = ode.W
     raw = [b]
     for k in range(1, spec.n - 1):
@@ -429,6 +429,7 @@ def _kernel(rows: list[list[UPoly]], ncols: int,
     return basis, len(free) > 1
 
 
+@memoized
 def linear_ode(spec: ProblemSpec) -> LinearODE:
     """Derive the linear equation of order at most n-1 satisfied by the branch.
 
@@ -439,9 +440,10 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     system over Q[q] whose kernel is computed fraction-free, each row
     first scaled into Z[q] and the powers of D that its minors carry
     divided out as they arise; b_0 and b_n then follow from the x^1 and x^0
-    constraints, and the vector is normalized.  The order is that of the
-    highest nonzero b_k: n-1 unless the kernel is ambiguous, where the
-    chosen representative may be of lower order.
+    constraints, and the vector is divided by D^(n-2), which every entry
+    carries unless the kernel is ambiguous, and normalized.  The order is
+    that of the highest nonzero b_k: n-1 unless the kernel is ambiguous,
+    where the chosen representative may be of lower order.
     """
     n = spec.n
     tower = derivative_tower(spec)
@@ -450,13 +452,19 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     basis, ambiguous = _kernel(core, n - 1, _integral_row([tower.D])[0])
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
+    known = UPoly("q", _primitive(tower.D.coeffs)) ** (n - 2)
     candidates = []
     for gamma in basis:
         b0 = -sum((g * bk.coefficient(1) for g, bk in zip(gamma, B)), UPoly.zero("q"))
         bn = -sum((g * bk.coefficient(0) for g, bk in zip(gamma, B)), UPoly.zero("q"))
         order = max(k for k, g in enumerate(gamma, 1) if g)
         beta = [g * tower.D ** k for k, g in enumerate(gamma[:order], 1)]
-        candidates.append((order, _normalize_vector([b0] + beta + [bn], anchor=order)))
+        vec = [b0] + beta + [bn]
+        try:
+            vec = [p.exact_div(known) for p in vec]
+        except NonExactDivisionError:
+            pass  # some vectors of an ambiguous kernel lack a factor D
+        candidates.append((order, _normalize_vector(vec, anchor=order)))
     order, best = min(candidates, key=lambda c: sum(p.degree for p in c[1] if p))
     return LinearODE(
         order=order,

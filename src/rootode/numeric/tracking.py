@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .._memo import memoized
 from ..algebra import UPoly, _horner
 from ..derive import ProblemSpec, abel_ode
 from ..errors import DomainError
@@ -75,6 +76,7 @@ def _sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+@memoized
 def _nearest_root(p: UPoly, direction: int) -> float | None:
     """Nearest nonzero real root of the nonzero p on the given side of 0,
     or None.
@@ -86,7 +88,8 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     bound, to an interval of relative width 2^-32 about that root alone.
     Newton on the square-free part, in floats, then gives a float whose
     two neighbours bracket the root, or else bisection goes on to 2^-60.
-    A root at 0 itself is divided out first.
+    A root at 0 itself is divided out first.  Memoized per process: it
+    serves D for ``first_branch_point`` and R' for ``bisect_branch_root``.
     """
     zeros = next(k for k, c in enumerate(p.coeffs) if c)
     if p.degree == zeros:
@@ -201,10 +204,9 @@ def track_root(
 ) -> TrackResult:
     """Follow the branch x(q), x(0) = 0, to q_target.
 
-    Requires R monic with R'(0) != 0 (otherwise the branch leaves 0 with
-    infinite slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin,
-    and the first-order equation cannot start there) and a finite
-    q_target.
+    Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
+    slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin, and the
+    first-order equation cannot start there) and a finite q_target.
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):

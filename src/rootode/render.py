@@ -28,6 +28,8 @@ __all__ = [
 
 
 def frac_str(c: Fraction) -> str:
+    if type(c) is int:
+        return str(c)
     c = Fraction(c)
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 

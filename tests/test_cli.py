@@ -117,6 +117,20 @@ class TestVerbs:
         assert abs(r["residual"]) < 1e-12
         assert r["tracking_status"] == "ok"
 
+    def test_solve_nonmonic_matches_check(self):
+        # lc(R) = 2: the first-order equation is derived over Q
+        solved, code = run(Command("solve", problem="2x^3+x", q="0.5"))
+        assert code == 0
+        checked, _ = run(Command("check", problem="2x^3+x", q="0.5"))
+        assert checked.status == "ok"
+        assert solved.result["x"] == pytest.approx(checked.result["x"], rel=1e-12)
+
+    def test_derive_linear_nonmonic(self):
+        # x^3/2 + x = q is x^3 + 2x = 2q
+        report, code = run(Command("derive-linear", problem="1/2x^3+x"))
+        assert code == 0
+        assert report.result["b"] == [["8", "0", "27"], ["0", "27"], ["-3"], ["0"]]
+
     def test_solve_beyond_branch_point(self):
         report, code = run(Command("solve", problem="x^3-x", q="1"))
         assert code == 2
@@ -278,6 +292,13 @@ class TestVerbs:
         r = report.result
         assert r["coeffs"] == ["1", "-1", "2", "-5", "14", "-42"]
         assert r["ode_residual_zero"] is True
+
+    @pytest.mark.parametrize("problem, order", [("3x^4-2x^2+7x", 40),
+                                                ("1/7x^5+3/5x^2+2/9x", 60)])
+    def test_series_nonmonic_certified(self, problem, order):
+        report, code = run(Command("series", problem=problem, order=order))
+        assert code == 0
+        assert report.result["ode_residual_zero"] is True
 
     def test_series_order_limit(self):
         for order in (1001, 10**9):

@@ -1,5 +1,6 @@
 """Exact derivation pipeline: factorization, integrands, Abel form, tower,
-linear annihilator."""
+linear annihilator, and the memo in front of them."""
+import inspect
 import random
 from fractions import Fraction
 from unittest import mock
@@ -20,9 +21,10 @@ from rootode.derive import (
     linear_ode,
     trinomial,
 )
-from rootode import derive
+from rootode import _memo, derive
 from rootode.errors import DomainError
 from rootode.numeric import lagrange_series, series_ode_residual
+from rootode.numeric.tracking import _nearest_root
 from rootode.render import text_linear
 
 
@@ -43,6 +45,11 @@ def assert_quotients(nums, den, expected_nums, expected_den):
 
 def abel_numerators(ode):
     return [ode.W.coefficient(j) for j in range(ode.n)]
+
+
+def at_q_over(p, c):
+    """p(q / c)."""
+    return UPoly("q", [Fraction(a) / Fraction(c) ** k for k, a in enumerate(p.coeffs)])
 
 
 def rand_problem(rng, max_n=8):
@@ -256,11 +263,28 @@ class TestAbel:
             assert back == spec.rprime() * factorize(spec).U
             assert ode.W.deg_x <= spec.n - 1
 
-    def test_nonmonic_rejected(self):
-        with pytest.raises(ValueError):
-            abel_ode(ProblemSpec(x_poly(0, 1, 2)))
+    def test_nonmonic_is_q_scaled(self):
+        # c R(x) = q is R(x) = q/c, so the branch for c R is x(q/c) and its
+        # k-th derivative c^-k x^(k)(q/c)
+        for coeffs, c in (((0, 1, 0, 1), 2), ((0, 1, 0, 1), Fraction(-1, 3)),
+                          ((0, 1, 2), Fraction(1, 2)), ((0, 3, -2, 0, 1), Fraction(5, 2)),
+                          ((0, 2, Fraction(1, 2), -1, 0, 1), Fraction(-7, 4))):
+            spec, scaled = ProblemSpec(x_poly(*coeffs)), ProblemSpec(x_poly(*coeffs) * c)
+            ode, ode_c = abel_ode(spec), abel_ode(scaled)
+            for j in range(spec.n):
+                num, den = ode.coefficient(j)
+                want = derive._normalize_vector([at_q_over(num, c), at_q_over(den, c) * c],
+                                                anchor=1)
+                assert list(ode_c.coefficient(j)) == want
+            lin = linear_ode(spec)
+            assert not lin.ambiguous
+            want = [at_q_over(b, c) * Fraction(c) ** k for k, b in enumerate(lin.b)]
+            want.append(at_q_over(lin.inhomogeneous, c))
+            assert linear_ode(scaled).vector() == derive._normalize_vector(want, anchor=lin.order)
 
     def test_coefficients_normalised_once_on_demand(self, monkeypatch):
+        # a fresh AbelODE, not one whose pairs an earlier test normalised
+        _memo.clear()
         ode = abel_ode(trinomial(4, 1))
         calls = []
         normalize = derive._normalize_vector
@@ -298,6 +322,16 @@ def monic_problems(draw, max_n=7):
     n = draw(st.integers(min_value=2, max_value=max_n))
     lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
     return ProblemSpec(UPoly("x", [0, *lower, 1]))
+
+
+@st.composite
+def rational_problems(draw, max_n=7):
+    """R of degree 2..max_n with R(0) = 0, small rational coefficients and
+    any nonzero lead."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
+    lead = draw(small_rationals.filter(bool))
+    return ProblemSpec(UPoly("x", [0, *lower, lead]))
 
 
 class TestTower:
@@ -487,8 +521,11 @@ class TestLinearODE:
         def plain_kernel(rows, ncols, divisor):
             return _kernel(rows, ncols)
 
+        # each side computed afresh, not read back from the memo
+        _memo.clear()
         with mock.patch.object(derive, "_kernel", plain_kernel):
             plain = linear_ode(spec)
+        _memo.clear()
         assert linear_ode(spec) == plain
 
     def test_coefficient_count_enforced(self):
@@ -576,3 +613,29 @@ class TestKernel:
         for v in basis:
             assert any(v)
             assert annihilates(rows, v)
+
+
+class TestMemo:
+    def test_entry_points_stay_plain_functions(self):
+        # a tracer that wraps each public function of a module still finds
+        # the memoized entry points under their own module
+        for fn in (factorize, abel_ode, linear_ode):
+            assert inspect.isfunction(fn)
+            assert fn.__module__ == "rootode.derive"
+
+    @settings(max_examples=25, deadline=None)
+    @given(rational_problems())
+    def test_memoized_equals_fresh(self, spec):
+        calls = [(factorize, spec), (abel_ode, spec), (linear_ode, spec)]
+        calls += [(_nearest_root, p, side)
+                  for p in (factorize(spec).D, spec.rprime()) for side in (1, -1)]
+        first = [f(*args) for f, *args in calls]
+        assert all(f(*args) is out for (f, *args), out in zip(calls, first))
+        _memo.clear()
+        assert [f.__wrapped__(*args) for f, *args in calls] == first
+
+    def test_table_stays_bounded(self):
+        _memo.clear()
+        for k in range(1, _memo.SIZE + 20):
+            factorize(ProblemSpec(x_poly(0, k, 1)))
+        assert _memo._call.cache_info().currsize == _memo.SIZE
