@@ -9,7 +9,6 @@ numeric machinery to track, verify and cross-check the branch against
 closed-form and series solutions.
 """
 from .algebra import (
-    BiPoly,
     UPoly,
     compose_q,
     discriminant,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbelODE",
-    "BiPoly",
     "DerivativeTower",
     "DomainError",
     "EmptyKernelError",

@@ -1,13 +1,10 @@
 """Exact polynomial arithmetic over the rationals.
 
-Two immutable value types:
-
-``UPoly``
-    dense univariate polynomial with canonical rational coefficients and a
-    variable tag (``"x"`` or ``"q"``).  Operations on mismatched tags raise.
-``BiPoly``
-    polynomial in x whose coefficients are ``UPoly`` in q; used for objects
-    such as ``R(x) - q`` that genuinely live in both variables.
+One immutable value type, ``UPoly``: a dense univariate polynomial with
+canonical rational coefficients and a variable tag (``"x"`` or ``"q"``).
+Operations on mismatched tags raise.  A polynomial in x over Q[q], such as
+the numerator W(x, q) of the first-order equation, is a tuple of ``UPoly``
+in q, entry j the coefficient of x^j.
 
 A canonical rational is an ``int`` when the value is integral and a reduced
 ``fractions.Fraction`` otherwise, so integral polynomials are computed on
@@ -37,7 +34,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import NonExactDivisionError, VariableMismatchError
+from .errors import DomainError, NonExactDivisionError, VariableMismatchError
 
 VARS = ("x", "q")
 
@@ -157,7 +154,12 @@ class UPoly:
         return acc
 
     def float_coeffs(self) -> tuple:
-        return tuple(float(c) for c in self.coeffs)
+        """The coefficients as floats; DomainError if one is beyond their range."""
+        try:
+            return tuple(float(c) for c in self.coeffs)
+        except OverflowError:
+            raise DomainError("an exact coefficient lies beyond the float range"
+                              " (magnitude above about 1.8e308)") from None
 
     # -- ring operations ----------------------------------------------
 
@@ -331,11 +333,17 @@ def compose_q(f: UPoly, r: UPoly) -> UPoly:
     return f.compose(r)
 
 
+def _integer_coeffs(coeffs: Sequence) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators of the rationals
+    ``coeffs``, and ints their multiples by den."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def _primitive(coeffs: Sequence) -> list[int]:
     """Integer coefficients of the primitive part of a nonzero polynomial:
     its denominators cleared and its integer content divided out."""
-    den = lcm(*(c.denominator for c in coeffs))
-    cs = [c.numerator * (den // c.denominator) for c in coeffs]
+    cs = _integer_coeffs(coeffs)[1]
     g = gcd(*cs)
     return [c // g for c in cs] if g != 1 else cs
 
@@ -381,179 +389,6 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
     return UPoly.one(a.var)
 
 
-class BiPoly:
-    """Polynomial in x with UPoly-in-q coefficients, dense in the x power."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[UPoly] = ()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, (int, Fraction)):
-                c = UPoly.const("q", c)
-            if not isinstance(c, UPoly) or c.var != "q":
-                raise VariableMismatchError("BiPoly coefficients must be UPoly in q")
-            cs.append(c)
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, *args):
-        raise AttributeError("BiPoly is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls(())
-
-    @classmethod
-    def const(cls, c) -> "BiPoly":
-        return cls((UPoly.const("q", c),))
-
-    @classmethod
-    def from_x(cls, p: UPoly) -> "BiPoly":
-        if p.var != "x":
-            raise VariableMismatchError("expected a polynomial in x")
-        return cls(tuple(UPoly.const("q", c) for c in p.coeffs))
-
-    @classmethod
-    def from_q(cls, p: UPoly) -> "BiPoly":
-        if p.var != "q":
-            raise VariableMismatchError("expected a polynomial in q")
-        return cls((p,))
-
-    # -- queries ------------------------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
-
-    @property
-    def deg_x(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def lead_x(self) -> UPoly:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def coefficient(self, k: int) -> UPoly:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else UPoly.zero("q")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, BiPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self == BiPoly.const(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    # -- arithmetic ---------------------------------------------------
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, BiPoly):
-            return other
-        if isinstance(other, UPoly):
-            return BiPoly.from_q(other) if other.var == "q" else BiPoly.from_x(other)
-        if isinstance(other, (int, Fraction)):
-            return BiPoly.const(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.coeffs, o.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return BiPoly(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return BiPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not self or not o:
-            return BiPoly.zero()
-        out = [UPoly.zero("q")] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return BiPoly(out)
-
-    __rmul__ = __mul__
-
-    def divmod_x(self, other: "BiPoly"):
-        """Division in x; the divisor must be monic in x."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        if not (other.lead_x.is_const() and other.lead_x.coefficient(0) == 1):
-            raise ValueError("divisor must be monic in x")
-        rem = list(self.coeffs)
-        dn = other.deg_x
-        quo = [UPoly.zero("q")] * max(len(rem) - dn, 0)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k]
-            if not c:
-                continue
-            quo[k - dn] = c
-            for i, d in enumerate(other.coeffs):
-                rem[k - dn + i] = rem[k - dn + i] - c * d
-        return BiPoly(quo), BiPoly(rem[:dn])
-
-    # -- calculus and evaluation --------------------------------------
-
-    def derivative_x(self) -> "BiPoly":
-        return BiPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def derivative_q(self) -> "BiPoly":
-        return BiPoly(tuple(c.derivative() for c in self.coeffs))
-
-    def __repr__(self):
-        return f"BiPoly({[str(c) for c in self.coeffs]!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(f"({cs})")
-            else:
-                pw = "x" if k == 1 else f"x^{k}"
-                parts.append(f"({cs})*{pw}")
-        return " + ".join(parts)
-
-
 # -- discriminants ----------------------------------------------------
 
 
@@ -596,8 +431,7 @@ def discriminant(R: UPoly) -> UPoly:
     if n < 2:
         raise ValueError("discriminant needs degree >= 2 in x")
     m = n - 1
-    d = lcm(*(c.denominator for c in R.coeffs))
-    rz = [c.numerator * (d // c.denominator) for c in R.coeffs]
+    d, rz = _integer_coeffs(R.coeffs)
     L = n * rz[n]
     g = [k * rz[k] * L ** (m - k) for k in range(1, n)]
     h = [c * L ** (n - k) for k, c in enumerate(rz)]

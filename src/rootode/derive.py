@@ -19,6 +19,9 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   the kernel of the linear system that kills every power of x when the
   tower rows are substituted.
 
+W and each B_k are kept as tuples of exactly n ``UPoly`` in q, entry j the
+coefficient of x^j (zero where there is none).
+
 Everything here is symbolic; floating point enters only in the numeric
 subpackage.
 """
@@ -30,7 +33,7 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._memo import memoized
-from .algebra import BiPoly, UPoly, _primitive, compose_q, discriminant, poly_gcd
+from .algebra import UPoly, _primitive, compose_q, discriminant, poly_gcd
 from .errors import DomainError, EmptyKernelError, NonExactDivisionError
 
 __all__ = [
@@ -69,10 +72,6 @@ class ProblemSpec:
 
     def rprime(self) -> UPoly:
         return self.R.derivative()
-
-    def p_bipoly(self) -> BiPoly:
-        """R(x) - q as a bivariate polynomial."""
-        return BiPoly.from_x(self.R) - BiPoly.from_q(UPoly.monomial("q", 1))
 
 
 def trinomial(n: int, p) -> ProblemSpec:
@@ -232,30 +231,30 @@ def build_integrands(
 class AbelODE:
     """First-order equation x' = W(x, q) / D(q) with deg_x W <= n-1.
 
-    The coefficient of x^j is a_j = W_j / D, with W_j the q-polynomial
-    coefficient of x^j in W, the remainder of R'U modulo P.  W is read off
-    the R-adic digits of R'U = sum_k c_k(x) R(x)^k, deg c_k < n: since
-    R(x) = q modulo P, W(x, q) = sum_k c_k(x) q^k, so W_j has the
-    coefficients c_k[j].
+    ``W`` is a tuple of exactly n ``UPoly`` in q, W[j] the coefficient of
+    x^j (zero where there is none), so a_j = W[j] / D.  W is the remainder
+    of R'U modulo P, read off the R-adic digits of R'U = sum_k c_k(x) R(x)^k,
+    deg c_k < n: since R(x) = q modulo P, W(x, q) = sum_k c_k(x) q^k, so
+    W[j] has the coefficients c_k[j].
     """
 
     problem: ProblemSpec
     n: int
     D: UPoly
-    W: BiPoly
+    W: tuple[UPoly, ...]
 
     @cached_property
     def _coefficients(self) -> dict[int, tuple[UPoly, UPoly]]:
         return {}
 
     def coefficient(self, j: int) -> tuple[UPoly, UPoly]:
-        """a_j = W_j / D as a reduced (numerator, denominator) pair with
+        """a_j = W[j] / D as a reduced (numerator, denominator) pair with
         integer coefficients and a positive leading denominator
         coefficient; a zero a_j gives (0, 1).  Each pair is normalised
         once, on first use."""
         cache = self._coefficients
         if j not in cache:
-            cache[j] = tuple(_normalize_vector([self.W.coefficient(j), self.D], anchor=1))
+            cache[j] = tuple(_normalize_vector([self.W[j], self.D], anchor=1))
         return cache[j]
 
 
@@ -271,7 +270,7 @@ def abel_ode(spec: ProblemSpec) -> AbelODE:
     while f:
         f, c = divmod(f, spec.R)
         digits.append(c)
-    W = BiPoly(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n))
+    W = tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n))
     return AbelODE(problem=spec, n=spec.n, D=fact.D, W=W)
 
 
@@ -279,14 +278,14 @@ def abel_ode(spec: ProblemSpec) -> AbelODE:
 class DerivativeTower:
     """Numerators B_k with x^(k) = B_k(x, q) / D(q)^k along the branch.
 
-    ``raw[k-1]`` is B_k for k = 1..n-1, reduced modulo P to x-degree at most n-1,
-    so x^(k) = sum_j a_{k,j}(q) x^j with a_{k,j} = B_k[j] / D^k.  The first
-    row is the first-order equation: B_1 = W and a_{1,j} = W_j / D.
+    ``raw[k-1]`` is B_k for k = 1..n-1, reduced modulo P to x-degree at most
+    n-1 and laid out as ``AbelODE.W``, a tuple of exactly n ``UPoly`` in q:
+    x^(k) = sum_j B_k[j] x^j / D^k.  The first row is B_1 = W.
     """
 
     problem: ProblemSpec
     D: UPoly
-    raw: tuple[BiPoly, ...]
+    raw: tuple[tuple[UPoly, ...], ...]
 
 
 def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
@@ -300,16 +299,32 @@ def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
     Since W is R'U modulo P, recursing along W in place of R'U changes each
     product by a multiple of P, so the rows reduced modulo P are the same;
     the products have x-degree at most 2n-3 instead of (n-1)^2 + n-2.
-    Reducing modulo P is reducing modulo the monic P / lc(R).
+    They are reduced from the top power down by the rule, true modulo P,
+
+        x^n = sum_i xn[i] x^i = q / lc(R) - sum_{1 <= i < n} (r_i / lc(R)) x^i,
+
+    with r_i the coefficient of x^i in R.
     """
+    n = spec.n
     ode = abel_ode(spec)
-    D, Dp = ode.D, ode.D.derivative()
-    p = spec.p_bipoly() * (1 / Fraction(spec.R.lc))
-    b = ode.W
-    raw = [b]
-    for k in range(1, spec.n - 1):
-        c = b.derivative_x() * ode.W + b.derivative_q() * D - (k * b) * Dp
-        b = c.divmod_x(p)[1]
+    W, D, Dp = ode.W, ode.D, ode.D.derivative()
+    inv = Fraction(1) / spec.R.lc
+    xn = [UPoly("q", (0, inv))] + [UPoly.const("q", -r * inv) for r in spec.R.coeffs[1:n]]
+    b, raw = W, [W]
+    for k in range(1, n - 1):
+        c = [bj.derivative() * D - k * bj * Dp for bj in b] + [UPoly.zero("q")] * (n - 2)
+        for i in range(1, n):
+            if b[i]:
+                bi = i * b[i]
+                for j, w in enumerate(W):
+                    if w:
+                        c[i - 1 + j] += bi * w
+        for m in range(2 * n - 3, n - 1, -1):
+            if c[m]:
+                for i, r in enumerate(xn):
+                    if r:
+                        c[m - n + i] += c[m] * r
+        b = tuple(c[:n])
         raw.append(b)
     return DerivativeTower(problem=spec, D=D, raw=tuple(raw))
 
@@ -448,15 +463,15 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     n = spec.n
     tower = derivative_tower(spec)
     B = tower.raw
-    core = [_integral_row([B[k - 1].coefficient(j) for k in range(1, n)]) for j in range(2, n)]
+    core = [_integral_row([B[k - 1][j] for k in range(1, n)]) for j in range(2, n)]
     basis, ambiguous = _kernel(core, n - 1, _integral_row([tower.D])[0])
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
     known = UPoly("q", _primitive(tower.D.coeffs)) ** (n - 2)
     candidates = []
     for gamma in basis:
-        b0 = -sum((g * bk.coefficient(1) for g, bk in zip(gamma, B)), UPoly.zero("q"))
-        bn = -sum((g * bk.coefficient(0) for g, bk in zip(gamma, B)), UPoly.zero("q"))
+        b0 = -sum((g * bk[1] for g, bk in zip(gamma, B)), UPoly.zero("q"))
+        bn = -sum((g * bk[0] for g, bk in zip(gamma, B)), UPoly.zero("q"))
         order = max(k for k, g in enumerate(gamma, 1) if g)
         beta = [g * tower.D ** k for k, g in enumerate(gamma[:order], 1)]
         vec = [b0] + beta + [bn]

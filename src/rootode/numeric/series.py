@@ -19,9 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from ..algebra import UPoly, _rat
+from ..algebra import UPoly, _integer_coeffs, _rat
 from ..derive import LinearODE, ProblemSpec
 
 __all__ = [
@@ -111,8 +110,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
     r = spec.R.coeffs
     if r[1] == 0:
         raise ValueError("series inversion needs R'(0) != 0")
-    lcm_den = lcm(*(c.denominator for c in r))
-    a = [c.numerator * (lcm_den // c.denominator) for c in r]
+    lcm_den, a = _integer_coeffs(r)
     rho = a[1]
     top = min(spec.n, order)
     s = [0, 0] + [a[k] * rho ** (k - 2) for k in range(2, top + 1)]
@@ -162,8 +160,8 @@ def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:
     keep = m - max(degs, default=0) - ode.order
     if keep < 0:
         raise ValueError("series too short to test this equation")
-    d = lcm(*(c.denominator for c in series.coeffs))
-    deriv = [0] + [c.numerator * (d // c.denominator) for c in series.coeffs[: keep + ode.order]]
+    d, ints = _integer_coeffs(series.coeffs)
+    deriv = [0] + ints[: keep + ode.order]
     residual = [0] * (keep + 1)
 
     def add(poly: UPoly, term: list):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .._memo import memoized
-from ..algebra import UPoly, _horner
+from ..algebra import UPoly, _horner, _integer_coeffs
 from ..derive import ProblemSpec, abel_ode
 from ..errors import DomainError
 
@@ -102,10 +102,7 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     if chain[-1].degree > 0:
         g = chain[-1].monic()
         chain = [p.exact_div(g) for p in chain]
-    ints = []
-    for p in chain:
-        den = math.lcm(*(c.denominator for c in p.coeffs))
-        ints.append([c.numerator * (den // c.denominator) for c in p.coeffs])
+    ints = [_integer_coeffs(p.coeffs)[1] for p in chain]
     top = ints[0]
     # (lo / 2^k, hi / 2^k] holds v_lo - v_hi distinct roots and lo is none
     # of them, so the square-free part has the sign top[0] it has at 0 there
@@ -224,13 +221,13 @@ def track_root(
         return TrackResult(q_target, math.nan, math.nan, 0, 0,
                            "hit_branch_point", q_star)
 
-    wq = [ode.W.coefficient(j).float_coeffs() for j in range(ode.W.deg_x + 1)]
+    wq = [w.float_coeffs() for w in ode.W]
     dq = ode.D.float_coeffs()
 
     def f(q: float, x: float) -> float:
         return _horner([_horner(cs, q) for cs in wq], x) / _horner(dq, q)
 
-    rpoly = spec.R
+    rc = spec.R.float_coeffs()
     q = 0.0
     x = 0.0
     # a subnormal q_target / 16 can round to 0
@@ -265,7 +262,7 @@ def track_root(
         if ok_eval and err <= scale:
             # q + (q_target - q) can miss q_target by an ulp
             q = q_target if last else q + h
-            pol = newton_polish(rpoly, q, x5, tol=RESIDUAL_TOL)
+            pol = newton_polish(spec.R, q, x5, tol=RESIDUAL_TOL)
             x = pol.x
             polish_total += pol.iters
             steps += 1
@@ -274,9 +271,9 @@ def track_root(
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.25) if math.isfinite(err) else 0.2
         if abs(h) <= 1e-15 * abs(q):
-            return TrackResult(q_target, x, abs(rpoly(x) - q), steps,
+            return TrackResult(q_target, x, abs(_horner(rc, x) - q), steps,
                                polish_total, "step_underflow", q_star)
-    pol = newton_polish(rpoly, q_target, x, tol=1e-13)
+    pol = newton_polish(spec.R, q_target, x, tol=1e-13)
     polish_total += pol.iters
     return TrackResult(q_target, pol.x, pol.residual, steps, polish_total,
                        "ok", q_star)

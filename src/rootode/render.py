@@ -114,7 +114,7 @@ def _abel_term(num: UPoly, den: UPoly, j: int) -> str:
 def latex_abel(ode: AbelODE) -> str:
     """Display such as x'=\\frac{2}{4q+1}x+\\frac{1}{4q+1}."""
     parts = [_abel_term(*ode.coefficient(j), j)
-             for j in range(ode.n - 1, -1, -1) if ode.W.coefficient(j)]
+             for j in range(ode.n - 1, -1, -1) if ode.W[j]]
     return "x'=" + (_join(parts) if parts else "0")
 
 
@@ -140,7 +140,7 @@ def text_linear(ode: LinearODE) -> str:
 def text_abel(ode: AbelODE) -> str:
     parts = []
     for j in range(ode.n - 1, -1, -1):
-        if not ode.W.coefficient(j):
+        if not ode.W[j]:
             continue
         num, den = ode.coefficient(j)
         power = "" if j == 0 else ("*x" if j == 1 else f"*x^{j}")

@@ -105,8 +105,8 @@ def test_criterion_02_first_order_forms():
     failures = []
     for n, (den, nums, label) in cases.items():
         ode = abel_ode(trinomial(n, 1))
-        if ode.W.deg_x != n - 1 or any(
-            ode.W.coefficient(j) * den != num * ode.D for j, num in enumerate(nums)
+        if len(ode.W) != n or not ode.W[n - 1] or any(
+            ode.W[j] * den != num * ode.D for j, num in enumerate(nums)
         ):
             failures.append(label)
     verdict(2, "displayed first-order forms n=2,3,4 at p=1 exact", failures)

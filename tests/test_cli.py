@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from rootode.algebra import UPoly
 from rootode.cli import (
     DEMO_NAMES,
+    MAX_DEGREE,
     Command,
     Report,
     format_report,
@@ -410,6 +411,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("usage: rootode solve")
         assert "error: the following arguments are required: --q" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
+        ["check", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
+        # coefficients within range, but W has integers beyond 1.8e308
+        ["solve", "x^12+1" + "0" * 30 + "x", "--q", "0.5"],
+    ])
+    def test_beyond_float_range_is_a_domain_error(self, capsys, argv):
+        assert main(argv + ["--no-timing"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "domain_error"
+        assert "float range" in report["errors"][0]
+
+    def test_degree_limit_answers_at_once(self, capsys):
+        assert parse_polynomial(f"x^{MAX_DEGREE}+x").n == MAX_DEGREE
+        for argv in (["derive-linear", f"x^{MAX_DEGREE + 1}+x"],
+                     ["series", "x^1000000000000+x"],
+                     ["check", "x^3+x", "--q", "0.5", "--weight", f"q^{MAX_DEGREE + 1}"],
+                     ["check", "x^3+x", "--q", "0.5", "--weight", "x^1000000000000+1"]):
+            t0 = time.perf_counter()
+            assert main(argv + ["--no-timing"]) == 1
+            assert time.perf_counter() - t0 < 1.0
+            report = json.loads(capsys.readouterr().out)
+            assert report["status"] == "usage_error"
+            assert f"exceeds the limit {MAX_DEGREE}" in report["errors"][0]
 
     def test_leading_minus_is_a_polynomial(self, capsys):
         # "-3x^3+..." answers as it does after "--", and so does a target

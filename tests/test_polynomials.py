@@ -1,5 +1,6 @@
 """Exact polynomial arithmetic: ring laws, division, gcd, resultants,
 discriminants."""
+import math
 import random
 from fractions import Fraction
 
@@ -8,13 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootode.algebra import (
-    BiPoly,
+    _horner,
     UPoly,
     compose_q,
     discriminant,
     poly_gcd,
 )
-from rootode.errors import NonExactDivisionError, VariableMismatchError
+from rootode.errors import DomainError, NonExactDivisionError, VariableMismatchError
 
 
 def rand_poly(rng, var="x", max_deg=6, lo=-9, hi=9, nonzero=False):
@@ -144,6 +145,23 @@ class TestUPolyBasics:
         assert p(Fraction(1, 2)) == Fraction(3, 4)
         assert p(0.5) == pytest.approx(0.75)
 
+    def test_horner_on_float_coeffs_is_call_on_a_float(self):
+        # float + Fraction converts the Fraction to a float first, so the
+        # numeric layer's evaluator gives the same bits as UPoly.__call__
+        rng = random.Random(5)
+        for _ in range(50):
+            p = UPoly("x", [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                            for _ in range(rng.randint(1, 8))])
+            for t in (rng.uniform(-3, 3), 1e200, -math.inf, math.nan):
+                assert repr(_horner(p.float_coeffs(), t)) == repr(p(t))
+
+    def test_float_coeffs_beyond_range(self):
+        for c in (10**400, Fraction(-10**400, 3)):
+            with pytest.raises(DomainError, match="float range"):
+                UPoly("q", (1, c)).float_coeffs()
+        # a rational too small for a float rounds to 0.0
+        assert UPoly("q", (Fraction(1, 10**400), 1)).float_coeffs() == (0.0, 1.0)
+
     def test_str_descending(self):
         assert str(UPoly("q", (4, 0, 27))) == "27*q^2+4"
         assert str(UPoly.zero("q")) == "0"
@@ -247,17 +265,6 @@ class TestComposeInterpolate:
         with pytest.raises(VariableMismatchError):
             compose_q(UPoly("x", (1, 1)), UPoly("x", (0, 1)))
 
-class TestBiPoly:
-    def test_divmod_x_certificate(self):
-        rng = random.Random(17)
-        p = BiPoly.from_x(UPoly("x", (0, 1, 0, 1))) - BiPoly.from_q(UPoly.monomial("q", 1))
-        for _ in range(30):
-            a = BiPoly.from_x(rand_poly(rng, max_deg=7)) * BiPoly.from_q(
-                rand_poly(rng, var="q", max_deg=3)
-            )
-            quo, rem = a.divmod_x(p)
-            assert quo * p + rem == a
-            assert rem.deg_x < p.deg_x
 
 # -- the Sylvester resultant, the reference for discriminant --
 
