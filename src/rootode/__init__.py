@@ -16,7 +16,6 @@ from .algebra import (
 )
 from .derive import (
     AbelODE,
-    DerivativeTower,
     Factorization,
     IntegrandSpec,
     LinearODE,
@@ -38,33 +37,29 @@ from .errors import (
     SingularIntegrandError,
     VariableMismatchError,
 )
-from .numeric import (
-    SeriesQ,
-    TrackResult,
+from .numeric.closedform import (
     babylonian_root,
     bisect_branch_root,
     cardano_root,
-    check_identity,
-    first_branch_point,
-    lagrange_series,
-    newton_polish,
-    pfq_series,
-    quad,
     quartic_real_roots,
-    quartic_series_2f1_product,
-    quartic_series_3f2,
     quartic_w_root,
-    series_ode_residual,
-    track_root,
     vieta_hyp_root,
     vieta_trig_root,
 )
+from .numeric.quadrature import check_identity, quad
+from .numeric.series import (
+    lagrange_series,
+    pfq_series,
+    quartic_series_2f1_product,
+    quartic_series_3f2,
+    series_ode_residual,
+)
+from .numeric.tracking import TrackResult, first_branch_point, newton_polish, track_root
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AbelODE",
-    "DerivativeTower",
     "DomainError",
     "EmptyKernelError",
     "Factorization",
@@ -75,7 +70,6 @@ __all__ = [
     "ProblemSpec",
     "QuadratureError",
     "RootodeError",
-    "SeriesQ",
     "SingularIntegrandError",
     "TrackResult",
     "UPoly",

@@ -38,6 +38,13 @@ from .errors import DomainError, NonExactDivisionError, VariableMismatchError
 
 VARS = ("x", "q")
 
+# The largest degree of R that ``discriminant`` and ``ProblemSpec`` accept,
+# and of R or a weight that the CLI parses.  derive-linear and series, the
+# slowest verbs, take about 4 s on a dense integer R of degree 12 and 12 s
+# at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python 3.11.7); the
+# cost about triples with each degree.
+MAX_DEGREE = 13
+
 
 def _rat(value):
     """The canonical rational of ``value``: an int when it is integral,
@@ -430,6 +437,8 @@ def discriminant(R: UPoly) -> UPoly:
     n = R.degree
     if n < 2:
         raise ValueError("discriminant needs degree >= 2 in x")
+    if n > MAX_DEGREE:
+        raise ValueError(f"degree {n} exceeds the limit {MAX_DEGREE}")
     m = n - 1
     d, rz = _integer_coeffs(R.coeffs)
     L = n * rz[n]

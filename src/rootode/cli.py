@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import UPoly
+from .algebra import MAX_DEGREE, UPoly
 from .demos import DEMOS
 from .derive import (
     ProblemSpec,
@@ -42,15 +42,10 @@ from .derive import (
     abel_ode,
 )
 from .errors import ParseError, RootodeError
-from .numeric import (
-    bisect_branch_root,
-    check_identity,
-    first_branch_point,
-    lagrange_series,
-    past_branch_point,
-    series_ode_residual,
-    track_root,
-)
+from .numeric.closedform import bisect_branch_root
+from .numeric.quadrature import check_identity
+from .numeric.series import lagrange_series, series_ode_residual
+from .numeric.tracking import first_branch_point, past_branch_point, track_root
 from .render import (
     abel_coeff_arrays,
     coeff_strings,
@@ -74,12 +69,6 @@ __all__ = [
 ]
 
 DEMO_NAMES = tuple(DEMOS)
-
-# The largest degree accepted in R or in a weight.  derive-linear and series,
-# the slowest verbs, take about 4 s on a dense integer R of degree 12 and
-# 12 s at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python 3.11.7);
-# the cost about triples with each degree.
-MAX_DEGREE = 13
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +154,7 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
 
 
 def _poly_from_powers(powers: dict[int, Fraction], var: str) -> UPoly:
+    # checked before the coefficient list of a huge degree is allocated
     deg = max(powers, default=0)
     if deg > MAX_DEGREE:
         raise ParseError(f"degree {deg} exceeds the limit {MAX_DEGREE}", 0)
@@ -357,7 +347,7 @@ def _h_series(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     order = cmd.order if cmd.order is not None else 10
     s = lagrange_series(spec, order)
-    out = {"order": order, "coeffs": [frac_str(c) for c in s.coeffs]}
+    out = {"order": order, "coeffs": [frac_str(c) for c in s]}
     ode = linear_ode(spec)
     try:
         residual = series_ode_residual(ode, s)
@@ -501,12 +491,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "latex"),
-                        default="json", dest="fmt")
-    common.add_argument("--no-timing", action="store_true")
-    common.add_argument("--tol-abs", type=float, default=None)
-    common.add_argument("--tol-rel", type=float, default=None)
+    # every dest is a field of Command, and an option left out stays out of
+    # the namespace, so Command's defaults are the only ones
+    quiet = argparse.SUPPRESS
+    common = argparse.ArgumentParser(add_help=False, argument_default=quiet)
+    common.add_argument("--format", choices=("json", "text", "latex"), dest="fmt")
+    common.add_argument("--no-timing", action="store_false", dest="timing")
+    common.add_argument("--tol-abs", type=float)
+    common.add_argument("--tol-rel", type=float)
 
     parser = _Parser(prog="rootode",
                      description="Differential equations satisfied by roots "
@@ -514,45 +506,26 @@ def build_parser() -> argparse.ArgumentParser:
                                  "numerically.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    for verb in ("discriminant", "derive-abel", "derive-linear"):
-        p = sub.add_parser(verb, parents=[common])
-        p.add_argument("problem")
+    def verb(name: str, positional: str = "problem", **kw) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], argument_default=quiet)
+        p.add_argument(positional, **kw)
+        return p
 
-    p = sub.add_parser("solve", parents=[common])
-    p.add_argument("problem")
+    for name in ("discriminant", "derive-abel", "derive-linear"):
+        verb(name)
+    verb("solve").add_argument("--q", required=True)
+    p = verb("check")
     p.add_argument("--q", required=True)
-
-    p = sub.add_parser("check", parents=[common])
-    p.add_argument("problem")
-    p.add_argument("--q", required=True)
-    p.add_argument("--weight", default="1")
-    p.add_argument("--kind", choices=("theorem1", "corollary2"),
-                   default="theorem1")
-
-    p = sub.add_parser("series", parents=[common])
-    p.add_argument("problem")
-    p.add_argument("--order", type=int, default=10)
-
-    p = sub.add_parser("demo", parents=[common])
-    p.add_argument("name", choices=DEMO_NAMES)
+    p.add_argument("--weight")
+    p.add_argument("--kind", choices=("theorem1", "corollary2"))
+    verb("series").add_argument("--order", type=int)
+    verb("demo", "name", choices=DEMO_NAMES)
     return parser
 
 
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
-    cmd = Command(
-        verb=ns.verb,
-        problem=getattr(ns, "problem", None),
-        demo=getattr(ns, "name", None),
-        q=getattr(ns, "q", None),
-        order=getattr(ns, "order", None),
-        weight=getattr(ns, "weight", None),
-        kind=getattr(ns, "kind", "theorem1"),
-        fmt=ns.fmt,
-        tol_abs=ns.tol_abs,
-        tol_rel=ns.tol_rel,
-        timing=not ns.no_timing,
-    )
+    args = vars(build_parser().parse_args(argv))
+    cmd = Command(demo=args.pop("name", None), **args)
     report, code = run(cmd)
     try:
         print(format_report(report, cmd.fmt), flush=True)

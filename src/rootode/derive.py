@@ -13,14 +13,16 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   by reducing R'U modulo P, which reads W off the R-adic digits of R'U;
 * the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1,
   obtained by differentiating the first-order equation along W and
-  reducing modulo P at every step;
+  reducing modulo P at every step, returned as the tuple of its rows
+  B_1 = W, ..., B_{n-1};
 * the linear differential equation of order n-1 with polynomial coefficients
   annihilating the branch (up to an inhomogeneous constant term), found as
   the kernel of the linear system that kills every power of x when the
   tower rows are substituted.
 
 W and each B_k are kept as tuples of exactly n ``UPoly`` in q, entry j the
-coefficient of x^j (zero where there is none).
+coefficient of x^j (zero where there is none).  ``derivative_tower`` and
+``linear_ode`` take D and W from the memoized ``abel_ode``.
 
 Everything here is symbolic; floating point enters only in the numeric
 subpackage.
@@ -33,7 +35,7 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._memo import memoized
-from .algebra import UPoly, _primitive, compose_q, discriminant, poly_gcd
+from .algebra import MAX_DEGREE, UPoly, _primitive, compose_q, discriminant, poly_gcd
 from .errors import DomainError, EmptyKernelError, NonExactDivisionError
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "Factorization",
     "IntegrandSpec",
     "AbelODE",
-    "DerivativeTower",
     "LinearODE",
     "trinomial",
     "factorize",
@@ -63,6 +64,8 @@ class ProblemSpec:
             raise ValueError("R must be a polynomial in x")
         if self.R.degree < 2:
             raise ValueError("R must have degree at least 2")
+        if self.R.degree > MAX_DEGREE:
+            raise ValueError(f"degree {self.R.degree} exceeds the limit {MAX_DEGREE}")
         if self.R.coefficient(0) != 0:
             raise ValueError("R must vanish at 0")
 
@@ -238,24 +241,16 @@ class AbelODE:
     W[j] has the coefficients c_k[j].
     """
 
-    problem: ProblemSpec
-    n: int
     D: UPoly
     W: tuple[UPoly, ...]
 
     @cached_property
-    def _coefficients(self) -> dict[int, tuple[UPoly, UPoly]]:
-        return {}
-
-    def coefficient(self, j: int) -> tuple[UPoly, UPoly]:
-        """a_j = W[j] / D as a reduced (numerator, denominator) pair with
-        integer coefficients and a positive leading denominator
-        coefficient; a zero a_j gives (0, 1).  Each pair is normalised
-        once, on first use."""
-        cache = self._coefficients
-        if j not in cache:
-            cache[j] = tuple(_normalize_vector([self.W[j], self.D], anchor=1))
-        return cache[j]
+    def a(self) -> tuple[tuple[UPoly, UPoly], ...]:
+        """a_j = W[j] / D for j = 0..n-1 as reduced (numerator, denominator)
+        pairs with integer coefficients and a positive leading denominator
+        coefficient; a zero a_j gives (0, 1).  Normalised once, on first
+        use: only the renderers read them."""
+        return tuple(tuple(_normalize_vector([w, self.D], anchor=1)) for w in self.W)
 
 
 @memoized
@@ -271,26 +266,17 @@ def abel_ode(spec: ProblemSpec) -> AbelODE:
         f, c = divmod(f, spec.R)
         digits.append(c)
     W = tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n))
-    return AbelODE(problem=spec, n=spec.n, D=fact.D, W=W)
+    return AbelODE(D=fact.D, W=W)
 
 
-@dataclass(frozen=True)
-class DerivativeTower:
+def derivative_tower(spec: ProblemSpec) -> tuple[tuple[UPoly, ...], ...]:
     """Numerators B_k with x^(k) = B_k(x, q) / D(q)^k along the branch.
 
-    ``raw[k-1]`` is B_k for k = 1..n-1, reduced modulo P to x-degree at most
+    Row k-1 is B_k for k = 1..n-1, reduced modulo P to x-degree at most
     n-1 and laid out as ``AbelODE.W``, a tuple of exactly n ``UPoly`` in q:
-    x^(k) = sum_j B_k[j] x^j / D^k.  The first row is B_1 = W.
-    """
-
-    problem: ProblemSpec
-    D: UPoly
-    raw: tuple[tuple[UPoly, ...], ...]
-
-
-def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
-    """Differentiate the first-order equation n-2 times, reducing modulo P
-    at every step.
+    x^(k) = sum_j B_k[j] x^j / D^k.  The first row is B_1 = W.  The rows
+    come from differentiating the first-order equation n-2 times, reducing
+    modulo P at every step.
 
     Differentiating x^(k) = B_k / D^k along x' = W / D gives
 
@@ -310,7 +296,7 @@ def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
     W, D, Dp = ode.W, ode.D, ode.D.derivative()
     inv = Fraction(1) / spec.R.lc
     xn = [UPoly("q", (0, inv))] + [UPoly.const("q", -r * inv) for r in spec.R.coeffs[1:n]]
-    b, raw = W, [W]
+    b, rows = W, [W]
     for k in range(1, n - 1):
         c = [bj.derivative() * D - k * bj * Dp for bj in b] + [UPoly.zero("q")] * (n - 2)
         for i in range(1, n):
@@ -325,8 +311,8 @@ def derivative_tower(spec: ProblemSpec) -> DerivativeTower:
                     if r:
                         c[m - n + i] += c[m] * r
         b = tuple(c[:n])
-        raw.append(b)
-    return DerivativeTower(problem=spec, D=D, raw=tuple(raw))
+        rows.append(b)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -461,19 +447,19 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     where the chosen representative may be of lower order.
     """
     n = spec.n
-    tower = derivative_tower(spec)
-    B = tower.raw
+    D = abel_ode(spec).D
+    B = derivative_tower(spec)
     core = [_integral_row([B[k - 1][j] for k in range(1, n)]) for j in range(2, n)]
-    basis, ambiguous = _kernel(core, n - 1, _integral_row([tower.D])[0])
+    basis, ambiguous = _kernel(core, n - 1, _integral_row([D])[0])
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
-    known = UPoly("q", _primitive(tower.D.coeffs)) ** (n - 2)
+    known = UPoly("q", _primitive(D.coeffs)) ** (n - 2)
     candidates = []
     for gamma in basis:
         b0 = -sum((g * bk[1] for g, bk in zip(gamma, B)), UPoly.zero("q"))
         bn = -sum((g * bk[0] for g, bk in zip(gamma, B)), UPoly.zero("q"))
         order = max(k for k, g in enumerate(gamma, 1) if g)
-        beta = [g * tower.D ** k for k, g in enumerate(gamma[:order], 1)]
+        beta = [g * D ** k for k, g in enumerate(gamma[:order], 1)]
         vec = [b0] + beta + [bn]
         try:
             vec = [p.exact_div(known) for p in vec]

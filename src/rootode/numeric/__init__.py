@@ -1,68 +1,5 @@
-"""Floating-point side: series, closed forms, quadrature and tracking."""
-from .closedform import (
-    babylonian_root,
-    biquadratic_real_roots,
-    bisect_branch_root,
-    cardano_root,
-    depress_quartic,
-    depressed_cubic_real_roots,
-    ferrari_real_roots,
-    quartic_real_roots,
-    quartic_w_root,
-    vieta_hyp_root,
-    vieta_trig_root,
-)
-from .quadrature import (
-    IdentityReport,
-    check_identity,
-    lhs_integrand,
-    quad,
-    rhs_integrand,
-)
-from .series import (
-    SeriesQ,
-    lagrange_series,
-    pfq_series,
-    quartic_series_2f1_product,
-    quartic_series_3f2,
-    series_ode_residual,
-)
-from .tracking import (
-    PolishResult,
-    TrackResult,
-    first_branch_point,
-    newton_polish,
-    past_branch_point,
-    track_root,
-)
+"""Floating-point side: series, closed forms, quadrature and tracking.
 
-__all__ = [
-    "IdentityReport",
-    "PolishResult",
-    "SeriesQ",
-    "TrackResult",
-    "babylonian_root",
-    "biquadratic_real_roots",
-    "bisect_branch_root",
-    "cardano_root",
-    "check_identity",
-    "depress_quartic",
-    "depressed_cubic_real_roots",
-    "ferrari_real_roots",
-    "first_branch_point",
-    "lagrange_series",
-    "lhs_integrand",
-    "newton_polish",
-    "past_branch_point",
-    "pfq_series",
-    "quad",
-    "quartic_real_roots",
-    "quartic_series_2f1_product",
-    "quartic_series_3f2",
-    "quartic_w_root",
-    "rhs_integrand",
-    "series_ode_residual",
-    "track_root",
-    "vieta_hyp_root",
-    "vieta_trig_root",
-]
+Each name lives in one submodule (``closedform``, ``quadrature``,
+``series``, ``tracking``); ``rootode`` exports the public ones.
+"""

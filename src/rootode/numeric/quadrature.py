@@ -154,8 +154,6 @@ class IdentityReport:
     lhs: float
     rhs: float
     diff: float
-    x: float
-    q: float
 
 
 def check_identity(spec: IntegrandSpec, x: float, q: float) -> IdentityReport:
@@ -167,4 +165,4 @@ def check_identity(spec: IntegrandSpec, x: float, q: float) -> IdentityReport:
     """
     lhs = quad(lhs_integrand(spec), 0.0, x)
     rhs = quad(rhs_integrand(spec), 0.0, q)
-    return IdentityReport(lhs=lhs, rhs=rhs, diff=lhs - rhs, x=x, q=q)
+    return IdentityReport(lhs=lhs, rhs=rhs, diff=lhs - rhs)

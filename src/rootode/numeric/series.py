@@ -1,7 +1,9 @@
 """Exact power-series oracles for the root branch.
 
 The branch x(q) of R(x) = q through (0, 0) has a rational power series
-x(q) = sum_{m>=1} c_m q^m whenever R'(0) != 0.  The coefficients are found
+x(q) = sum_{m>=1} c_m q^m whenever R'(0) != 0.  A truncated series is the
+tuple (c_1, ..., c_N) of its coefficients, canonical rationals (ints where
+integral), with no constant term.  The coefficients are found
 order by order from R(x(q)) = q alone.  A substitution x = rho y,
 L q = rho^2 v (L the lcm of R's denominators, rho = L R'(0)) makes the
 inversion monic over the integers, so a table of the powers of the
@@ -17,47 +19,18 @@ same purpose.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ..algebra import UPoly, _integer_coeffs, _rat
 from ..derive import LinearODE, ProblemSpec
 
 __all__ = [
-    "SeriesQ",
     "lagrange_series",
     "series_ode_residual",
     "pfq_series",
     "quartic_series_3f2",
     "quartic_series_2f1_product",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesQ:
-    """Truncated series sum c_m q^m, m = 1..order (no constant term), with
-    canonical rational coefficients (ints where integral)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs)
-
-    def coefficient(self, m: int) -> Fraction:
-        if m < 1:
-            raise ValueError("coefficients start at m = 1")
-        return self.coeffs[m - 1] if m <= len(self.coeffs) else 0
-
-    def dense(self) -> list[Fraction]:
-        """Coefficient list starting at q^0."""
-        return [0, *self.coeffs]
-
-    def __call__(self, t: float) -> float:
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = (acc + c) * t
-        return acc
 
 
 def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
@@ -77,7 +50,7 @@ def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fractio
 MAX_SERIES_ORDER = 1000
 
 
-def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
+def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
     """Series of the branch, solved order by order from R(x(q)) = q.
 
     Let L be the lcm of the denominators of R, a_k = L r_k the integer
@@ -142,10 +115,10 @@ def lagrange_series(spec: ProblemSpec, order: int) -> SeriesQ:
         coeffs.append(_rat(Fraction(em * num, den)))
         num *= lcm_den
         den *= rho2
-    return SeriesQ(tuple(coeffs))
+    return tuple(coeffs)
 
 
-def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:
+def series_ode_residual(ode: LinearODE, series: tuple[Fraction, ...]) -> list[Fraction]:
     """Apply a linear ODE to a truncated branch series, exactly.
 
     Returns the residual coefficients, as canonical rationals, through the
@@ -155,12 +128,12 @@ def series_ode_residual(ode: LinearODE, series: SeriesQ) -> list[Fraction]:
     a normal-form equation the residual of d S is accumulated in ints and
     each coefficient is divided by d once at the end.
     """
-    m = series.order
+    m = len(series)
     degs = [p.degree for p in ode.vector() if p]
     keep = m - max(degs, default=0) - ode.order
     if keep < 0:
         raise ValueError("series too short to test this equation")
-    d, ints = _integer_coeffs(series.coeffs)
+    d, ints = _integer_coeffs(series)
     deriv = [0] + ints[: keep + ode.order]
     residual = [0] * (keep + 1)
 
@@ -212,16 +185,16 @@ def pfq_series(
     return out
 
 
-def _with_prefactor(coeffs: list[Fraction], p: Fraction, order: int) -> SeriesQ:
+def _with_prefactor(coeffs: list[Fraction], p: Fraction, order: int) -> tuple[Fraction, ...]:
     """Multiply a dense series by q/p and return it as a branch series."""
-    return SeriesQ(tuple(_rat(c / p) for c in coeffs[:order]))
+    return tuple(_rat(c / p) for c in coeffs[:order])
 
 
 def _quartic_argument(p: Fraction) -> Fraction:
     return Fraction(-256, 27) / p**4
 
 
-def quartic_series_3f2(p, order: int) -> SeriesQ:
+def quartic_series_3f2(p, order: int) -> tuple[Fraction, ...]:
     """Branch series of x^4 + p x = q from the single 3F2 closed form."""
     p = Fraction(p)
     f = pfq_series(
@@ -234,7 +207,7 @@ def quartic_series_3f2(p, order: int) -> SeriesQ:
     return _with_prefactor(f, p, order)
 
 
-def quartic_series_2f1_product(p, order: int) -> SeriesQ:
+def quartic_series_2f1_product(p, order: int) -> tuple[Fraction, ...]:
     """Branch series of x^4 + p x = q from the product of two 2F1 factors."""
     p = Fraction(p)
     z = _quartic_argument(p)

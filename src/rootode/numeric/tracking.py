@@ -162,7 +162,7 @@ def past_branch_point(q: float, q_star: float | None) -> bool:
 
 @dataclass(frozen=True)
 class TrackResult:
-    """Outcome of following the branch from q = 0 to q_target.
+    """Outcome of following the branch from q = 0 to the target.
 
     status is "ok", "hit_branch_point" (target at or past the first real
     root of D; x is NaN), "step_limit" (MAX_STEPS accepted steps did not
@@ -170,7 +170,6 @@ class TrackResult:
     branch point in the direction of travel when one exists.
     """
 
-    q_target: float
     x: float
     residual: float
     steps: int
@@ -214,12 +213,11 @@ def track_root(
     if not ode.D.coefficient(0):
         raise DomainError("D(0) = 0: R has a multiple root, and x' = W/D is 0/0 at the origin")
     if q_target == 0.0:
-        return TrackResult(0.0, 0.0, 0.0, 0, 0, "ok", None)
+        return TrackResult(0.0, 0.0, 0, 0, "ok", None)
     direction = 1 if q_target > 0 else -1
     q_star = first_branch_point(ode.D, direction)
     if past_branch_point(q_target, q_star):
-        return TrackResult(q_target, math.nan, math.nan, 0, 0,
-                           "hit_branch_point", q_star)
+        return TrackResult(math.nan, math.nan, 0, 0, "hit_branch_point", q_star)
 
     wq = [w.float_coeffs() for w in ode.W]
     dq = ode.D.float_coeffs()
@@ -236,8 +234,7 @@ def track_root(
     polish_total = 0
     while (q_target - q) * direction > 0:
         if steps == MAX_STEPS:
-            return TrackResult(q_target, math.nan, math.nan, steps, polish_total,
-                               "step_limit", q_star)
+            return TrackResult(math.nan, math.nan, steps, polish_total, "step_limit", q_star)
         last = abs(h) > abs(q_target - q)
         if last:
             h = q_target - q
@@ -271,9 +268,8 @@ def track_root(
         else:
             h *= max(0.2, 0.9 * (scale / err) ** 0.25) if math.isfinite(err) else 0.2
         if abs(h) <= 1e-15 * abs(q):
-            return TrackResult(q_target, x, abs(_horner(rc, x) - q), steps,
-                               polish_total, "step_underflow", q_star)
+            return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
+                               "step_underflow", q_star)
     pol = newton_polish(spec.R, q_target, x, tol=1e-13)
     polish_total += pol.iters
-    return TrackResult(q_target, pol.x, pol.residual, steps, polish_total,
-                       "ok", q_star)
+    return TrackResult(pol.x, pol.residual, steps, polish_total, "ok", q_star)

@@ -113,8 +113,8 @@ def _abel_term(num: UPoly, den: UPoly, j: int) -> str:
 
 def latex_abel(ode: AbelODE) -> str:
     """Display such as x'=\\frac{2}{4q+1}x+\\frac{1}{4q+1}."""
-    parts = [_abel_term(*ode.coefficient(j), j)
-             for j in range(ode.n - 1, -1, -1) if ode.W[j]]
+    parts = [_abel_term(*ode.a[j], j)
+             for j in range(len(ode.W) - 1, -1, -1) if ode.W[j]]
     return "x'=" + (_join(parts) if parts else "0")
 
 
@@ -139,10 +139,10 @@ def text_linear(ode: LinearODE) -> str:
 
 def text_abel(ode: AbelODE) -> str:
     parts = []
-    for j in range(ode.n - 1, -1, -1):
+    for j in range(len(ode.W) - 1, -1, -1):
         if not ode.W[j]:
             continue
-        num, den = ode.coefficient(j)
+        num, den = ode.a[j]
         power = "" if j == 0 else ("*x" if j == 1 else f"*x^{j}")
         parts.append(f"(({num})/({den})){power}")
     return "x' = " + (" + ".join(parts) if parts else "0")
@@ -158,8 +158,5 @@ def linear_coeff_arrays(ode: LinearODE) -> list[list[str]]:
 def abel_coeff_arrays(ode: AbelODE) -> list[dict]:
     """Per-power entries {"j", "num", "den"} in ascending x powers, with the
     numerator and denominator integer-scaled as a pair."""
-    out = []
-    for j in range(ode.n):
-        num, den = ode.coefficient(j)
-        out.append({"j": j, "num": coeff_strings(num), "den": coeff_strings(den)})
-    return out
+    return [{"j": j, "num": coeff_strings(num), "den": coeff_strings(den)}
+            for j, (num, den) in enumerate(ode.a)]

@@ -19,24 +19,23 @@ from rootode.derive import (
     linear_ode,
     trinomial,
 )
-from rootode.numeric import (
+from rootode import (
     babylonian_root,
     bisect_branch_root,
     cardano_root,
     check_identity,
     first_branch_point,
     lagrange_series,
-    lhs_integrand,
     quad,
     quartic_real_roots,
     quartic_series_2f1_product,
     quartic_series_3f2,
     quartic_w_root,
-    rhs_integrand,
     series_ode_residual,
     track_root,
     vieta_trig_root,
 )
+from rootode.numeric.quadrature import lhs_integrand, rhs_integrand
 
 
 def q_poly(*cs):

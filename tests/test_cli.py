@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import UPoly
+from rootode.algebra import MAX_DEGREE, UPoly
 from rootode.cli import (
     DEMO_NAMES,
-    MAX_DEGREE,
     Command,
     Report,
     format_report,
@@ -223,6 +222,14 @@ class TestVerbs:
         assert code == 2
         assert report.status == "domain_error"
 
+    @pytest.mark.parametrize("kind", ["theorem1", "corollary2"])
+    def test_check_weight_at_the_ends_refused(self, kind):
+        # at q = 1e50 the q-side integrand still carries weight at the
+        # outermost nodes, so no sum is trusted
+        report, code = run(Command("check", problem="x^3+x", q="1e50", kind=kind))
+        assert (code, report.status) == (2, "domain_error")
+        assert report.errors == ["integrand not negligible at the ends of [a, b]"]
+
     @pytest.mark.parametrize("q", ["1e-20", "1e-14"])
     def test_check_tiny_q_matches_solve(self, q):
         checked, _ = run(Command("check", problem="x^7+x", q=q))
@@ -386,6 +393,27 @@ class TestReportFormats:
         out = format_report(report, "text")
         assert "status: ok" in out
         assert "timing_ms" not in out
+
+    def test_text_format_nests_lists_of_dicts(self):
+        # remark5's checks hold booleans only, so the whole report is fixed
+        report, _ = run(Command("demo", demo="remark5", timing=False))
+        assert format_report(report, "text") == "\n".join([
+            "verb: demo",
+            "input: remark5",
+            "status: ok",
+            "demo: remark5",
+            "checks:",
+            "  -",
+            "    name: nonhomogeneous_s1",
+            "    ok: true",
+            "  -",
+            "    name: nonhomogeneous_s2",
+            "    ok: true",
+            "  -",
+            "    name: s0_reduces_to_homogeneous",
+            "    ok: true",
+            "passed: true",
+        ])
 
 
 class TestMain:

@@ -2,6 +2,7 @@
 linear annihilator, and the memo in front of them."""
 import inspect
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import UPoly, compose_q
+from rootode.algebra import MAX_DEGREE, UPoly, compose_q, discriminant
 from rootode.derive import (
     LinearODE,
     ProblemSpec,
@@ -23,7 +24,7 @@ from rootode.derive import (
 )
 from rootode import _memo, derive
 from rootode.errors import DomainError
-from rootode.numeric import lagrange_series, series_ode_residual
+from rootode import lagrange_series, series_ode_residual
 from rootode.numeric.tracking import _nearest_root
 from rootode.render import text_linear
 
@@ -71,6 +72,17 @@ class TestProblemSpec:
     def test_rejects_nonzero_constant(self):
         with pytest.raises(ValueError):
             ProblemSpec(UPoly("x", (1, 0, 1)))
+
+    def test_degree_above_the_limit_refused_at_once(self):
+        # a dense integer R of degree 14 takes about half a minute in
+        # linear_ode; the spec and the discriminant refuse it before any work
+        assert ProblemSpec(UPoly("x", range(MAX_DEGREE + 1))).n == MAX_DEGREE
+        dense = UPoly("x", range(MAX_DEGREE + 2))
+        for refuse in (ProblemSpec, discriminant):
+            t0 = time.perf_counter()
+            with pytest.raises(ValueError, match=f"degree {MAX_DEGREE + 1} exceeds the limit"):
+                refuse(dense)
+            assert time.perf_counter() - t0 < 0.01
 
     def test_trinomial_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +220,7 @@ class TestAbel:
     def test_quadratic_display(self):
         ode = abel_ode(trinomial(2, 1))
         assert_quotients(abel_numerators(ode), ode.D, [q_poly(1), q_poly(2)], q_poly(1, 4))
-        assert ode.coefficient(1) == (q_poly(2), q_poly(1, 4))
+        assert ode.a[1] == (q_poly(2), q_poly(1, 4))
 
     def test_cubic_display(self):
         ode = abel_ode(trinomial(3, 1))
@@ -216,7 +228,7 @@ class TestAbel:
         assert_quotients(
             abel_numerators(ode), ode.D, [q_poly(4), q_poly(0, 9), q_poly(6)], den
         )
-        assert ode.coefficient(1) == (q_poly(0, 9), den)
+        assert ode.a[1] == (q_poly(0, 9), den)
 
     def test_cubic_display_general_p(self):
         p = Fraction(3, 2)
@@ -226,7 +238,7 @@ class TestAbel:
             abel_numerators(ode), ode.D, [q_poly(4 * p**2), q_poly(0, 9), q_poly(6 * p)], den
         )
         # the reduced pair has integer content 1: 9/(27q^2 + 27/2) = 2/(6q^2 + 3)
-        assert ode.coefficient(0) == (q_poly(2), q_poly(3, 0, 6))
+        assert ode.a[0] == (q_poly(2), q_poly(3, 0, 6))
 
     def test_quartic_display(self):
         ode = abel_ode(trinomial(4, 1))
@@ -243,8 +255,8 @@ class TestAbel:
         # missing even powers give the pair (0, 1)
         ode = abel_ode(ProblemSpec(x_poly(0, 0, 1, 0, 1)))
         assert not ode.W[2]
-        assert ode.coefficient(2) == (UPoly.zero("q"), q_poly(1))
-        assert ode.coefficient(1) == (q_poly(1, 2), q_poly(0, 2, 8))
+        assert ode.a[2] == (UPoly.zero("q"), q_poly(1))
+        assert ode.a[1] == (q_poly(1, 2), q_poly(0, 2, 8))
 
     def test_substitution_certificate(self):
         # W(x, R(x)) = R'U exactly: W is R'U modulo R(x) - q
@@ -265,11 +277,10 @@ class TestAbel:
                           ((0, 2, Fraction(1, 2), -1, 0, 1), Fraction(-7, 4))):
             spec, scaled = ProblemSpec(x_poly(*coeffs)), ProblemSpec(x_poly(*coeffs) * c)
             ode, ode_c = abel_ode(spec), abel_ode(scaled)
-            for j in range(spec.n):
-                num, den = ode.coefficient(j)
+            for (num, den), got in zip(ode.a, ode_c.a, strict=True):
                 want = derive._normalize_vector([at_q_over(num, c), at_q_over(den, c) * c],
                                                 anchor=1)
-                assert list(ode_c.coefficient(j)) == want
+                assert list(got) == want
             lin = linear_ode(spec)
             assert not lin.ambiguous
             want = [at_q_over(b, c) * Fraction(c) ** k for k, b in enumerate(lin.b)]
@@ -285,10 +296,12 @@ class TestAbel:
         monkeypatch.setattr(derive, "_normalize_vector",
                             lambda *a, **k: calls.append(1) or normalize(*a, **k))
         assert not calls
-        first = [ode.coefficient(j) for j in range(ode.n)]
-        assert len(calls) == ode.n
-        assert [ode.coefficient(j) for j in range(ode.n)] == first
-        assert len(calls) == ode.n
+        first = ode.a
+        assert len(first) == len(ode.W) == 4
+        assert len(calls) == 4
+        assert ode.a is first
+        assert abel_ode(trinomial(4, 1)).a is first
+        assert len(calls) == 4
 
 
 def _reference_tower(spec):
@@ -341,23 +354,24 @@ class TestTower:
     def test_matches_reference(self, spec):
         # rational and non-monic R exercise the reduction modulo P / lc(R)
         tower = derivative_tower(spec)
-        for row in (abel_ode(spec).W, *tower.raw):
+        assert type(tower) is tuple
+        for row in (abel_ode(spec).W, *tower):
             assert type(row) is tuple and len(row) == spec.n
             assert all(isinstance(p, UPoly) and p.var == "q" for p in row)
-        assert list(tower.raw) == _reference_tower(spec)
+        assert list(tower) == _reference_tower(spec)
 
     def test_first_row_is_abel(self):
         spec = trinomial(3, 1)
         tower = derivative_tower(spec)
-        assert tower.raw[0] == abel_ode(spec).W
+        assert tower[0] == abel_ode(spec).W
 
     def test_cubic_second_derivative_fixture(self):
         # x'' = (-162qx^2 + (12-162q^2)x - 108q) / (4+27q^2)^2 at p=1
-        tower = derivative_tower(trinomial(3, 1))
-        b2 = tower.raw[1]
+        spec = trinomial(3, 1)
+        b2 = derivative_tower(spec)[1]
         assert_quotients(
             list(b2),
-            tower.D**2,
+            abel_ode(spec).D ** 2,
             [q_poly(0, -108), q_poly(12, 0, -162), q_poly(0, -162)],
             q_poly(4, 0, 27) ** 2,
         )
@@ -367,20 +381,19 @@ class TestTower:
         for _ in range(10):
             spec = rand_problem(rng, max_n=6)
             tower = derivative_tower(spec)
-            assert len(tower.raw) == spec.n - 1
-            for bk in tower.raw:
+            assert len(tower) == spec.n - 1
+            for bk in tower:
                 assert len(bk) == spec.n
 
     def test_series_satisfies_tower_rows(self):
         # substitute the exact branch series into x^(k) = sum a_kj x^j
-        from rootode.numeric import lagrange_series
-
         for n, p in ((3, 1), (4, 2), (5, 1)):
             spec = trinomial(n, p)
             order = 12
             tower = derivative_tower(spec)
+            D = abel_ode(spec).D
             s = lagrange_series(spec, order)
-            dense = [Fraction(0)] + list(s.coeffs)
+            dense = [Fraction(0)] + list(s)
 
             def mul(a, b, m=order):
                 out = [Fraction(0)] * (m + 1)
@@ -392,13 +405,13 @@ class TestTower:
                 return out
 
             deriv = dense
-            for k in range(1, len(tower.raw) + 1):
+            for k in range(1, len(tower) + 1):
                 deriv = [i * deriv[i] for i in range(1, len(deriv))]
                 # rhs_num = sum_j B_k[j] * S^j must equal deriv * D^k as series
-                dk = tower.D ** k
+                dk = D ** k
                 rhs = [Fraction(0)] * (order + 1)
                 power = [Fraction(1)] + [Fraction(0)] * order
-                bk = tower.raw[k - 1]
+                bk = tower[k - 1]
                 for bkj in bk:
                     cj = list(bkj.coeffs)
                     rhs = [r + t for r, t in zip(rhs, mul(cj + [Fraction(0)] * order, power))]
@@ -462,16 +475,17 @@ class TestLinearODE:
             except Exception:
                 raise AssertionError(f"derivation failed for {spec.R}")
             tower = derivative_tower(spec)
+            D = abel_ode(spec).D
             n = spec.n
             # x^(k) = B_k / D^k; the x^j constraint multiplied through by D^(n-1)
             for j in range(n):
                 acc = UPoly.zero("q")
                 if j == 1:
-                    acc = acc + ode.b[0] * tower.D ** (n - 1)
+                    acc = acc + ode.b[0] * D ** (n - 1)
                 if j == 0:
-                    acc = acc + ode.inhomogeneous * tower.D ** (n - 1)
+                    acc = acc + ode.inhomogeneous * D ** (n - 1)
                 for k in range(1, n):
-                    acc = acc + ode.b[k] * tower.raw[k - 1][j] * tower.D ** (n - 1 - k)
+                    acc = acc + ode.b[k] * tower[k - 1][j] * D ** (n - 1 - k)
                 assert not acc, f"power x^{j} not annihilated for {spec.R}"
 
     @settings(max_examples=40, deadline=None)

@@ -13,17 +13,11 @@ from hypothesis import strategies as st
 
 from rootode.algebra import UPoly, discriminant, poly_gcd
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
-from rootode.errors import DomainError, QuadratureError
-from rootode.numeric import tracking
-from rootode.numeric import (
+from rootode import (
     babylonian_root,
-    biquadratic_real_roots,
     bisect_branch_root,
     cardano_root,
     check_identity,
-    depress_quartic,
-    depressed_cubic_real_roots,
-    ferrari_real_roots,
     first_branch_point,
     newton_polish,
     quad,
@@ -33,6 +27,15 @@ from rootode.numeric import (
     vieta_hyp_root,
     vieta_trig_root,
 )
+from rootode.errors import DomainError, QuadratureError, SingularIntegrandError
+from rootode.numeric import tracking
+from rootode.numeric.closedform import (
+    biquadratic_real_roots,
+    depress_quartic,
+    depressed_cubic_real_roots,
+    ferrari_real_roots,
+)
+from rootode.numeric.quadrature import rhs_integrand
 
 
 def mono_trinomial(n, p):
@@ -431,6 +434,18 @@ class TestIdentities:
         x = cardano_root(1.0, q)
         rep = check_identity(spec, x, q)
         assert abs(rep.diff) < 1e-9
+
+    def test_pole_and_negative_ratio_of_the_q_side(self):
+        # D = -16 (q+1)^2 (16q+7): script_d = -D vanishes at -7/16 and is
+        # negative beyond it, so the theorem1 q-side integrand is inf at
+        # the zero, nan past it, and quad over [0, -1/2] refuses
+        fact = factorize(ProblemSpec(UPoly("x", (0, 2, 3, 2, 1))))
+        assert fact.D == -16 * UPoly("q", (1, 1)) ** 2 * UPoly("q", (7, 16))
+        f = rhs_integrand(build_integrands(fact, UPoly.one("q")))
+        assert f(-7 / 16) == math.inf
+        assert math.isnan(f(-0.5))
+        with pytest.raises(SingularIntegrandError):
+            quad(f, 0.0, -0.5)
 
     def test_degenerate_branch_identity(self):
         r = UPoly("x", (0, 0, 0, 5, 0, 1))
