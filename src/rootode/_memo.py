@@ -16,7 +16,8 @@ from functools import lru_cache, wraps
 # A sweep cycle works on about 24 polynomials.  Each holds at most three
 # exact derivations (factorize, abel_ode, linear_ode) and four Sturm
 # isolations (D and R' on either side of 0), so 24 * 7 entries keep one
-# cycle's working set; an entry is a few small polynomials.
+# cycle's working set; an entry is a few small polynomials (a factorize
+# result also keeps, for abel_ode, two integer lists of its frame).
 SIZE = 24 * (3 + 4)
 
 

@@ -14,17 +14,27 @@ exact).
 
 On top of these sit a gcd by primitive pseudo-remainders over Z and the
 discriminant of R(x) - q.
-The discriminant is a characteristic polynomial: with n = deg R and M the
-matrix of multiplication by R on Q[x]/(R'), whose eigenvalues are the
-critical values R(xi) at the roots xi of R',
+The discriminant is a characteristic polynomial: with n = deg R, m = n-1
+and M the matrix of multiplication by R on Q[x]/(R'), whose eigenvalues
+are the critical values R(xi) at the roots xi of R',
 
-    D(q) = (-1)^(n(n-1)/2 + n-1) n^n lc(R)^(n-1) det(qI - M).
+    D(q) = c det(qI - M),    c = (-1)^(n(n-1)/2 + m) n^n lc(R)^m.
 
 This is the classical convention D = (-1)^(n(n-1)/2) Res_x(P, P') / lc(P)
 for P = R(x) - q, since Res(P, R') = (n lc(R))^n prod_xi (R(xi) - q).
-After the substitution y = n lc(R) x (denominators cleared first), R' is
-monic over Z and M becomes an integer matrix with scaled eigenvalues, so
-det(qI - M) is taken by Berkowitz's division-free algorithm on ints.
+
+D, and U and W in ``rootode.derive``, are computed in one integer frame.
+With R_Z = d R over Z (d the lcm of R's denominators), r = lc(R_Z) and
+L = n r, the substitution y = L x makes R and R' monic over Z:
+
+    H(y) = (L^n / r) R_Z(y/L) = sum_k r_k n^(n-k) r^(n-k-1) y^k,  H(Lx) = sigma R(x),
+    G(y) = L^(n-2) R_Z'(y/L) = sum_k k r_k L^(n-k-1) y^(k-1),    G(Lx) = tau R'(x),
+
+with sigma = n^n r^m d and tau = L^(n-2) d.  Multiplication by H on
+Z[y]/(G) has an integer matrix A with eigenvalues sigma R(xi), so
+chi(t) = det(tI - A) is monic over Z and D(q) = c sigma^(-m) chi(sigma q).
+Every division in the frame is by the monic H or G, and each coefficient
+is mapped back as one reduced rational.
 Floats never enter the representation; evaluation accepts floats and
 degrades to float arithmetic explicitly.
 """
@@ -57,6 +67,12 @@ def _rat(value):
             raise TypeError("float coefficients are not allowed; use Fraction")
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _ratio(num: int, den: int):
+    """The canonical rational num / den of ints, den != 0, with one gcd at most."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def _horner(coeffs: Sequence[float], t: float) -> float:
@@ -266,9 +282,7 @@ class UPoly:
             if lead == 1:
                 f = c
             elif type(c) is int and type(lead) is int:
-                f, r = divmod(c, lead)
-                if r:
-                    f = Fraction(c, lead)
+                f = _ratio(c, lead)
             else:
                 f = Fraction(c) / lead
             quo[k - dn] = f
@@ -420,18 +434,33 @@ def _charpoly(a: list[list[int]]) -> list[int]:
     return chi
 
 
-def discriminant(R: UPoly) -> UPoly:
-    """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1.
+def _mul(a: Sequence, b: Sequence) -> list:
+    """The product of two coefficient lists a and b, ascending, looping over b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + len(a)] = [o + x * y for o, x in zip(out[j:j + len(a)], a)]
+    return out
 
-    With R_Z = d R over Z (d the lcm of R's denominators), m = n-1 and
-    L = n lc(R_Z), the substitution y = L x makes R' monic over Z,
-    g(y) = L^(m-1) R_Z'(y/L), and puts R on ints, h(y) = L^n R_Z(y/L).
-    Multiplication by h on Z[y]/(g) then has an integer matrix A, found
-    by monic division, whose eigenvalues are s R(xi) with s = L^n d; so
-    det(qI - M) = s^(-m) chi(s q) for chi(t) = det(tI - A), which is
-    taken by Berkowitz's algorithm on ints.  See the module docstring for
-    the identity and its sign.
-    """
+
+def _monic_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder over Z of a by a monic b of degree dn >= 1;
+    the remainder keeps dn entries, or all of a when a is shorter."""
+    rem, dn = list(a), len(b) - 1
+    quo = [0] * (len(rem) - dn)
+    low = [(i - dn, y) for i, y in enumerate(b[:dn]) if y]
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            quo[k - dn] = c
+            for i, y in low:
+                rem[k + i] -= c * y
+    return quo, rem[:dn]
+
+
+def _frame(R: UPoly) -> tuple:
+    """The integer frame of R (module docstring) as the tuple (D, chi, H, G,
+    L, sigma, tau, c sigma^-m), chi, H and G ascending lists of ints."""
     if R.var != "x":
         raise VariableMismatchError("expected a polynomial in x")
     n = R.degree
@@ -441,20 +470,24 @@ def discriminant(R: UPoly) -> UPoly:
         raise ValueError(f"degree {n} exceeds the limit {MAX_DEGREE}")
     m = n - 1
     d, rz = _integer_coeffs(R.coeffs)
-    L = n * rz[n]
-    g = [k * rz[k] * L ** (m - k) for k in range(1, n)]
-    h = [c * L ** (n - k) for k, c in enumerate(rz)]
-    # column j of A holds y^j h mod g; g is monic, so no division is needed
-    col, cols = h, []
-    for _ in range(m):
-        while len(col) > m:
-            top = col.pop()
-            for i in range(m):
-                col[len(col) - m + i] -= top * g[i]
-        cols.append(col)
-        col = [0] + col
-    chi = _charpoly([[cols[j][i] for j in range(m)] for i in range(m)])
-    s = L**n * d
-    sign = -1 if (n * (n - 1) // 2 + m) % 2 else 1
-    scale = Fraction(sign * n**n, s**m) * R.lc**m
-    return UPoly("q", [scale * c * s**k for k, c in enumerate(reversed(chi))])
+    r, L = rz[n], n * rz[n]
+    H = [c * n ** (n - k) * r ** (m - k) for k, c in enumerate(rz[:n])] + [1]
+    G = [k * rz[k] * L ** (m - k) for k in range(1, n)] + [1]
+    # column j of A holds y^j H mod G
+    cols = [_monic_divmod(H, G)[1]]
+    for _ in range(m - 1):
+        cols.append(_monic_divmod([0] + cols[-1], G)[1])
+    chi = _charpoly([[cols[j][i] for j in range(m)] for i in range(m)])[::-1]
+    sigma, tau = n**n * r**m * d, L ** (n - 2) * d
+    scale = Fraction((-1) ** (n * (n - 1) // 2 + m) * n**n, sigma**m) * R.lc**m
+    num, den = scale.numerator, scale.denominator
+    D = UPoly("q", [_ratio(num * c * sigma**k, den) for k, c in enumerate(chi)])
+    return D, chi, H, G, L, sigma, tau, scale
+
+
+def discriminant(R: UPoly) -> UPoly:
+    """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1:
+    D(q) = c sigma^(-m) chi(sigma q), with chi(t) = det(tI - A) taken by
+    Berkowitz's algorithm on ints, A multiplication by H modulo G in the
+    integer frame y = L x of the module docstring (H(Lx) = sigma R(x))."""
+    return _frame(R)[0]

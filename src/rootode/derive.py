@@ -4,13 +4,15 @@ Given a polynomial R with R(0) = 0, the equation R(x) = q implicitly defines
 a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
 
 * the factorization D(R(x)) = R'(x)^2 U(x) of the discriminant of
-  P = R(x) - q composed with R, together with the sign-normalized variants
-  (written script_d, script_u) that are positive near the origin;
+  P = R(x) - q composed with R, as U~ = chi(H)/G^2 on ints in the frame
+  y = L x of ``rootode.algebra`` (U = c tau^2 sigma^(-m) U~(L x)), with
+  the sign-normalized variants script_d, script_u, positive near 0;
 * separated-variables integrand pairs whose integrals from 0 agree along
   the branch, in radical form (weight / square root of script_u resp.
   script_d) or rational form (weight / R'U resp. weight / D);
 * the first-order equation x' = W(x, q)/D(q) with deg_x W <= n-1, obtained
-  by reducing R'U modulo P, which reads W off the R-adic digits of R'U;
+  by reducing R'U modulo P, which reads W off the R-adic digits of R'U,
+  in the frame the H-adic digits of G U~ on ints;
 * the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1,
   obtained by differentiating the first-order equation along W and
   reducing modulo P at every step, returned as the tuple of its rows
@@ -29,13 +31,14 @@ subpackage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._memo import memoized
-from .algebra import MAX_DEGREE, UPoly, _primitive, compose_q, discriminant, poly_gcd
+from .algebra import (MAX_DEGREE, UPoly, _frame, _monic_divmod, _mul, _primitive, _ratio,
+                      compose_q, poly_gcd)
 from .errors import DomainError, EmptyKernelError, NonExactDivisionError
 
 __all__ = [
@@ -105,6 +108,7 @@ class Factorization:
     script_u: UPoly
     sign_rp0: int
     disc_zero: bool
+    _frame: tuple = field(default=(), repr=False, compare=False)  # for abel_ode
 
 
 def _sign(c: Fraction) -> int:
@@ -114,14 +118,24 @@ def _sign(c: Fraction) -> int:
 @memoized
 def factorize(spec: ProblemSpec) -> Factorization:
     """Compute and certify the factorization D(R(x)) = R'(x)^2 U(x).
-    Memoized per process (see ``rootode._memo``)."""
+
+    In the integer frame of ``rootode.algebra``, U~ = chi(H(y)) / G(y)^2
+    by Horner and two exact monic divisions on ints, and U(x) =
+    c tau^2 sigma^(-m) U~(L x).  Memoized per process (``rootode._memo``)."""
     n = spec.n
-    D = discriminant(spec.R)
+    D, chi, H, G, L, sigma, tau, scale = _frame(spec.R)
     if D.degree != n - 1:
         raise RuntimeError("discriminant degree certificate failed")
-    rp = spec.rprime()
-    comp = compose_q(D, spec.R)
-    U = comp.exact_div(rp * rp)
+    f = [1]
+    for c in reversed(chi[:-1]):
+        f = _mul(f, H)
+        f[0] += c
+    gu, rem = _monic_divmod(f, G)
+    ut, rem2 = _monic_divmod(gu, G)
+    if any(rem) or any(rem2):
+        raise NonExactDivisionError("D(R(x)) is not divisible by R'(x)^2")
+    a = scale * tau * tau
+    U = UPoly("x", [_ratio(a.numerator * u * L**k, a.denominator) for k, u in enumerate(ut)])
     if U.degree != (n - 1) * (n - 2):
         raise RuntimeError("cofactor degree certificate failed")
     sgn = _sign(D.trailing())
@@ -132,10 +146,11 @@ def factorize(spec: ProblemSpec) -> Factorization:
         problem=spec,
         D=D,
         U=U,
-        script_d=D * sgn,
-        script_u=U * sgn,
-        sign_rp0=_sign(rp.coefficient(0)),
+        script_d=D if sgn > 0 else -D,
+        script_u=U if sgn > 0 else -U,
+        sign_rp0=_sign(spec.R.coefficient(1)),
         disc_zero=disc_zero,
+        _frame=(H, gu, L, sigma, scale * tau),
     )
 
 
@@ -238,7 +253,8 @@ class AbelODE:
     x^j (zero where there is none), so a_j = W[j] / D.  W is the remainder
     of R'U modulo P, read off the R-adic digits of R'U = sum_k c_k(x) R(x)^k,
     deg c_k < n: since R(x) = q modulo P, W(x, q) = sum_k c_k(x) q^k, so
-    W[j] has the coefficients c_k[j].
+    W[j] has the coefficients c_k[j].  In the integer frame the digits are
+    c_k(x) = c tau sigma^(k-m) e_k(L x), e_k the H-adic digits of G U~.
     """
 
     D: UPoly
@@ -257,15 +273,16 @@ class AbelODE:
 def abel_ode(spec: ProblemSpec) -> AbelODE:
     """Derive the degree-(n-1) polynomial ODE for the branch.
 
-    R'U is written in base R by repeated division by R over Q (see
-    ``AbelODE``), so W is found in Q[x] alone, whatever lc(R); the
-    quotient of R'U by R(x) - q is never formed.  Memoized per process."""
+    G U~, kept by ``factorize``, is written in base H by monic division
+    on ints, and W[j] has q^k-coefficient c tau sigma^(k-m) L^j e_k[j]
+    (see ``AbelODE``), whatever lc(R).  Memoized per process."""
     fact = factorize(spec)
-    f, digits = spec.rprime() * fact.U, []
+    (H, f, L, sigma, scale), digits = fact._frame, []
     while f:
-        f, c = divmod(f, spec.R)
-        digits.append(c)
-    W = tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n))
+        f, e = _monic_divmod(f, H)
+        digits.append([scale.numerator * sigma ** len(digits) * c for c in e])
+    W = tuple(UPoly("q", [_ratio(e[j] * L**j, scale.denominator) if j < len(e) else 0
+                          for e in digits]) for j in range(spec.n))
     return AbelODE(D=fact.D, W=W)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..algebra import UPoly, _integer_coeffs, _rat
+from ..algebra import UPoly, _integer_coeffs, _mul, _rat
 from ..derive import LinearODE, ProblemSpec
 
 __all__ = [
@@ -31,17 +31,6 @@ __all__ = [
     "quartic_series_3f2",
     "quartic_series_2f1_product",
 ]
-
-
-def _mul_trunc(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            if bj:
-                out[i + j] += ai * bj
-    return out
 
 
 # Largest order lagrange_series accepts.  The work grows as n * order^2
@@ -213,4 +202,4 @@ def quartic_series_2f1_product(p, order: int) -> tuple[Fraction, ...]:
     z = _quartic_argument(p)
     f1 = pfq_series([Fraction(-1, 24), Fraction(5, 24)], [Fraction(2, 3)], z, 3, order)
     f2 = pfq_series([Fraction(7, 24), Fraction(13, 24)], [Fraction(4, 3)], z, 3, order)
-    return _with_prefactor(_mul_trunc(f1, f2, order), p, order)
+    return _with_prefactor(_mul(f1, f2), p, order)

@@ -23,7 +23,7 @@ from rootode.derive import (
     trinomial,
 )
 from rootode import _memo, derive
-from rootode.errors import DomainError
+from rootode.errors import DomainError, NonExactDivisionError
 from rootode import lagrange_series, series_ode_residual
 from rootode.numeric.tracking import _nearest_root
 from rootode.render import text_linear
@@ -54,10 +54,54 @@ def at_q_over(p, c):
 
 
 def rand_problem(rng, max_n=8):
-    """Random monic R with R(0) = 0, integer coefficients in [-9, 9]."""
+    """Random R with R(0) = 0 and degree 2..max_n, numerators in [-9, 9]:
+    in turn monic over Z, with denominators up to 7 and lead -1, and with
+    denominators up to 7 and a lead of either sign, rational or not."""
     n = rng.randint(2, max_n)
-    coeffs = [Fraction(0)] + [Fraction(rng.randint(-9, 9)) for _ in range(n - 1)] + [Fraction(1)]
-    return ProblemSpec(UPoly("x", coeffs))
+    shape = rng.randrange(3)
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)) if shape else 1)
+    lead = (1, -1, Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 5))))
+    return ProblemSpec(UPoly("x", [0] + [coeff() for _ in range(n - 1)] + [lead[shape]]))
+
+
+def _resultant(a, b):
+    """Res(a, b) over Q by the Euclidean remainder sequence, b nonzero."""
+    if b.degree == 0:
+        return Fraction(b.lc) ** a.degree
+    c = a % b
+    if not c:
+        return Fraction(0)
+    sign = -1 if a.degree * b.degree % 2 else 1
+    return sign * Fraction(b.lc) ** (a.degree - c.degree) * _resultant(b, c)
+
+
+def assert_matches_q_route(spec):
+    """``factorize`` and ``abel_ode`` against the route over Q[x], which
+    shares nothing with the integer frame: D against
+    (-1)^(n(n-1)/2) Res(R - t, R') / lc(R), by Euclid over Q, at n points
+    t (enough for a polynomial of degree n-1); U = D(R(x)) / R'(x)^2 by
+    composition and exact division; W from the R-adic digits of R'U, by
+    division by R over Q."""
+    R, n, rp = spec.R, spec.n, spec.rprime()
+    fact, ode = factorize(spec), abel_ode(spec)
+    D = fact.D
+    assert D.degree == n - 1
+    sign = -1 if n * (n - 1) // 2 % 2 else 1
+    for t in range(n):
+        assert D(t) == sign * _resultant(R - t, rp) / R.lc, f"D({t}) differs for R = {R}"
+    U = compose_q(D, R).exact_div(rp * rp)
+    f, digits = rp * U, []
+    while f:
+        f, c = divmod(f, R)
+        digits.append(c)
+    W = tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(n))
+    sgn = 1 if D.trailing() > 0 else -1
+    assert (fact.U, fact.script_d, fact.script_u) == (U, D * sgn, U * sgn), f"R = {R}"
+    assert fact.sign_rp0 == (rp.coefficient(0) > 0) - (rp.coefficient(0) < 0)
+    assert fact.disc_zero is (D.coefficient(0) == 0)
+    assert ode.D == D
+    assert ode.W == W, f"W differs for R = {R}"
 
 
 class TestProblemSpec:
@@ -133,7 +177,7 @@ class TestFactorize:
         rng = random.Random(424242)
         seen_n = set()
         for _ in range(60):
-            spec = rand_problem(rng)
+            spec = rand_problem(rng, max_n=13)
             seen_n.add(spec.n)
             fact = factorize(spec)
             n = spec.n
@@ -144,7 +188,37 @@ class TestFactorize:
             assert compose_q(fact.script_d, spec.R) == rp * rp * fact.script_u
             if not fact.disc_zero:
                 assert fact.U.coefficient(0) != 0
-        assert {2, 3, 4, 5, 6, 7, 8} <= seen_n
+        assert set(range(2, 14)) <= seen_n
+
+    @pytest.mark.parametrize("coeffs", [
+        (0, 0, 1), (0, 0, 0, -1), (0, 0, 0, 5, 0, 1),     # R'(0) = 0
+        (0, 1, 2, 1),                                      # D(0) = 0 at x = -1
+        (0, 1, 0, 1), (0, -2, 0, 0, 1), (0, 1, Fraction(-1, 2), Fraction(2, 3)),
+        (0, Fraction(4, 3), -1, 0, 0, 0, 0, Fraction(7, 5), 0, 0, -1, Fraction(5, 2),
+         Fraction(-3, 7)),
+    ])
+    def test_fixed_shapes_match_q_route(self, coeffs):
+        assert_matches_q_route(ProblemSpec(x_poly(*coeffs)))
+
+    def test_random_match_q_route(self):
+        # rational, non-monic and leading-minus R of degree 2..13
+        rng = random.Random(20201)
+        for _ in range(40):
+            assert_matches_q_route(rand_problem(rng, max_n=13))
+
+    def test_wrong_chi_fails_the_division(self, monkeypatch):
+        # a chi that is not det(tI - A) leaves chi(H) a remainder modulo G
+        frame = derive._frame
+
+        def wrong(R):
+            D, chi, *rest = frame(R)
+            return (D, [chi[0] + 1, *chi[1:]], *rest)
+
+        monkeypatch.setattr(derive, "_frame", wrong)
+        _memo.clear()
+        for spec in (trinomial(2, 1), trinomial(4, 1), ProblemSpec(x_poly(0, 0, 0, -1))):
+            with pytest.raises(NonExactDivisionError):
+                factorize(spec)
 
     def test_script_d_positive_after_zero(self):
         rng = random.Random(777)

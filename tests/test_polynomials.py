@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 
 from rootode.algebra import (
     _horner,
+    _monic_divmod,
+    _mul,
+    _ratio,
     UPoly,
     compose_q,
     discriminant,
@@ -219,6 +222,24 @@ class TestDivision:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(UPoly("x", (1, 1)), UPoly.zero("x"))
+
+    def test_integer_helpers_match_upoly(self):
+        # _mul and _monic_divmod on int lists agree with UPoly, the
+        # remainder padded to deg b entries, or all of a when a is shorter
+        rng = random.Random(17)
+        for _ in range(300):
+            a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
+            b = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [1]
+            assert UPoly("x", _mul(a, b)) == UPoly("x", a) * UPoly("x", b)
+            quo, rem = _monic_divmod(a, b)
+            assert len(rem) == min(len(a), len(b) - 1)
+            assert (UPoly("x", quo), UPoly("x", rem)) == divmod(UPoly("x", a), UPoly("x", b))
+
+    def test_ratio_is_canonical(self):
+        for num, den in ((6, 3), (-6, 4), (6, -4), (0, 7), (7, 1), (-9, -3)):
+            got = _ratio(num, den)
+            assert got == Fraction(num, den)
+            assert type(got) is (int if Fraction(num, den).denominator == 1 else Fraction)
 
 
 class TestGcd:
