@@ -12,8 +12,9 @@ Python ints.  ``int / int`` is a float, which ``UPoly`` refuses: every
 division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
-On top of these sit a gcd by primitive pseudo-remainders over Z and the
-discriminant of R(x) - q.
+Beside it sit helpers on ascending lists of ints (product, sum, exact
+division over Z, and the gcd by primitive pseudo-remainders behind
+``poly_gcd``), on which the exact core runs, and the discriminant of R(x) - q.
 The discriminant is a characteristic polynomial: with n = deg R, m = n-1
 and M the matrix of multiplication by R on Q[x]/(R'), whose eigenvalues
 are the critical values R(xi) at the roots xi of R',
@@ -50,9 +51,11 @@ VARS = ("x", "q")
 
 # The largest degree of R that ``discriminant`` and ``ProblemSpec`` accept,
 # and of R or a weight that the CLI parses.  derive-linear and series, the
-# slowest verbs, take about 4 s on a dense integer R of degree 12 and 12 s
-# at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python 3.11.7); the
-# cost about triples with each degree.
+# slowest verbs, take about 3.9 s on a dense integer R of degree 12 and
+# 11.2 s at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python
+# 3.11.7); the cost about triples with each degree.  At degree 13 what
+# remains is ``derive._kernel`` (3.0 s) and the first gcd of the normal
+# form (7.0 s), which ROADMAP.md item 2 takes up.
 MAX_DEGREE = 13
 
 
@@ -361,10 +364,8 @@ def _integer_coeffs(coeffs: Sequence) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def _primitive(coeffs: Sequence) -> list[int]:
-    """Integer coefficients of the primitive part of a nonzero polynomial:
-    its denominators cleared and its integer content divided out."""
-    cs = _integer_coeffs(coeffs)[1]
+def _primitive(cs: list[int]) -> list[int]:
+    """A nonzero integer list divided by its content, the gcd of its entries."""
     g = gcd(*cs)
     return [c // g for c in cs] if g != 1 else cs
 
@@ -390,24 +391,31 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of nonzero integer lists, primitive with a positive lead, by
+    primitive pseudo-remainders over Z (Collins): the content is removed at
+    every step."""
+    x, y = _primitive(a), _primitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = _prem(x, y)
+        if not r:
+            return y if y[-1] > 0 else [-c for c in y]
+        x, y = y, _primitive(r)
+    return [1]
+
+
 def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor, by primitive pseudo-remainders over Z
-    (the integer content is removed at every step) and made monic last."""
+    """Monic greatest common divisor: ``_gcd`` of the two polynomials with
+    their denominators cleared, made monic."""
     if a.var != b.var:
         raise VariableMismatchError("gcd of polynomials in different variables")
     if not a and not b:
         raise ValueError("gcd(0, 0) is undefined")
     if not a or not b:
         return (a or b).monic()
-    x, y = _primitive(a.coeffs), _primitive(b.coeffs)
-    if len(x) < len(y):
-        x, y = y, x
-    while len(y) > 1:
-        r = _prem(x, y)
-        if not r:
-            return UPoly(a.var, y).monic()
-        x, y = y, _primitive(r)
-    return UPoly.one(a.var)
+    return UPoly(a.var, _gcd(_integer_coeffs(a.coeffs)[1], _integer_coeffs(b.coeffs)[1])).monic()
 
 
 # -- discriminants ----------------------------------------------------
@@ -436,11 +444,40 @@ def _charpoly(a: list[list[int]]) -> list[int]:
 
 def _mul(a: Sequence, b: Sequence) -> list:
     """The product of two coefficient lists a and b, ascending, looping over b."""
+    if not a or not b:
+        return []
     out = [0] * (len(a) + len(b) - 1)
     for j, y in enumerate(b):
         if y:
             out[j:j + len(a)] = [o + x * y for o, x in zip(out[j:j + len(a)], a)]
     return out
+
+
+def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:
+    """a + c b for integer lists, trailing zeros trimmed."""
+    n = min(len(a), len(b))
+    out = [x + c * y for x, y in zip(a, b)] + (a[n:] if len(a) > n else [c * y for y in b[n:]])
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _exact_div(a: list[int], b: list[int]) -> list[int]:
+    """The quotient a / b of integer lists, b nonzero; NonExactDivisionError
+    unless it lies in Z[q], which for a primitive b is b dividing a over Q
+    (Gauss's lemma)."""
+    rem, dn, quo = list(a), len(b) - 1, []
+    for k in range(len(rem) - 1, dn - 1, -1):
+        c, r = divmod(rem[k], b[-1])
+        if r:
+            break
+        quo.append(c)
+        if c:
+            rem[k - dn:k] = [x - c * y for x, y in zip(rem[k - dn:k], b)]
+    else:
+        if not any(rem[:dn]):
+            return quo[::-1]
+    raise NonExactDivisionError("an integer list does not divide another over Z")
 
 
 def _monic_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:

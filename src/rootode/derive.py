@@ -22,23 +22,31 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   the kernel of the linear system that kills every power of x when the
   tower rows are substituted.
 
-W and each B_k are kept as tuples of exactly n ``UPoly`` in q, entry j the
-coefficient of x^j (zero where there is none).  ``derivative_tower`` and
-``linear_ode`` take D and W from the memoized ``abel_ode``.
+W and each B_k are given as tuples of exactly n ``UPoly`` in q, entry j the
+coefficient of x^j (zero where there is none).  After W, the exact core
+writes each polynomial in q as a rational scalar times a primitive integer
+list, D = s_D D^ and B_k = s_k B^_k, and runs the tower, the kernel, the
+assembly of the linear equation and the normal forms fraction-free on
+those lists (Bareiss, Collins); D^ is primitive, so by Gauss's lemma every
+exact division by its powers stays in Z[q].  The variable stays q: in the
+frame's t = sigma q the low powers of t would carry powers of sigma and
+the entries grow.  ``derivative_tower`` and ``linear_ode`` take D and W
+from the memoized ``abel_ode``.
 
 Everything here is symbolic; floating point enters only in the numeric
 subpackage.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._memo import memoized
-from .algebra import (MAX_DEGREE, UPoly, _frame, _monic_divmod, _mul, _primitive, _ratio,
-                      compose_q, poly_gcd)
+from .algebra import (MAX_DEGREE, UPoly, _add, _exact_div, _frame, _gcd, _integer_coeffs,
+                      _monic_divmod, _mul, _ratio, compose_q)
 from .errors import DomainError, EmptyKernelError, NonExactDivisionError
 
 __all__ = [
@@ -223,8 +231,8 @@ def build_integrands(
                               " is not integrable at t = 0")
         lhs_den = fact.script_u
         rhs_den = fact.script_d
-        lhs_sq = tuple(_normalize_vector([lhs_num * lhs_num * surd, lhs_den], anchor=1))
-        rhs_sq = tuple(_normalize_vector([weight * weight * surd, rhs_den], anchor=1))
+        lhs_sq = _reduced(lhs_num * lhs_num * surd, lhs_den)
+        rhs_sq = _reduced(weight * weight * surd, rhs_den)
         remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
     else:
         lhs_den = spec.rprime() * fact.U
@@ -243,6 +251,23 @@ def build_integrands(
         lhs_sq=lhs_sq,
         rhs_sq=rhs_sq,
     )
+
+
+def _split(polys) -> tuple[Fraction, list[list[int]]]:
+    """(s, ints) with polys[i] = s ints[i]: the rational polynomials
+    ``polys``, not all zero, over one common denominator and with their
+    joint integer content divided out, so the ints are primitive together."""
+    den = _int_lcm(*(c.denominator for p in polys for c in p.coeffs))
+    ints = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    g = _int_gcd(*(c for p in ints for c in p))
+    return Fraction(g, den), [[c // g for c in p] for p in ints] if g != 1 else ints
+
+
+def _reduced(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
+    """num / den in lowest terms, over Z with a positive leading coefficient
+    of den."""
+    p, q = _normalize_vector(_split([num, den])[1], anchor=1)
+    return UPoly(num.var, p), UPoly(den.var, q)
 
 
 @dataclass(frozen=True)
@@ -264,9 +289,26 @@ class AbelODE:
     def a(self) -> tuple[tuple[UPoly, UPoly], ...]:
         """a_j = W[j] / D for j = 0..n-1 as reduced (numerator, denominator)
         pairs with integer coefficients and a positive leading denominator
-        coefficient; a zero a_j gives (0, 1).  Normalised once, on first
-        use: only the renderers read them."""
-        return tuple(tuple(_normalize_vector([w, self.D], anchor=1)) for w in self.W)
+        coefficient; a zero a_j gives (0, 1).
+
+        With D = s_D D^ and W[j] = s_j W^_j, D^ and W^_j primitive and
+        lc(D^) > 0, the pair is (a W^_j / g, b D^ / g), g = gcd(W^_j, D^)
+        and a/b = s_j / s_D in lowest terms with b > 0.  Quotients of
+        primitive polynomials are primitive (Gauss), so the pair has content
+        gcd(a, b) = 1 without a content gcd.  Computed once, on first use:
+        only the renderers read them."""
+        sd, (dh,) = _split([self.D])
+        if dh[-1] < 0:
+            sd, dh = -sd, [-c for c in dh]
+
+        def pair(w):
+            sw, (num,) = _split([w])
+            g, r, den = _gcd(num, dh), sw / sd, dh
+            if len(g) > 1:
+                num, den = _exact_div(num, g), _exact_div(dh, g)
+            return (UPoly("q", [r.numerator * c for c in num]),
+                    UPoly("q", [r.denominator * c for c in den]))
+        return tuple(pair(w) if w else (UPoly.zero("q"), UPoly.one("q")) for w in self.W)
 
 
 @memoized
@@ -304,32 +346,51 @@ def derivative_tower(spec: ProblemSpec) -> tuple[tuple[UPoly, ...], ...]:
     the products have x-degree at most 2n-3 instead of (n-1)^2 + n-2.
     They are reduced from the top power down by the rule, true modulo P,
 
-        x^n = sum_i xn[i] x^i = q / lc(R) - sum_{1 <= i < n} (r_i / lc(R)) x^i,
+        x^n = q / lc(R) - sum_{1 <= i < n} (r_i / lc(R)) x^i,
 
-    with r_i the coefficient of x^i in R.
+    with r_i the coefficient of x^i in R.  The rows are computed on
+    integers by ``_tower``, which ``linear_ode`` calls directly.
     """
+    return tuple(tuple(UPoly("q", [_ratio(sk.numerator * c, sk.denominator) for c in p])
+                       for p in row) for sk, row in zip(*_tower(spec)[2:]))
+
+
+def _tower(spec: ProblemSpec) -> tuple[Fraction, list[int], list[Fraction], list]:
+    """(s_D, D^, s, B) with D = s_D D^ and B_k = s[k-1] B[k-1], each row
+    B[k-1] n integer lists in q, primitive together.  With W = s_W W^ and
+    s_W / s_D = a/b in lowest terms, the recursion of ``derivative_tower``
+    reads B_{k+1} = (s_k s_D / b) (a dB^_k/dx W^ + b (dB^_k/dq D^ - k B^_k D^')).
+    Before each reduction of x^m, m >= n, the row is multiplied by
+    r = lc(R_Z), so that r x^n = d q - sum_{1 <= i < n} r_i x^i, R_Z = d R,
+    stays over Z; the row's content is divided out last."""
     n = spec.n
     ode = abel_ode(spec)
-    W, D, Dp = ode.W, ode.D, ode.D.derivative()
-    inv = Fraction(1) / spec.R.lc
-    xn = [UPoly("q", (0, inv))] + [UPoly.const("q", -r * inv) for r in spec.R.coeffs[1:n]]
-    b, rows = W, [W]
+    (sd, (dh,)), (sw, wh) = _split([ode.D]), _split(ode.W)
+    d, rz = _integer_coeffs(spec.R.coeffs)
+    a, b = (sw / sd).as_integer_ratio()
+    aw, bd = [[a * c for c in w] for w in wh], [b * c for c in dh]
+    bdp = [b * i * c for i, c in enumerate(dh) if i]
+    s, rows = [sw], [wh]
     for k in range(1, n - 1):
-        c = [bj.derivative() * D - k * bj * Dp for bj in b] + [UPoly.zero("q")] * (n - 2)
+        row = rows[-1]
+        c = [_add(_mul([i * e for i, e in enumerate(p) if i], bd), _mul(p, bdp), -k)
+             for p in row] + [[] for _ in range(n - 2)]
         for i in range(1, n):
-            if b[i]:
-                bi = i * b[i]
-                for j, w in enumerate(W):
-                    if w:
-                        c[i - 1 + j] += bi * w
+            for j, w in enumerate(aw):
+                c[i - 1 + j] = _add(c[i - 1 + j], _mul(row[i], w), i)
+        e = 0
         for m in range(2 * n - 3, n - 1, -1):
-            if c[m]:
-                for i, r in enumerate(xn):
-                    if r:
-                        c[m - n + i] += c[m] * r
-        b = tuple(c[:n])
-        rows.append(b)
-    return tuple(rows)
+            if top := c[m]:
+                if rz[n] != 1:
+                    c[:m], e = [[rz[n] * x for x in p] for p in c[:m]], e + 1
+                c[m - n] = _add(c[m - n], [0] + top, d)
+                for i in range(1, n):
+                    if rz[i]:
+                        c[m - n + i] = _add(c[m - n + i], top, -rz[i])
+        g = _int_gcd(*(x for p in c[:n] for x in p))
+        rows.append([[x // g for x in p] for p in c[:n]])
+        s.append(s[-1] * sd * g / (b * rz[n] ** e))
+    return sd, dh, s, rows
 
 
 @dataclass(frozen=True)
@@ -358,45 +419,32 @@ class LinearODE:
         return list(self.b) + [self.inhomogeneous]
 
 
-def _normalize_vector(polys: list[UPoly], anchor: int) -> list[UPoly]:
-    """Primitive part of a polynomial vector: divided by the gcd of its
-    entries, scaled to integer coefficients of content 1, and signed so the
-    anchor entry (or, if it is zero, the first nonzero one) has a positive
+def _normalize_vector(polys: list[list[int]], anchor: int) -> list[list[int]]:
+    """Primitive part of a vector of integer lists in q: divided by the gcd
+    of its entries and by its integer content, and signed so the anchor
+    entry (or, if it is zero, the first nonzero one) has a positive
     leading coefficient.  For a pair [num, den] with anchor 1 this is
     num/den in lowest terms."""
     nonzero = [p for p in polys if p]
     if not nonzero:
         raise ValueError("cannot normalize the zero vector")
-    g = reduce(poly_gcd, nonzero)
-    if g.degree > 0:
-        # the monic g times its denominators is primitive in Z[q], so an
-        # integral entry has an integral quotient
-        g = g * _int_lcm(*(c.denominator for c in g.coeffs))
-        polys = [p.exact_div(g) if p else p for p in polys]
-    denom = _int_lcm(*(c.denominator for p in polys for c in p.coeffs))
-    if denom != 1:
-        polys = [p * denom for p in polys]
-    content = _int_gcd(*(c for p in polys for c in p.coeffs))
-    ref = polys[anchor] if polys[anchor] else next(p for p in polys if p)
-    if ref.lc < 0:
+    g = reduce(_gcd, nonzero)
+    if len(g) > 1:
+        # g is primitive, or the one nonzero entry: every quotient is in Z[q]
+        polys = [_exact_div(p, g) for p in polys]
+    content = _int_gcd(*(c for p in polys for c in p))
+    ref = polys[anchor] or next(p for p in polys if p)
+    if ref[-1] < 0:
         content = -content
     if content != 1:
-        polys = [UPoly(p.var, [c // content for c in p.coeffs]) for p in polys]
+        polys = [[c // content for c in p] for p in polys]
     return polys
 
 
-def _integral_row(row: list[UPoly]) -> list[UPoly]:
-    """The row times the lcm of its denominators, so it lies in Z[q] and
-    has the same kernel."""
-    den = _int_lcm(*(c.denominator for p in row for c in p.coeffs))
-    return [p * den for p in row] if den != 1 else row
-
-
-def _kernel(rows: list[list[UPoly]], ncols: int,
-            divisor: UPoly | int = 1) -> tuple[list[list[UPoly]], bool]:
-    """Kernel basis of a matrix over Q[q] by fraction-free Gauss-Jordan;
-    on rows in Z[q], with a divisor whose powers divide over Z, every
-    entry stays in Z[q].
+def _kernel(rows: list[list[list[int]]], ncols: int,
+            divisor: Sequence[int] = (1,)) -> tuple[list[list[list[int]]], bool]:
+    """Kernel basis of a matrix over Z[q], entries integer lists in q, by
+    fraction-free Gauss-Jordan; every entry stays in Z[q].
 
     Each update (piv * e - f * g) / (previous pivot * divisor) divides
     exactly and leaves in every pivot column 0 off its row; on its own row,
@@ -409,13 +457,15 @@ def _kernel(rows: list[list[UPoly]], ncols: int,
     matrices whose minors carry known powers of it, as the tower's
     constraints carry powers of D (the pivot of step s a multiple of
     D^(s(s+1)/2)): each step divides one more power out, so the entries
-    stay that much smaller.  Where it does not divide, ``exact_div``
-    raises rather than a wrong vector being returned.
+    stay that much smaller.  ``linear_ode`` passes the primitive D^, whose
+    powers divide over Z wherever they divide over Q (Gauss's lemma); where
+    a division is not exact, ``_exact_div`` raises rather than a wrong
+    vector being returned.
     """
     m = [list(r) for r in rows]
     nrows = len(m)
     pivots: dict[int, int] = {}
-    prev = UPoly.one("q")
+    prev = [1]
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -426,23 +476,23 @@ def _kernel(rows: list[list[UPoly]], ncols: int,
         m[r], m[prow] = m[prow], m[r]
         top = m[r]
         piv = top[c]
-        den = prev * divisor
+        den = _mul(prev, divisor)
         live = [j for j in range(ncols) if j != c and j not in pivots]
         for i, row in enumerate(m):
             if i != r:
                 f = row[c]
                 for j in live:
-                    row[j] = (piv * row[j] - f * top[j]).exact_div(den)
+                    row[j] = _exact_div(_add(_mul(piv, row[j]), _mul(f, top[j]), -1), den)
         prev = piv
         pivots[c] = r
     free = [c for c in range(ncols) if c not in pivots]
-    last = len(pivots) - 1
     basis = []
     for f in free:
-        v = [UPoly.zero("q")] * ncols
+        v, power = [[]] * ncols, [1]
         v[f] = prev
-        for c, rr in pivots.items():
-            v[c] = -m[rr][f] * divisor ** (last - rr)
+        for c, rr in reversed(pivots.items()):  # rows last, ..., 0
+            v[c] = [-x for x in _mul(m[rr][f], power)]
+            power = _mul(power, divisor)
         basis.append(v)
     return basis, len(free) > 1
 
@@ -454,39 +504,42 @@ def linear_ode(spec: ProblemSpec) -> LinearODE:
     Substituting x^(k) = B_k / D^k into sum_k b_k x^(k) + b_0 x + b_n and
     collecting powers of x gives n linear constraints on the n+1 unknowns
     (b_0, ..., b_{n-1}, b_n).  Writing b_k = g_k D^k for 1 <= k <= n-1,
-    the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0, a
-    system over Q[q] whose kernel is computed fraction-free, each row
-    first scaled into Z[q] and the powers of D that its minors carry
-    divided out as they arise; b_0 and b_n then follow from the x^1 and x^0
-    constraints, and the vector is divided by D^(n-2), which every entry
-    carries unless the kernel is ambiguous, and normalized.  The order is
-    that of the highest nonzero b_k: n-1 unless the kernel is ambiguous,
-    where the chosen representative may be of lower order.
+    the constraints from x^j with j >= 2 read sum_k g_k B_k[j] = 0.  With
+    the tower on integers (``_tower``: D = s_D D^, B_k = s_k B^_k) and
+    g_k = h_k / s_k, they read sum_k h_k B^_k[j] = 0, a system over Z[q]
+    whose kernel is computed fraction-free with the divisor D^.  Then
+    b_0 = -sum_k h_k B^_k[1], b_n = -sum_k h_k B^_k[0] and
+    b_k = h_k D^^k s_D^k / s_k; one integer lcm clears the s_D^k / s_k,
+    the vector is divided by D^^(n-2), which every entry carries unless
+    the kernel is ambiguous, and normalized.  The order is that of the
+    highest nonzero b_k: n-1 unless the kernel is ambiguous, where the
+    chosen representative may be of lower order.
     """
     n = spec.n
-    D = abel_ode(spec).D
-    B = derivative_tower(spec)
-    core = [_integral_row([B[k - 1][j] for k in range(1, n)]) for j in range(2, n)]
-    basis, ambiguous = _kernel(core, n - 1, _integral_row([D])[0])
+    sd, dh, s, B = _tower(spec)
+    basis, ambiguous = _kernel([[bk[j] for bk in B] for j in range(2, n)], n - 1, dh)
     if not basis:
         raise EmptyKernelError("the derivative constraints admit no annihilator")
-    known = UPoly("q", _primitive(D.coeffs)) ** (n - 2)
+    powers = [[1]]
+    for _ in range(n - 1):
+        powers.append(_mul(powers[-1], dh))
     candidates = []
-    for gamma in basis:
-        b0 = -sum((g * bk[1] for g, bk in zip(gamma, B)), UPoly.zero("q"))
-        bn = -sum((g * bk[0] for g, bk in zip(gamma, B)), UPoly.zero("q"))
-        order = max(k for k, g in enumerate(gamma, 1) if g)
-        beta = [g * D ** k for k, g in enumerate(gamma[:order], 1)]
+    for h in basis:
+        order = max(k for k, g in enumerate(h, 1) if g)
+        t = [sd**k / s[k - 1] for k in range(1, order + 1)]
+        den = _int_lcm(*(x.denominator for x in t))
+        b0 = bn = []
+        for hk, bk in zip(h, B):
+            b0, bn = _add(b0, _mul(hk, bk[1]), -den), _add(bn, _mul(hk, bk[0]), -den)
+        beta = [_mul(_mul(hk, [int(tk * den)]), powers[k])
+                for k, (hk, tk) in enumerate(zip(h, t), 1)]
         vec = [b0] + beta + [bn]
         try:
-            vec = [p.exact_div(known) for p in vec]
+            vec = [_exact_div(p, powers[n - 2]) for p in vec]
         except NonExactDivisionError:
             pass  # some vectors of an ambiguous kernel lack a factor D
         candidates.append((order, _normalize_vector(vec, anchor=order)))
-    order, best = min(candidates, key=lambda c: sum(p.degree for p in c[1] if p))
-    return LinearODE(
-        order=order,
-        b=tuple(best[: order + 1]),
-        inhomogeneous=best[order + 1],
-        ambiguous=ambiguous,
-    )
+    order, best = min(candidates, key=lambda c: sum(len(p) - 1 for p in c[1] if p))
+    b = [UPoly("q", p) for p in best]
+    return LinearODE(order=order, b=tuple(b[: order + 1]), inhomogeneous=b[order + 1],
+                     ambiguous=ambiguous)

@@ -4,13 +4,14 @@ import inspect
 import random
 import time
 from fractions import Fraction
+from math import gcd
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import MAX_DEGREE, UPoly, compose_q, discriminant
+from rootode.algebra import MAX_DEGREE, UPoly, _integer_coeffs, compose_q, discriminant
 from rootode.derive import (
     LinearODE,
     ProblemSpec,
@@ -46,6 +47,11 @@ def assert_quotients(nums, den, expected_nums, expected_den):
 
 def abel_numerators(ode):
     return list(ode.W)
+
+
+def normal_form(polys, anchor):
+    """``derive._normalize_vector`` of rational polynomials in q."""
+    return [UPoly("q", p) for p in derive._normalize_vector(derive._split(polys)[1], anchor)]
 
 
 def at_q_over(p, c):
@@ -352,30 +358,26 @@ class TestAbel:
             spec, scaled = ProblemSpec(x_poly(*coeffs)), ProblemSpec(x_poly(*coeffs) * c)
             ode, ode_c = abel_ode(spec), abel_ode(scaled)
             for (num, den), got in zip(ode.a, ode_c.a, strict=True):
-                want = derive._normalize_vector([at_q_over(num, c), at_q_over(den, c) * c],
-                                                anchor=1)
+                want = normal_form([at_q_over(num, c), at_q_over(den, c) * c], anchor=1)
                 assert list(got) == want
             lin = linear_ode(spec)
             assert not lin.ambiguous
             want = [at_q_over(b, c) * Fraction(c) ** k for k, b in enumerate(lin.b)]
             want.append(at_q_over(lin.inhomogeneous, c))
-            assert linear_ode(scaled).vector() == derive._normalize_vector(want, anchor=lin.order)
+            assert linear_ode(scaled).vector() == normal_form(want, anchor=lin.order)
 
-    def test_coefficients_normalised_once_on_demand(self, monkeypatch):
-        # a fresh AbelODE, not one whose pairs an earlier test normalised
+    def test_coefficients_normalised_once_on_demand(self):
+        # a fresh AbelODE, not one whose pairs an earlier test normalised;
+        # abel_ode leaves them uncomputed, the first read stores them on the
+        # instance, and every later read, through the memo too, returns them
         _memo.clear()
         ode = abel_ode(trinomial(4, 1))
-        calls = []
-        normalize = derive._normalize_vector
-        monkeypatch.setattr(derive, "_normalize_vector",
-                            lambda *a, **k: calls.append(1) or normalize(*a, **k))
-        assert not calls
+        assert "a" not in vars(ode)
         first = ode.a
         assert len(first) == len(ode.W) == 4
-        assert len(calls) == 4
+        assert vars(ode)["a"] is first
         assert ode.a is first
         assert abel_ode(trinomial(4, 1)).a is first
-        assert len(calls) == 4
 
 
 def _reference_tower(spec):
@@ -422,7 +424,31 @@ def rational_problems(draw, max_n=7):
     return ProblemSpec(UPoly("x", [0, *lower, lead]))
 
 
+@st.composite
+def wide_lead_problems(draw, max_n=7):
+    """Rational R of degree 2..max_n with R(0) = 0 whose R_Z, R with its
+    denominators cleared, has a leading coefficient other than +-1."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    lower = draw(st.lists(st.just(Fraction(0)) | small_rationals, min_size=n - 1, max_size=n - 1))
+    lead = draw(st.sampled_from((2, -3, Fraction(5, 2), Fraction(-4, 3))))
+    return ProblemSpec(UPoly("x", [0, *lower, lead]))
+
+
 class TestTower:
+    @settings(max_examples=30, deadline=None)
+    @given(wide_lead_problems())
+    def test_integer_rows_primitive_and_scaled(self, spec):
+        # the reduction modulo P multiplies by lc(R_Z); each integer row
+        # keeps content 1, and its scalar times it is the reference row
+        assert abs(_integer_coeffs(spec.R.coeffs)[1][-1]) > 1
+        sd, dh, scalars, rows = derive._tower(spec)
+        assert UPoly("q", [sd * c for c in dh]) == abel_ode(spec).D
+        assert len(rows) == len(scalars) == spec.n - 1
+        for sk, row, want in zip(scalars, rows, _reference_tower(spec), strict=True):
+            assert len(row) == spec.n
+            assert gcd(*(c for p in row for c in p)) == 1
+            assert tuple(UPoly("q", [sk * c for c in p]) for p in row) == want
+
     @settings(max_examples=40, deadline=None)
     @given(rational_problems(max_n=8))
     def test_matches_reference(self, spec):
@@ -525,7 +551,7 @@ class TestLinearODE:
         for n, p in cases:
             *lower, top = (q_poly(*cs) for cs in table[n])
             top = top + (p**n - 1) * top.coefficient(0)
-            want = derive._normalize_vector([*lower, top, UPoly.zero("q")], anchor=n - 1)
+            want = normal_form([*lower, top, UPoly.zero("q")], anchor=n - 1)
             got = linear_ode(trinomial(n, p))
             assert got.order == n - 1
             assert got.vector() == want
@@ -567,7 +593,7 @@ class TestLinearODE:
     def test_normalization_idempotent(self, spec):
         # renormalising what linear_ode returns changes nothing
         ode = linear_ode(spec)
-        assert derive._normalize_vector(ode.vector(), anchor=ode.order) == ode.vector()
+        assert normal_form(ode.vector(), anchor=ode.order) == ode.vector()
 
     def test_normal_form_properties(self):
         rng = random.Random(44)
@@ -595,7 +621,7 @@ class TestLinearODE:
             assert ode.order == order
             assert ode.b[ode.order] != 0
             assert ode.b[ode.order].lc > 0
-            assert derive._normalize_vector(ode.vector(), anchor=ode.order) == ode.vector()
+            assert normal_form(ode.vector(), anchor=ode.order) == ode.vector()
             assert text_linear(ode) == text
 
     def test_dense_octic_annihilates_its_series(self):
@@ -658,6 +684,17 @@ def _reference_kernel(rows, ncols):
     return basis
 
 
+def int_rows(rows):
+    """Rows of integral ``UPoly`` as the integer lists ``_kernel`` takes."""
+    return [[list(p.coeffs) for p in row] for row in rows]
+
+
+def kernel(rows, ncols):
+    """``_kernel`` on rows of integral ``UPoly``, its basis mapped back."""
+    basis, ambiguous = _kernel(int_rows(rows), ncols)
+    return [[UPoly("q", p) for p in v] for v in basis], ambiguous
+
+
 class TestKernel:
     def test_matches_full_update_reference(self):
         # the pivot columns are set, not computed: the basis is the same
@@ -668,12 +705,25 @@ class TestKernel:
                      for _ in range(ncols)] for _ in range(nrows)]
             if rng.random() < 0.3:
                 rows.append([a + 2 * b for a, b in zip(rows[0], rows[-1])])
-            assert _kernel(rows, ncols)[0] == _reference_kernel(rows, ncols)
+            assert kernel(rows, ncols)[0] == _reference_kernel(rows, ncols)
+
+    def test_row_swap_and_rank_deficiency_match_reference(self):
+        # column 0 is zero on the first row, so the first pivot comes from a
+        # swap; the third row is a Q[q]-combination of the first two
+        q = UPoly.monomial("q", 1)
+        one, zero = UPoly.one("q"), UPoly.zero("q")
+        r0 = [zero, 3 * q + 1, q * q - 2, 2 * one]
+        r1 = [2 * q - 1, 5 * one, q, zero]
+        rows = [r0, r1, [(q - 3) * a + 2 * q * b for a, b in zip(r0, r1)]]
+        basis, ambiguous = kernel(rows, 4)
+        assert basis == _reference_kernel(rows, 4)
+        assert len(basis) == 2 and ambiguous
+        assert all(annihilates(rows, v) for v in basis)
 
     def test_unique_kernel_vector(self):
         one = UPoly.one("q")
         q = UPoly.monomial("q", 1)
-        basis, ambiguous = _kernel([[one, q]], 2)
+        basis, ambiguous = kernel([[one, q]], 2)
         assert not ambiguous
         assert len(basis) == 1
         v = basis[0]
@@ -683,13 +733,13 @@ class TestKernel:
     def test_full_rank_has_empty_kernel(self):
         one = UPoly.one("q")
         zero = UPoly.zero("q")
-        basis, ambiguous = _kernel([[one, zero], [zero, one]], 2)
+        basis, ambiguous = kernel([[one, zero], [zero, one]], 2)
         assert basis == []
         assert not ambiguous
 
     def test_two_free_columns_flagged_ambiguous(self):
         one = UPoly.one("q")
-        basis, ambiguous = _kernel([[one, one, one]], 3)
+        basis, ambiguous = kernel([[one, one, one]], 3)
         assert len(basis) == 2
         assert ambiguous
         assert all(annihilates([[one, one, one]], v) for v in basis)
@@ -702,11 +752,18 @@ class TestKernel:
         r0 = [zero, q + 1, q * q, one]
         r1 = [q, 2 * one, zero, q - 1]
         rows = [r0, r1, [q * a + (q + 2) * b for a, b in zip(r0, r1)]]
-        basis, ambiguous = _kernel(rows, 4)
+        basis, ambiguous = kernel(rows, 4)
         assert len(basis) == 2 and ambiguous
         for v in basis:
             assert any(v)
             assert annihilates(rows, v)
+
+    def test_inexact_division_raises(self):
+        # a divisor that the minors do not carry is refused, not rounded
+        q = UPoly.monomial("q", 1)
+        rows = int_rows([[q, q + 1, 2 * q], [q + 2, 3 * q, q * q]])
+        with pytest.raises(NonExactDivisionError):
+            _kernel(rows, 3, [1, 1])
 
 
 class TestMemo:
