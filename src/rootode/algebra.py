@@ -13,13 +13,13 @@ division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
 Beside it sit helpers on ascending lists of ints (product, sum, exact
-division over Z, and the gcd by primitive pseudo-remainders behind
-``poly_gcd``), on which the exact core runs, and the discriminant of R(x) - q.
-The discriminant is a characteristic polynomial: with n = deg R, m = n-1
-and M the matrix of multiplication by R on Q[x]/(R'), whose eigenvalues
-are the critical values R(xi) at the roots xi of R',
+division over Z, and the gcd behind ``poly_gcd``: 1 certified by Euclid
+modulo a small prime, else primitive pseudo-remainders), on which the
+exact core runs, and the discriminant of R(x) - q.  With n = deg R and
+m = n-1, the discriminant is the polynomial whose roots are the critical
+values R(xi) at the roots xi of R',
 
-    D(q) = c det(qI - M),    c = (-1)^(n(n-1)/2 + m) n^n lc(R)^m.
+    D(q) = c prod_xi (q - R(xi)),    c = (-1)^(n(n-1)/2 + m) n^n lc(R)^m.
 
 This is the classical convention D = (-1)^(n(n-1)/2) Res_x(P, P') / lc(P)
 for P = R(x) - q, since Res(P, R') = (n lc(R))^n prod_xi (R(xi) - q).
@@ -31,11 +31,12 @@ L = n r, the substitution y = L x makes R and R' monic over Z:
     H(y) = (L^n / r) R_Z(y/L) = sum_k r_k n^(n-k) r^(n-k-1) y^k,  H(Lx) = sigma R(x),
     G(y) = L^(n-2) R_Z'(y/L) = sum_k k r_k L^(n-k-1) y^(k-1),    G(Lx) = tau R'(x),
 
-with sigma = n^n r^m d and tau = L^(n-2) d.  Multiplication by H on
-Z[y]/(G) has an integer matrix A with eigenvalues sigma R(xi), so
-chi(t) = det(tI - A) is monic over Z and D(q) = c sigma^(-m) chi(sigma q).
-Every division in the frame is by the monic H or G, and each coefficient
-is mapped back as one reduced rational.
+with sigma = n^n r^m d and tau = L^(n-2) d.  The roots eta = L xi of G
+give chi(t) = prod_eta (t - H(eta)) = prod_xi (t - sigma R(xi)), monic
+over Z and computed from power sums of its roots with no matrix, and
+D(q) = c sigma^(-m) chi(sigma q).  Every polynomial division in the frame
+is by the monic H or G, and each coefficient is mapped back as one reduced
+rational.
 Floats never enter the representation; evaluation accepts floats and
 degrades to float arithmetic explicitly.
 """
@@ -51,11 +52,10 @@ VARS = ("x", "q")
 
 # The largest degree of R that ``discriminant`` and ``ProblemSpec`` accept,
 # and of R or a weight that the CLI parses.  derive-linear and series, the
-# slowest verbs, take about 3.9 s on a dense integer R of degree 12 and
-# 11.2 s at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python
-# 3.11.7); the cost about triples with each degree.  At degree 13 what
-# remains is ``derive._kernel`` (3.0 s) and the first gcd of the normal
-# form (7.0 s), which ROADMAP.md item 2 takes up.
+# slowest verbs, take about 2.0 s on a dense integer R of degree 12 and
+# 4.9 s at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python
+# 3.11.7).  At degree 13 what remains is mostly ``derive._kernel`` (about
+# 3.6 s); the gcd of the normal form is settled modulo a prime in milliseconds.
 MAX_DEGREE = 13
 
 
@@ -391,13 +391,45 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+# The prime of the coprimality certificate in ``_gcd``: below 2^15, so a
+# residue and a product of two fit in one 30-bit CPython digit.
+_P = 32749
+
+
+def _coprime_mod_p(a: list[int], b: list[int]) -> bool:
+    """Whether Euclid's remainder sequence modulo _P of integer lists a, b,
+    deg a >= deg b >= 1 and both leads nonzero modulo _P, ends at a nonzero
+    constant."""
+    p = _P
+    x, y = [c % p for c in a], [c % p for c in b]
+    while len(y) > 1:
+        inv, dn = pow(y[-1], -1, p), len(y) - 1
+        for k in range(len(x) - 1, dn - 1, -1):
+            c = x.pop() * inv % p
+            if c:
+                x[k - dn:k] = [(u - c * v) % p for u, v in zip(x[k - dn:k], y)]
+        while x and not x[-1]:
+            x.pop()
+        if not x:
+            return False
+        x, y = y, x
+    return True
+
+
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Gcd of nonzero integer lists, primitive with a positive lead, by
-    primitive pseudo-remainders over Z (Collins): the content is removed at
-    every step."""
+    """Gcd of nonzero integer lists, primitive with a positive lead.
+
+    Of the primitive parts x and y, when _P divides neither lead, the gcd
+    over Z keeps its degree modulo _P (its lead divides both), so a
+    remainder sequence modulo _P that ends at a nonzero constant proves it
+    is 1 (Brown 1971).  Otherwise it is computed by primitive
+    pseudo-remainders over Z (Collins): the content is removed at every
+    step."""
     x, y = _primitive(a), _primitive(b)
     if len(x) < len(y):
         x, y = y, x
+    if len(y) > 1 and x[-1] % _P and y[-1] % _P and _coprime_mod_p(x, y):
+        return [1]
     while len(y) > 1:
         r = _prem(x, y)
         if not r:
@@ -419,27 +451,6 @@ def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
 
 
 # -- discriminants ----------------------------------------------------
-
-
-def _charpoly(a: list[list[int]]) -> list[int]:
-    """det(tI - A) of a square integer matrix, coefficients from the top
-    down, by Berkowitz's division-free algorithm.
-
-    For the leading block A_r, its next row u, column v and diagonal entry
-    c, the characteristic polynomial of A_(r+1) is T times that of A_r,
-    with T lower-triangular Toeplitz on the first column
-    1, -c, -u v, -u A_r v, ..., -u A_r^(r-1) v.
-    """
-    chi = [1]
-    for r in range(len(a)):
-        u, c = a[r][:r], a[r][r]
-        v = [a[i][r] for i in range(r)]
-        col = [1, -c]
-        for _ in range(r):
-            col.append(-sum(x * y for x, y in zip(u, v)))
-            v = [sum(x * y for x, y in zip(a[i][:r], v)) for i in range(r)]
-        chi = [sum(col[i - j] * chi[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return chi
 
 
 def _mul(a: Sequence, b: Sequence) -> list:
@@ -495,6 +506,32 @@ def _monic_divmod(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     return quo, rem[:dn]
 
 
+def _chi(H: list[int], G: list[int]) -> list[int]:
+    """chi(t) = prod (t - H(eta)) over the roots eta of G, for integer lists
+    H and monic G of degree m >= 1, by power sums (Bostan, Flajolet, Salvy,
+    Schost 2006).  The Newton sums s_j of G's roots come from G's
+    coefficients, the power sums of chi's roots are p_k = sum_j
+    [H^k mod G]_j s_j, and Newton's identities give chi, ascending.  Each
+    identity divides by k, which is exact over Z; NonExactDivisionError
+    otherwise."""
+    m, g = len(G) - 1, G[::-1]
+    s = [m]
+    for k in range(1, m):
+        s.append(-k * g[k] - sum(g[i] * s[k - i] for i in range(1, k)))
+    h1 = h = _monic_divmod(H, G)[1]
+    p = [sum(x * y for x, y in zip(h, s))]
+    for _ in range(m - 1):
+        h = _monic_divmod(_mul(h, h1), G)[1]
+        p.append(sum(x * y for x, y in zip(h, s)))
+    c = [1]
+    for k in range(1, m + 1):
+        ck, r = divmod(-sum(c[i] * p[k - 1 - i] for i in range(k)), k)
+        if r:
+            raise NonExactDivisionError(f"Newton's identity {k} does not divide over Z")
+        c.append(ck)
+    return c[::-1]
+
+
 def _frame(R: UPoly) -> tuple:
     """The integer frame of R (module docstring) as the tuple (D, chi, H, G,
     L, sigma, tau, c sigma^-m), chi, H and G ascending lists of ints."""
@@ -510,11 +547,7 @@ def _frame(R: UPoly) -> tuple:
     r, L = rz[n], n * rz[n]
     H = [c * n ** (n - k) * r ** (m - k) for k, c in enumerate(rz[:n])] + [1]
     G = [k * rz[k] * L ** (m - k) for k in range(1, n)] + [1]
-    # column j of A holds y^j H mod G
-    cols = [_monic_divmod(H, G)[1]]
-    for _ in range(m - 1):
-        cols.append(_monic_divmod([0] + cols[-1], G)[1])
-    chi = _charpoly([[cols[j][i] for j in range(m)] for i in range(m)])[::-1]
+    chi = _chi(H, G)
     sigma, tau = n**n * r**m * d, L ** (n - 2) * d
     scale = Fraction((-1) ** (n * (n - 1) // 2 + m) * n**n, sigma**m) * R.lc**m
     num, den = scale.numerator, scale.denominator
@@ -524,7 +557,7 @@ def _frame(R: UPoly) -> tuple:
 
 def discriminant(R: UPoly) -> UPoly:
     """Discriminant in x of R(x) - q, as a polynomial in q of degree n-1:
-    D(q) = c sigma^(-m) chi(sigma q), with chi(t) = det(tI - A) taken by
-    Berkowitz's algorithm on ints, A multiplication by H modulo G in the
+    D(q) = c sigma^(-m) chi(sigma q), with chi(t) = prod (t - H(eta)) over
+    the roots eta of G taken on ints from power sums (``_chi``), in the
     integer frame y = L x of the module docstring (H(Lx) = sigma R(x))."""
     return _frame(R)[0]

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import MAX_DEGREE, UPoly
+from .algebra import MAX_DEGREE, UPoly, _ratio
 from .demos import DEMOS
 from .derive import (
     ProblemSpec,
@@ -74,14 +74,14 @@ DEMO_NAMES = tuple(DEMOS)
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
+def _parse_terms(text: str, var: str) -> dict[int, int | Fraction]:
     """Scan `c`, `c*x^k`, `x^k` terms joined by + and -.
 
-    Coefficients are integers or fractions a/b; errors carry the offset
-    into the original string.
+    Coefficients are integers or fractions a/b, kept as an int unless b
+    does not divide a; errors carry the offset into the original string.
     """
     i, n = 0, len(text)
-    powers: dict[int, Fraction] = {}
+    powers: dict[int, int | Fraction] = {}
 
     def skip_ws():
         nonlocal i
@@ -91,11 +91,14 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
     def read_int() -> int:
         nonlocal i
         start = i
-        while i < n and text[i].isdigit():
+        while i < n and text[i].isdecimal():
             i += 1
         if i == start:
             raise ParseError("expected digits", start)
-        return int(text[start:i])
+        try:
+            return int(text[start:i])
+        except ValueError:  # decimal digits fail only beyond sys.get_int_max_str_digits()
+            raise ParseError("number too long", start) from None
 
     skip_ws()
     if i == n:
@@ -117,7 +120,7 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
             raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
         first = False
         coeff = None
-        if i < n and text[i].isdigit():
+        if i < n and text[i].isdecimal():
             num = read_int()
             den = 1
             if i < n and text[i] == "/":
@@ -126,7 +129,7 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
                 den = read_int()
                 if den == 0:
                     raise ParseError("zero denominator", dpos)
-            coeff = Fraction(num, den)
+            coeff = _ratio(num, den)
             skip_ws()
             if i < n and text[i] == "*":
                 i += 1
@@ -148,17 +151,17 @@ def _parse_terms(text: str, var: str) -> dict[int, Fraction]:
                 k = read_int()
         elif coeff is None:
             raise ParseError(f"unexpected character {text[i]!r}", i)
-        c = (coeff if coeff is not None else Fraction(1)) * sign
-        powers[k] = powers.get(k, Fraction(0)) + c
+        c = (coeff if coeff is not None else 1) * sign
+        powers[k] = powers.get(k, 0) + c
     return powers
 
 
-def _poly_from_powers(powers: dict[int, Fraction], var: str) -> UPoly:
+def _poly_from_powers(powers: dict[int, int | Fraction], var: str) -> UPoly:
     # checked before the coefficient list of a huge degree is allocated
     deg = max(powers, default=0)
     if deg > MAX_DEGREE:
         raise ParseError(f"degree {deg} exceeds the limit {MAX_DEGREE}", 0)
-    return UPoly(var, [powers.get(k, Fraction(0)) for k in range(deg + 1)])
+    return UPoly(var, [powers.get(k, 0) for k in range(deg + 1)])
 
 
 def parse_polynomial(text: str) -> ProblemSpec:

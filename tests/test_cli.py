@@ -1,5 +1,6 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -67,6 +68,32 @@ class TestParsing:
         assert parse_weight("5") == UPoly("q", (5,))
         with pytest.raises(ParseError):
             parse_weight("1+2y")
+
+    def test_coefficients_are_ints_where_integral(self):
+        r = parse_polynomial("4/2x^3 + 3/6x^2 + 1/2x^2 - x").R
+        assert r == UPoly("x", (0, -1, 1, 2))
+        assert all(type(c) is int for c in r.coeffs)
+        assert type(parse_polynomial("1/2x^2+x").R.lc) is Fraction
+
+    def test_over_long_integer_is_a_parse_error(self):
+        limit = sys.get_int_max_str_digits()
+        if not limit:
+            pytest.skip("integer string conversion has no digit limit here")
+        digits = "1" * (limit + 1)
+        for text, position in ((f"{digits}x^2+x", 0), (f"x^2+{digits}x", 4),
+                               (f"x^2+1/{digits}x", 6), (f"x^{digits}+x", 2)):
+            with pytest.raises(ParseError, match="number too long") as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
+        report, code = run(Command("discriminant", problem=f"{digits}x^2+x"))
+        assert code == 1
+        assert report.errors == ["parse error: number too long (at position 0)"]
+
+    def test_non_decimal_digit_is_a_parse_error(self):
+        for text, position in (("x^\u00b2+x", 2), ("\u00b2x^2+x", 0), ("x^2\u00b2+x", 3)):
+            with pytest.raises(ParseError) as exc:
+                parse_polynomial(text)
+            assert exc.value.position == position
 
     def test_q_value(self):
         assert parse_q_value("3/4") == 0.75

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootode import algebra
 from rootode.algebra import (
+    _P,
+    _add,
+    _chi,
+    _frame,
+    _gcd,
     _horner,
     _monic_divmod,
     _mul,
@@ -18,6 +24,7 @@ from rootode.algebra import (
     discriminant,
     poly_gcd,
 )
+from rootode.derive import ProblemSpec, linear_ode
 from rootode.errors import DomainError, NonExactDivisionError, VariableMismatchError
 
 
@@ -276,6 +283,93 @@ class TestGcd:
         with pytest.raises(ValueError):
             poly_gcd(UPoly.zero("x"), UPoly.zero("x"))
 
+
+# -- the gcd by pseudo-remainders alone, the reference for the certificate --
+
+
+def _collins(a, b):
+    """Primitive gcd with a positive lead of nonzero integer lists, by
+    classical pseudo-remainders lc(b)^(deg a - deg b + 1) a mod b."""
+    def primitive(cs):
+        g = math.gcd(*cs)
+        return [c // g for c in cs]
+
+    def prem(a, b):
+        r = [b[-1] ** (len(a) - len(b) + 1) * c for c in a]
+        for k in range(len(r) - 1, len(b) - 2, -1):
+            f = r[k] // b[-1]
+            for i, y in enumerate(b):
+                r[k - len(b) + 1 + i] -= f * y
+        r = r[:len(b) - 1]
+        while r and not r[-1]:
+            r.pop()
+        return r
+
+    x, y = primitive(a), primitive(b)
+    if len(x) < len(y):
+        x, y = y, x
+    while len(y) > 1:
+        r = prem(x, y)
+        if not r:
+            return y if y[-1] > 0 else [-c for c in y]
+        x, y = y, primitive(r)
+    return [1]
+
+
+_gcd_coeffs = st.integers(-2**40, 2**40) | st.sampled_from([_P, -_P, 2 * _P, _P * _P, 1, -1])
+_gcd_lists = st.lists(_gcd_coeffs, min_size=1, max_size=8).filter(lambda cs: cs[-1] != 0)
+
+
+class TestGcdCertificate:
+    """``_gcd`` returns 1 without a pseudo-remainder when Euclid modulo _P
+    proves it; every other pair takes the pseudo-remainder route."""
+
+    @pytest.fixture
+    def prems(self, monkeypatch):
+        calls = []
+        prem = algebra._prem
+        monkeypatch.setattr(algebra, "_prem", lambda a, b: calls.append(1) or prem(a, b))
+        return calls
+
+    def test_coprime_pair_needs_no_pseudo_remainder(self, prems):
+        assert _gcd([1, 0, 3, 1], [2, 5, 1]) == [1]
+        assert not prems
+
+    def test_coprime_over_z_but_not_modulo_p(self, prems):
+        # x + P and x are both x modulo P, so the certificate fails
+        assert _gcd([_P, 1], [0, 1]) == [1]
+        assert prems
+
+    def test_lead_divisible_by_p(self, prems):
+        assert _gcd([1, 0, _P], [1, 1]) == [1]
+        assert prems
+        f = [3, -1, 2]
+        assert _gcd(_mul(f, [1, 0, _P]), _mul(f, [1, 1])) == f
+
+    def test_shared_factor(self, prems):
+        f = [-5, 0, 7, 2]
+        assert _gcd(_mul(f, [1, 4, 1]), _mul(f, [-2, 3])) == f
+        assert _gcd(_mul([-c for c in f], [6, 3]), _mul(f, [0, 1])) == f
+        assert prems
+
+    def test_degree_13_normal_form_needs_no_pseudo_remainder(self, monkeypatch):
+        # b_0 and b_1 of x^13+2x^12-x^11+3x^9-x^7+x^5-x^2+4x, of q-degree
+        # 55-56 and about 700 bits, are coprime; their pseudo-remainders
+        # took seconds
+        def refuse(a, b):
+            raise AssertionError("pseudo-remainder taken")
+        monkeypatch.setattr(algebra, "_prem", refuse)
+        spec = ProblemSpec(UPoly("x", (0, 4, -1, 0, 0, 1, 0, -1, 0, 3, 0, -1, 2, 1)))
+        ode = linear_ode.__wrapped__(spec)  # past the memo
+        assert ode.order == 12
+        assert _gcd(list(ode.b[0].coeffs), list(ode.b[1].coeffs)) == [1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gcd_lists, _gcd_lists, _gcd_lists)
+    def test_matches_collins(self, a, b, f):
+        assert _gcd(a, b) == _collins(a, b)
+        assert _gcd(_mul(a, f), _mul(b, f)) == _collins(_mul(a, f), _mul(b, f))
+
 class TestComposeInterpolate:
     def test_compose_example(self):
         outer = UPoly("q", (1, 0, 1))
@@ -412,6 +506,76 @@ class TestBareiss:
             [Fraction(1), Fraction(0)],
         ]
         assert bareiss_determinant(rows, Fraction(1)) == -1
+
+
+# -- Berkowitz on the matrix of multiplication by H modulo G, the reference for _chi --
+
+
+def _charpoly(a):
+    """det(tI - A) of a square integer matrix, coefficients from the top
+    down, by Berkowitz's division-free algorithm.
+
+    For the leading block A_r, its next row u, column v and diagonal entry
+    c, the characteristic polynomial of A_(r+1) is T times that of A_r,
+    with T lower-triangular Toeplitz on the first column
+    1, -c, -u v, -u A_r v, ..., -u A_r^(r-1) v.
+    """
+    chi = [1]
+    for r in range(len(a)):
+        u, c = a[r][:r], a[r][r]
+        v = [a[i][r] for i in range(r)]
+        col = [1, -c]
+        for _ in range(r):
+            col.append(-sum(x * y for x, y in zip(u, v)))
+            v = [sum(x * y for x, y in zip(a[i][:r], v)) for i in range(r)]
+        chi = [sum(col[i - j] * chi[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return chi
+
+
+def _matrix_chi(H, G):
+    """det(tI - A), ascending, A the integer matrix whose column j holds
+    y^j H mod G, for monic G of degree m."""
+    m = len(G) - 1
+    cols = [_monic_divmod(H, G)[1]]
+    for _ in range(m - 1):
+        cols.append(_monic_divmod([0] + cols[-1], G)[1])
+    return _charpoly([[cols[j][i] for j in range(m)] for i in range(m)])[::-1]
+
+
+@st.composite
+def frame_polys(draw):
+    """R of degree 2..13, in turn monic over Z, rational with lead -1, and
+    rational with a lead of either sign, integral or not."""
+    shape = draw(st.integers(0, 2))
+    coeff = (st.integers(-9, 9) if shape == 0
+             else st.fractions(min_value=-9, max_value=9, max_denominator=7))
+    lower = draw(st.lists(coeff, min_size=2, max_size=13))
+    lead = (1, -1, draw(st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)))
+    return UPoly("x", lower + [lead[shape]])
+
+
+class TestChi:
+    @settings(max_examples=80, deadline=None)
+    @given(frame_polys())
+    def test_matches_berkowitz(self, r):
+        D, chi, H, G, *_ = _frame(r)
+        assert _chi(H, G) == chi == _matrix_chi(H, G)
+
+    def test_matches_berkowitz_fixtures(self):
+        # x^n (H = 0 modulo G), a quadratic (m = 1), and the degree-13 R of CI
+        for coeffs in ((0, 0, 0, 0, 0, 1), (0, 3, 1), (0, 4, -1, 0, 0, 1, 0, -1, 0, 3, 0, -1, 2, 1),
+                       (0, Fraction(4, 3), -1, 0, 0, 3, 0, 0, Fraction(7, 5), 0, 0, -1,
+                        Fraction(5, 2), Fraction(-3, 7))):
+            D, chi, H, G, *_ = _frame(UPoly("x", coeffs))
+            assert chi == _matrix_chi(H, G)
+
+    def test_non_exact_newton_division_raises(self, monkeypatch):
+        # an extra 1 on the square of H = y modulo G = y^3 puts p_2 = 3, and
+        # Newton's identity 2 c_2 = -(p_2 + c_1 p_1) = -3 does not divide
+        mul = algebra._mul
+        monkeypatch.setattr(algebra, "_mul", lambda a, b: _add(mul(a, b), [1]))
+        with pytest.raises(NonExactDivisionError, match="Newton"):
+            _chi([0, 1], [0, 0, 0, 1])
 
 
 @st.composite
