@@ -41,24 +41,31 @@ class PolishResult:
     converged: bool
 
 
-def newton_polish(r: UPoly, q: float, x0: float, tol: float = 1e-12,
-                  max_iter: int = 50) -> PolishResult:
-    """Newton iteration on R(x) - q = 0 from x0."""
-    coeffs = r.float_coeffs()
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    x = x0
+def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
+            max_iter: int = 50) -> tuple[float, float, int, bool]:
+    """Newton on R(x) - q = 0 from x, with R and R' given as float
+    coefficient lists: (x, |R(x) - q|, steps taken, converged).  Stops
+    early, unconverged, where R'(x) is 0 or R(x) - q is not finite."""
     scale = tol * (1.0 + abs(q))
-    for it in range(1, max_iter + 1):
+    for it in range(max_iter):
         f = _horner(coeffs, x) - q
         if abs(f) <= scale:
-            return PolishResult(x=x, residual=abs(f), iters=it - 1, converged=True)
+            return x, abs(f), it, True
         fp = _horner(dcoeffs, x)
         if fp == 0.0 or not math.isfinite(f):
-            break
+            return x, abs(f), it, False
         x -= f / fp
     f = _horner(coeffs, x) - q
-    return PolishResult(x=x, residual=abs(f), iters=max_iter,
-                        converged=abs(f) <= scale)
+    return x, abs(f), max_iter, abs(f) <= scale
+
+
+def newton_polish(r: UPoly, q: float, x0: float, tol: float = 1e-12,
+                  max_iter: int = 50) -> PolishResult:
+    """Newton iteration on R(x) - q = 0 from x0, at most max_iter steps;
+    iters counts the steps taken."""
+    coeffs = r.float_coeffs()
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    return PolishResult(*_newton(coeffs, dcoeffs, q, x0, tol, max_iter))
 
 
 def _at(cs: list[int], n: int, s: int) -> int:
@@ -178,7 +185,8 @@ class TrackResult:
     q_star: float | None
 
 
-# Cash-Karp tableau
+# Cash-Karp tableau, with the nodes c_i = sum_j a_ij and the error weights
+# b5 - b4 of the embedded pair
 _CK_A = (
     (),
     (1 / 5,),
@@ -189,6 +197,8 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_CK_C = tuple(sum(row) for row in _CK_A)
+_CK_E = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
 
 
 def track_root(
@@ -202,7 +212,11 @@ def track_root(
 
     Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
     slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin, and the
-    first-order equation cannot start there) and a finite q_target.
+    first-order equation cannot start there) and a finite q_target.  The
+    float tables of W, D, R and R' are built once per call; the six stages
+    and both combinations of the pair are written out as left-to-right
+    sums over them, and each accepted step is polished by Newton on R and
+    R' (polish_iters counts its steps).
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):
@@ -226,6 +240,13 @@ def track_root(
         return _horner([_horner(cs, q) for cs in wq], x) / _horner(dq, q)
 
     rc = spec.R.float_coeffs()
+    drc = [i * c for i, c in enumerate(rc)][1:]
+    _, c2, c3, c4, c5, c6 = _CK_C
+    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _CK_A
+    # the zero weights b2 and b5 of both rows drop out of the sums
+    b1, _, b3, b4, _, b6 = _CK_B5
+    e1, _, e3, e4, e5, e6 = _CK_E
     q = 0.0
     x = 0.0
     # a subnormal q_target / 16 can round to 0
@@ -238,20 +259,20 @@ def track_root(
         last = abs(h) > abs(q_target - q)
         if last:
             h = q_target - q
-        k = [0.0] * 6
         try:
-            k[0] = f(q, x)
-            ok_eval = math.isfinite(k[0])
-            for i in range(1, 6):
-                xi = x + h * sum(a * k[j] for j, a in enumerate(_CK_A[i]))
-                k[i] = f(q + h * sum(_CK_A[i]), xi)
-                ok_eval = ok_eval and math.isfinite(k[i])
+            k1 = f(q, x)
+            k2 = f(q + h * c2, x + h * (a21 * k1))
+            k3 = f(q + h * c3, x + h * (a31 * k1 + a32 * k2))
+            k4 = f(q + h * c4, x + h * (a41 * k1 + a42 * k2 + a43 * k3))
+            k5 = f(q + h * c5, x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
+            k6 = f(q + h * c6, x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
+                                        + a65 * k5))
+            ok_eval = all(map(math.isfinite, (k1, k2, k3, k4, k5, k6)))
         except (ZeroDivisionError, OverflowError):
             ok_eval = False
         if ok_eval:
-            x5 = x + h * sum(b * ki for b, ki in zip(_CK_B5, k))
-            err = abs(h * sum((b5 - b4) * ki
-                              for b5, b4, ki in zip(_CK_B5, _CK_B4, k)))
+            x5 = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
+            err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
             scale = atol + rtol * max(abs(x), abs(x5))
         else:
             err = math.inf
@@ -259,9 +280,8 @@ def track_root(
         if ok_eval and err <= scale:
             # q + (q_target - q) can miss q_target by an ulp
             q = q_target if last else q + h
-            pol = newton_polish(spec.R, q, x5, tol=RESIDUAL_TOL)
-            x = pol.x
-            polish_total += pol.iters
+            x, _, iters, _ = _newton(rc, drc, q, x5, RESIDUAL_TOL)
+            polish_total += iters
             steps += 1
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
             h *= grow
@@ -270,6 +290,5 @@ def track_root(
         if abs(h) <= 1e-15 * abs(q):
             return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
                                "step_underflow", q_star)
-    pol = newton_polish(spec.R, q_target, x, tol=1e-13)
-    polish_total += pol.iters
-    return TrackResult(pol.x, pol.residual, steps, polish_total, "ok", q_star)
+    x, residual, iters, _ = _newton(rc, drc, q_target, x, 1e-13)
+    return TrackResult(x, residual, steps, polish_total + iters, "ok", q_star)

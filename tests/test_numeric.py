@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,7 +29,8 @@ from rootode import (
     vieta_trig_root,
 )
 from rootode.errors import DomainError, QuadratureError, SingularIntegrandError
-from rootode.numeric import tracking
+from rootode.cli import Command, run
+from rootode.numeric import quadrature, tracking
 from rootode.numeric.closedform import (
     biquadratic_real_roots,
     depress_quartic,
@@ -95,6 +97,35 @@ class TestQuad:
         with pytest.raises(QuadratureError):
             quad(lambda t: 1.0 / (1.0 + t * t), 0.0, 1e100)
         assert abs(quad(lambda t: 1.0 / (1.0 + t * t), 0.0, 1e30) - math.pi / 2) < 1e-14
+
+    def test_node_table_matches_the_formulas(self):
+        for level in range(quadrature.MAX_LEVEL + 1):
+            es, ws = quadrature._level(level)
+            assert isinstance(es, array) and es.typecode == "d"
+            assert isinstance(ws, array) and ws.typecode == "d"
+            h = 0.5**level
+            first, step = (1, 2) if level else (0, 1)
+            ts = [k * h for k in range(first, int(quadrature.T_MAX / h) + 1, step)]
+            want_e = [math.exp(-math.pi * math.sinh(t)) for t in ts]
+            assert list(es) == want_e
+            assert list(ws) == [math.cosh(t) * e / (1.0 + e) ** 2
+                                for t, e in zip(ts, want_e)]
+            # quad takes the edge terms from the last node of level 1
+            assert (ts[-1] == quadrature.T_MAX) == (level == 1)
+
+    def test_values_pinned_bit_for_bit(self):
+        # a change of node placement or summation order shows here first
+        cases = [
+            (lambda t: 1.0 / math.sqrt(1 + 4 * t), 0.0, 2.0, 1.0000000000000004),
+            (math.sin, math.pi, 0.0, -2.0),
+            # an integrable singularity at the end 0
+            (lambda t: t**-0.5, 0.0, 1.0, 1.9999999999999993),
+            # all the weight within 1e-29 (b - a) of the end 0
+            (lambda t: 1.0 / (1.0 + t * t), 0.0, 1e30, 1.570796326794897),
+            (lambda t: math.exp(-t) * math.cos(3 * t), -1.0, 2.5, -0.13377331323755678),
+        ]
+        for f, a, b, want in cases:
+            assert repr(quad(f, a, b)) == repr(want)
 
 
 class TestClosedForms:
@@ -230,6 +261,19 @@ class TestPolish:
         r = mono_trinomial(3, -1)
         res = newton_polish(r, 1e6, math.sqrt(1 / 3), max_iter=3)
         assert not res.converged
+
+    def test_counts_the_steps_taken(self):
+        # R'(0) = 0 stops Newton before its first step
+        res = newton_polish(UPoly("x", (0, 0, 1)), 1.0, 0.0)
+        assert (res.x, res.iters, res.converged) == (0.0, 0, False)
+        # an overflowed residual stops it as well
+        res = newton_polish(UPoly("x", (0, 1, 0, 1)), 1.0, 1e200)
+        assert (res.iters, res.converged) == (0, False)
+        # one step from the root of 2x - 1 lands on it
+        res = newton_polish(UPoly("x", (0, 2)), 1.0, 0.0)
+        assert (res.x, res.iters, res.converged) == (0.5, 1, True)
+        res = newton_polish(mono_trinomial(3, 1), 0.7, 0.6, max_iter=2)
+        assert res.iters == 2
 
 
 def _reference_first_branch_point(d, direction):
@@ -447,6 +491,15 @@ class TestIdentities:
         with pytest.raises(SingularIntegrandError):
             quad(f, 0.0, -0.5)
 
+    def test_pole_of_the_corollary2_q_side(self):
+        # the rational q-side weight/D has its pole at -7/16, the midpoint of
+        # [0, -7/8]: inf there, which quad refuses
+        fact = factorize(ProblemSpec(UPoly("x", (0, 2, 3, 2, 1))))
+        f = rhs_integrand(build_integrands(fact, UPoly.one("q"), "corollary2"))
+        assert f(-7 / 16) == math.inf
+        with pytest.raises(SingularIntegrandError):
+            quad(f, 0.0, -0.875)
+
     def test_degenerate_branch_identity(self):
         r = UPoly("x", (0, 0, 0, 5, 0, 1))
         spec = build_integrands(
@@ -456,6 +509,69 @@ class TestIdentities:
             x = bisect_branch_root(r, q)
             rep = check_identity(spec, x, q)
             assert abs(rep.diff) < 1e-8
+
+
+# (problem, q, theorem1 weight, corollary2 weight,
+#  solve (x, residual, steps),
+#  check theorem1 (x, lhs, rhs, diff), check corollary2 (x, lhs, rhs, diff))
+PINNED = [
+    ('x^3+3x^2-2x', '-0.173396', '2-q', '2-q',
+     (0.10323397606332392, 0.0, 21),
+     (0.1032339760633239, -0.0528972233248223, -0.05289722332482228, -2.0816681711721685e-17),
+     (0.1032339760633239, -0.007843294267578335, -0.007843294267578333, -1.734723475976807e-18)),
+    ('x^3+3x^2+2x', '-0.297301', '2+q', '3-q',
+     (-0.21039018773900392, 5.551115123125783e-17, 34),
+     (-0.21039018773900395, -0.31269578623270106, -0.3126957862327011, 5.551115123125783e-17),
+     (-0.21039018773900395, -0.31307294330428515, -0.31307294330428487, -2.7755575615628914e-16)),
+    ('x^3+x^2-3x', '2.79931', '3', '3-q',
+     (-0.9077692331779135, 0.0, 41),
+     (-0.9077692331779135, 0.7530067790011747, 0.7530067790011752, -4.440892098500626e-16),
+     (-0.9077692331779135, 0.033689378560248964, 0.03368937856024896, 6.938893903907228e-18)),
+    ('x^3+x^2-x', '0.383107', '1', '1-q',
+     (-0.315103484068914, 0.0, 28),
+     (-0.315103484068914, 0.13799101108396142, 0.13799101108396136, 5.551115123125783e-17),
+     (-0.315103484068914, 0.04152886561417766, 0.041528865614177686, -2.7755575615628914e-17)),
+    ('x^4-3x^3-3x^2-2x', '1.37682', '1+q', '3',
+     (-0.7458032237797948, 0.0, 70),
+     (-0.7458032237797948, 0.05900218569933488, 0.05900218569933492, -4.163336342344337e-17),
+     (-0.7458032237797948, -0.0037510557795878943, -0.0037510557795878935, -8.673617379884035e-19)),
+    ('x^4-2x^3-3x', '-3.00222', '1+q', '2',
+     (0.7974569640977491, 0.0, 32),
+     (0.7974569640977491, 0.01288638835831819, 0.012886388358318197, -6.938893903907228e-18),
+     (0.7974569640977491, 0.001109621749749846, 0.001109621749749847, -8.673617379884035e-19)),
+    ('x^4+3x^3-3x^2-3x', '-1.3277', '1-q', '2',
+     (0.3641192109308149, 0.0, 31),
+     (0.3641192109308149, -0.022510803748109376, -0.022510803748109383, 6.938893903907228e-18),
+     (0.3641192109308149, -0.00028198532486592697, -0.00028198532486592724, 2.710505431213761e-19)),
+    ('x^5-x^4+2x^3+x^2-3x', '-0.804108', '2-2q', '1+2q',
+     (0.3227041202408269, 0.0, 30),
+     (0.3227041202408269, -0.010023187333603089, -0.010023187333603087, -1.734723475976807e-18),
+     (0.3227041202408269, 3.9833910139242944e-07, 3.9833910139242806e-07, 1.376428539288238e-21)),
+    ('x^5+3x^4-x^3+2x', '9.66179', '1', '3-2q',
+     (1.2096226505896224, 8.881784197001252e-15, 85),
+     (1.2096226505896222, 0.009390300038163078, 0.009390300038163083, -5.204170427930421e-18),
+     (1.2096226505896222, -3.633417707848957e-05, -3.63341770784895e-05, -6.776263578034403e-20)),
+    ('x^5-3x^4-x^3-2x^2+3x', '-32.8047', '3+q', '3+q',
+     (-1.5606186221809542, 0.0, 93),
+     (-1.5606186221809542, 0.01628176687532842, 0.016281766875328424, -3.469446951953614e-18),
+     (-1.5606186221809542, 4.416121359774119e-06, 4.416121359774122e-06, -3.3881317890172014e-21)),
+]
+
+
+@pytest.mark.parametrize("problem,q,w1,w2,solved,thm1,cor2", PINNED)
+def test_solve_and_check_pinned_bit_for_bit(problem, q, w1, w2, solved, thm1, cor2):
+    # sweep-style inputs inside the radius; any drift in the last digit of
+    # tracking, polishing or quadrature fails here
+    def result(**kw):
+        report, _ = run(Command(problem=problem, q=q, timing=False, **kw))
+        assert report.status == "ok"
+        return report.result
+
+    r = result(verb="solve")
+    assert repr((r["x"], r["residual"], r["steps"])) == repr(solved)
+    for kind, weight, want in (("theorem1", w1, thm1), ("corollary2", w2, cor2)):
+        r = result(verb="check", kind=kind, weight=weight)
+        assert repr((r["x"], r["lhs"], r["rhs"], r["diff"])) == repr(want)
 
 
 def test_cli_import_loads_no_numpy():
