@@ -282,17 +282,23 @@ def _h_derive_linear(cmd: Command) -> dict:
     }
 
 
+def _tolerances(cmd: Command, atol: float, rtol: float) -> tuple[float, float]:
+    """(--tol-abs, --tol-rel), each defaulting to the given value; a
+    negative or non-finite one is a ValueError, hence a usage_error."""
+    for name, value in (("--tol-abs", cmd.tol_abs), ("--tol-rel", cmd.tol_rel)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    return (atol if cmd.tol_abs is None else cmd.tol_abs,
+            rtol if cmd.tol_rel is None else cmd.tol_rel)
+
+
 def _h_solve(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     if cmd.q is None:
         raise ValueError("solve requires --q")
     qv = parse_q_value(cmd.q)
-    res = track_root(
-        spec,
-        qv,
-        atol=cmd.tol_abs if cmd.tol_abs is not None else 1e-12,
-        rtol=cmd.tol_rel if cmd.tol_rel is not None else 1e-10,
-    )
+    atol, rtol = _tolerances(cmd, 1e-12, 1e-10)
+    res = track_root(spec, qv, atol=atol, rtol=rtol)
     finite = math.isfinite(res.x)
     out = {
         "q": cmd.q,
@@ -313,6 +319,7 @@ def _h_check(cmd: Command) -> dict:
     if cmd.q is None:
         raise ValueError("check requires --q")
     qv = parse_q_value(cmd.q)
+    atol, rtol = _tolerances(cmd, 1e-8, 1e-10)
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
     if qv != 0.0:
@@ -325,8 +332,6 @@ def _h_check(cmd: Command) -> dict:
     x = bisect_branch_root(spec.R, qv)
     rep = check_identity(ispec, x, qv)
     # absolute near 0, relative once the integrals are large
-    atol = cmd.tol_abs if cmd.tol_abs is not None else 1e-8
-    rtol = cmd.tol_rel if cmd.tol_rel is not None else 1e-10
     tol = max(atol, rtol * max(abs(rep.lhs), abs(rep.rhs)))
     ok = abs(rep.diff) <= tol
     out = {

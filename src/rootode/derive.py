@@ -166,33 +166,30 @@ def factorize(spec: ProblemSpec) -> Factorization:
 class IntegrandSpec:
     """A pair of integrands whose integrals from 0 agree along the branch.
 
-    kind "theorem1" (radical): the x-side integrand is
+    ``lhs`` (in s) and ``rhs`` (in t) are triples (num, den, sign) of
+    ``UPoly``.  With sign None the integrand is num/den; otherwise it is
+    sqrt(num/den) with the sign of the sign polynomial (+ where that is 0).
 
-        sign * weight(R(s)) * sqrt(surd) / sqrt(script_u(s))
+    kind "theorem1" (radical): num/den is the gcd-reduced square of
+    weight(R(s)) sqrt(surd) / sqrt(script_u(s)) on the x side and of
+    weight(t) sqrt(surd) / sqrt(script_d(t)) on the q side, ``surd`` the
+    scale given to ``build_integrands``; the reduction cancels removable
+    zero-over-zero points exactly.  The x-side sign is sign(R'(0))
+    weight(R(s)), or weight(R(s)) R'(s) under the relaxed rule of
+    Remark 2, and the q-side sign is weight(t).  ``remark2`` says that
+    rule holds: for a theorem1 pair whose weight or R' vanishes at 0, or
+    whose R has a multiple root there (D(0) = 0).
 
-    and the q-side is weight(t) * sqrt(surd) / sqrt(script_d(t)), with
-    ``surd`` the scale given to ``build_integrands``.  sign is sign(R'(0)),
-    or the pointwise sign of R'(s) under the relaxed rule.
-    ``remark2`` says that rule holds: for a theorem1 pair whose weight or
-    R' vanishes at 0, or whose R has a multiple root there (D(0) = 0).
-
-    kind "corollary2" (rational): weight(R(s)) / (R'(s) U(s)) against
-    weight(t) / D(t), with no sign factor and ``remark2`` false.
-
-    ``lhs_sq`` and ``rhs_sq`` hold the gcd-reduced squares of the radical
-    integrands, so removable zero-over-zero endpoints can be evaluated.
+    kind "corollary2" (rational): (weight(R(s)), R'(s) U(s), None) against
+    (weight(t), D(t), None), with ``remark2`` false.
     """
 
     kind: str
     problem: ProblemSpec
     weight: UPoly
     remark2: bool
-    sign_rp0: int
-    lhs_num: UPoly
-    lhs_den: UPoly
-    rhs_den: UPoly
-    lhs_sq: tuple[UPoly, UPoly] | None
-    rhs_sq: tuple[UPoly, UPoly] | None
+    lhs: tuple[UPoly, UPoly, UPoly | None]
+    rhs: tuple[UPoly, UPoly, UPoly | None]
 
 
 def build_integrands(
@@ -207,9 +204,11 @@ def build_integrands(
     ``weight`` is a polynomial in q applied to R(s) on the x side and to t
     on the q side; ``surd`` scales it by sqrt(surd) exactly (needed for
     weights such as 5*sqrt(5)*t).  A theorem1 pair takes the relaxed sign
-    rule (``remark2``) by itself when w(0) = 0, R'(0) = 0 or D(0) = 0.  A
-    theorem1 pair whose q-side integral diverges at 0, ord_0 D >= 2 +
-    2 ord_0 w, raises DomainError, as does a corollary2 pair with D(0) = 0.
+    rule (``remark2``) by itself when w(0) = 0, R'(0) = 0 or D(0) = 0, and
+    this is the one place that rule is decided: it fixes the x-side sign
+    polynomial of the triples (see ``IntegrandSpec``).  A theorem1 pair
+    whose q-side integral diverges at 0, ord_0 D >= 2 + 2 ord_0 w, raises
+    DomainError, as does a corollary2 pair with D(0) = 0.
     """
     if kind not in ("theorem1", "corollary2"):
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -222,35 +221,20 @@ def build_integrands(
     spec = fact.problem
     if kind == "corollary2" and fact.disc_zero:
         raise DomainError("rational integrands need simple roots of R")
-    lhs_num = compose_q(weight, spec.R)
-    if kind == "theorem1":
-        # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
-        ord_w, ord_d = (next(k for k, c in enumerate(p.coeffs) if c) for p in (weight, fact.D))
-        if ord_d >= 2 + 2 * ord_w:
-            raise DomainError(f"the q-side integrand w/sqrt(D) ~ t^({ord_w} - {ord_d}/2)"
-                              " is not integrable at t = 0")
-        lhs_den = fact.script_u
-        rhs_den = fact.script_d
-        lhs_sq = _reduced(lhs_num * lhs_num * surd, lhs_den)
-        rhs_sq = _reduced(weight * weight * surd, rhs_den)
-        remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
-    else:
-        lhs_den = spec.rprime() * fact.U
-        rhs_den = fact.D
-        lhs_sq = rhs_sq = None
-        remark2 = False
-    return IntegrandSpec(
-        kind=kind,
-        problem=spec,
-        weight=weight,
-        remark2=remark2,
-        sign_rp0=fact.sign_rp0,
-        lhs_num=lhs_num,
-        lhs_den=lhs_den,
-        rhs_den=rhs_den,
-        lhs_sq=lhs_sq,
-        rhs_sq=rhs_sq,
-    )
+    wr = compose_q(weight, spec.R)
+    if kind == "corollary2":
+        return IntegrandSpec(kind, spec, weight, False,
+                             (wr, spec.rprime() * fact.U, None), (weight, fact.D, None))
+    # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
+    ord_w, ord_d = (next(k for k, c in enumerate(p.coeffs) if c) for p in (weight, fact.D))
+    if ord_d >= 2 + 2 * ord_w:
+        raise DomainError(f"the q-side integrand w/sqrt(D) ~ t^({ord_w} - {ord_d}/2)"
+                          " is not integrable at t = 0")
+    remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
+    sign = wr * spec.rprime() if remark2 else wr * fact.sign_rp0
+    return IntegrandSpec(kind, spec, weight, remark2,
+                         (*_reduced(wr * wr * surd, fact.script_u), sign),
+                         (*_reduced(weight * weight * surd, fact.script_d), weight))
 
 
 def _split(polys) -> tuple[Fraction, list[list[int]]]:
@@ -264,8 +248,9 @@ def _split(polys) -> tuple[Fraction, list[list[int]]]:
 
 
 def _reduced(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
-    """num / den in lowest terms, over Z with a positive leading coefficient
-    of den."""
+    """num / den, den nonzero, in lowest terms: coprime integer polynomials
+    of joint content 1 with a positive leading coefficient of den, a form
+    unique for the quotient; (0, 1) when num is zero."""
     p, q = _normalize_vector(_split([num, den])[1], anchor=1)
     return UPoly(num.var, p), UPoly(den.var, q)
 
@@ -287,28 +272,12 @@ class AbelODE:
 
     @cached_property
     def a(self) -> tuple[tuple[UPoly, UPoly], ...]:
-        """a_j = W[j] / D for j = 0..n-1 as reduced (numerator, denominator)
-        pairs with integer coefficients and a positive leading denominator
-        coefficient; a zero a_j gives (0, 1).
-
-        With D = s_D D^ and W[j] = s_j W^_j, D^ and W^_j primitive and
-        lc(D^) > 0, the pair is (a W^_j / g, b D^ / g), g = gcd(W^_j, D^)
-        and a/b = s_j / s_D in lowest terms with b > 0.  Quotients of
-        primitive polynomials are primitive (Gauss), so the pair has content
-        gcd(a, b) = 1 without a content gcd.  Computed once, on first use:
-        only the renderers read them."""
-        sd, (dh,) = _split([self.D])
-        if dh[-1] < 0:
-            sd, dh = -sd, [-c for c in dh]
-
-        def pair(w):
-            sw, (num,) = _split([w])
-            g, r, den = _gcd(num, dh), sw / sd, dh
-            if len(g) > 1:
-                num, den = _exact_div(num, g), _exact_div(dh, g)
-            return (UPoly("q", [r.numerator * c for c in num]),
-                    UPoly("q", [r.denominator * c for c in den]))
-        return tuple(pair(w) if w else (UPoly.zero("q"), UPoly.one("q")) for w in self.W)
+        """a_j = W[j] / D for j = 0..n-1 in the normal form of ``_reduced``:
+        coprime integer polynomials of joint content 1 with a positive
+        leading denominator coefficient, unique for the quotient; a zero
+        a_j gives (0, 1).  Computed once, on first use: only the renderers
+        read them."""
+        return tuple(_reduced(w, self.D) for w in self.W)
 
 
 @memoized

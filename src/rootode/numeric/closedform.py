@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from ..algebra import UPoly, _horner
 from ..errors import DomainError
-from .tracking import _nearest_root
+from .tracking import _nearest_root, _newton
 
 __all__ = [
     "babylonian_root",
@@ -42,14 +42,7 @@ def _cbrt(t: float) -> float:
 
 def _polish(coeffs: list[float], x: float, iters: int = 3) -> float:
     """A few Newton steps to scrub float noise off a closed-form root."""
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    for _ in range(iters):
-        f = _horner(coeffs, x)
-        fp = _horner(dcoeffs, x)
-        if fp == 0.0 or not math.isfinite(f):
-            break
-        x -= f / fp
-    return x
+    return _newton(coeffs, [i * c for i, c in enumerate(coeffs)][1:], 0.0, x, 0.0, iters)[0]
 
 
 def babylonian_root(p: float, q: float) -> float:

@@ -3,11 +3,14 @@
 Evaluates both sides of the change-of-variables identities produced by
 ``build_integrands``: an x-side integral of a weight composed with R
 against 1/sqrt(U) (or 1/(R' U) in the rational form) and a q-side
-integral of the same weight against 1/sqrt(D) (or 1/D).  Radical
-integrands are evaluated through their gcd-reduced squares so removable
-0/0 points, such as s = 0 when R'(0) = 0, cause no trouble, and the
-integrable 1/sqrt endpoint singularity left where D(0) = 0 costs the
-double-exponential rule of ``quad`` no accuracy.
+integral of the same weight against 1/sqrt(D) (or 1/D).  One evaluator,
+``_integrand``, serves every side of both kinds: it reads the exact
+(num, den, sign) triple of ``IntegrandSpec``, so the sign rule is decided
+in ``derive`` alone.  Radical integrands are evaluated through their
+gcd-reduced squares so removable 0/0 points, such as s = 0 when
+R'(0) = 0, cause no trouble, and the integrable 1/sqrt endpoint
+singularity left where D(0) = 0 costs the double-exponential rule of
+``quad`` no accuracy.
 
 The rule's nodes do not depend on the interval, so each level's are
 tabulated once per process, on first use: two doubles per node in
@@ -124,28 +127,22 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     raise QuadratureError(f"no convergence at step 2^-{MAX_LEVEL}")
 
 
-def _ratio(num: UPoly, den: UPoly) -> Callable[[float], float]:
-    nc = num.float_coeffs()
-    dc = den.float_coeffs()
+def _integrand(num: UPoly, den: UPoly, sign: UPoly | None) -> Callable[[float], float]:
+    """The float evaluator of an ``IntegrandSpec`` triple: num/den when sign
+    is None, else sqrt(num/den) with the sign of ``sign`` (+ where it is 0).
 
-    def ev(t: float) -> float:
-        # a pole is reported as inf, which ``quad`` refuses
-        d = _horner(dc, t)
-        return _horner(nc, t) / d if d else math.inf
-
-    return ev
-
-
-def _sqrt_of_reduced(num, den, sign_poly):
-    """Evaluator for sign(sign_poly) * sqrt(num/den) with num, den coprime.
-
-    num and den are the reduced squares of the original integrand, so a
-    common zero has been cancelled exactly and any remaining zero of den
-    is a genuine singularity, reported as inf, which ``quad`` refuses with
-    SingularIntegrandError.
+    A zero of den gives inf and a negative square nan, which ``quad``
+    refuses with SingularIntegrandError: a radical pair's num and den are
+    coprime, so a zero of den left there is a genuine singularity.
     """
     nc = num.float_coeffs()
     dc = den.float_coeffs()
+    if sign is None:
+        def ev(t: float) -> float:
+            d = _horner(dc, t)
+            return _horner(nc, t) / d if d else math.inf
+        return ev
+    sc = sign.float_coeffs()
 
     def ev(t: float) -> float:
         d = _horner(dc, t)
@@ -154,38 +151,18 @@ def _sqrt_of_reduced(num, den, sign_poly):
         ratio = _horner(nc, t) / d
         if ratio < 0:
             return math.nan
-        s = sign_poly(t)
-        if s == 0.0:
-            s = 1.0
-        return math.copysign(math.sqrt(ratio), s)
-
+        return math.copysign(math.sqrt(ratio), _horner(sc, t) or 1.0)
     return ev
 
 
 def lhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The x-side integrand as a plain float function of s."""
-    if spec.kind == "corollary2":
-        # lhs_num is already the composition weight(R(s))
-        return _ratio(spec.lhs_num, spec.lhs_den)
-    wc = spec.weight.float_coeffs()
-    rc = spec.problem.R.float_coeffs()
-    rpc = spec.problem.rprime().float_coeffs()
-
-    def signp(s: float) -> float:
-        w = _horner(wc, _horner(rc, s))
-        if spec.remark2:
-            return w * _horner(rpc, s)
-        return w * spec.sign_rp0
-
-    return _sqrt_of_reduced(*spec.lhs_sq, signp)
+    return _integrand(*spec.lhs)
 
 
 def rhs_integrand(spec: IntegrandSpec) -> Callable[[float], float]:
     """The q-side integrand as a plain float function of t."""
-    if spec.kind == "corollary2":
-        return _ratio(spec.weight, spec.rhs_den)
-    wc = spec.weight.float_coeffs()
-    return _sqrt_of_reduced(*spec.rhs_sq, lambda t: _horner(wc, t))
+    return _integrand(*spec.rhs)
 
 
 @dataclass(frozen=True)

@@ -5,16 +5,20 @@ pair and polishes each accepted step with Newton on R(x) - q, so the
 result carries full Newton accuracy while the integration supplies branch
 selection and starting points.  The first branch point, the nearest
 nonzero real root of D on the side of the target, is isolated beforehand
-in exact arithmetic by Sturm's theorem, and targets at or beyond it are
-refused.
+in exact arithmetic by Sturm's theorem, on a chain built over Z by the
+pseudo-remainders of ``algebra._prem``, and targets at or beyond it are
+refused.  ``_newton`` is the one float Newton of the numeric layer: it
+polishes the tracked steps, the isolated roots and the closed forms of
+``closedform``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .._memo import memoized
-from ..algebra import UPoly, _horner, _integer_coeffs
+from ..algebra import UPoly, _exact_div, _horner, _integer_coeffs, _prem, _primitive
 from ..derive import ProblemSpec, abel_ode
 from ..errors import DomainError
 
@@ -45,7 +49,8 @@ def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
             max_iter: int = 50) -> tuple[float, float, int, bool]:
     """Newton on R(x) - q = 0 from x, with R and R' given as float
     coefficient lists: (x, |R(x) - q|, steps taken, converged).  Stops
-    early, unconverged, where R'(x) is 0 or R(x) - q is not finite."""
+    early, unconverged, where R'(x) is 0 or R(x) - q is not finite; with
+    tol 0 it runs max_iter plain steps unless R(x) - q reaches exactly 0."""
     scale = tol * (1.0 + abs(q))
     for it in range(max_iter):
         f = _horner(coeffs, x) - q
@@ -88,28 +93,37 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     """Nearest nonzero real root of the nonzero p on the given side of 0,
     or None.
 
-    Sturm's theorem isolates the root exactly: the remainder chain of p
-    and p', divided by its last member gcd(p, p') so that a multiple root
-    counts once, loses one sign change per distinct root in (a, b] from a
-    to b.  Bisection on dyadic rationals shrinks (0, B], B past Cauchy's
-    bound, to an interval of relative width 2^-32 about that root alone.
-    Newton on the square-free part, in floats, then gives a float whose
-    two neighbours bracket the root, or else bisection goes on to 2^-60.
-    A root at 0 itself is divided out first.  Memoized per process: it
-    serves D for ``first_branch_point`` and R' for ``bisect_branch_root``.
+    Sturm's theorem isolates the root exactly: the chain of p and p',
+    continued by negated remainders and divided by its last member
+    gcd(p, p') so that a multiple root counts once, loses one sign change
+    per distinct root in (a, b] from a to b.  The chain is built over Z
+    by ``_prem``, each divisor signed to a positive lead so that every
+    pseudo-remainder is a positive multiple of the remainder and the signs
+    are those of the chain over Q.  Bisection on dyadic rationals shrinks
+    (0, B], B past Cauchy's bound, to an interval of relative width 2^-32
+    about that root alone.  Newton (``_newton``) on the square-free part,
+    in floats, then gives a float whose two neighbours bracket the root,
+    or else bisection goes on to 2^-60.  A root at 0 itself is divided out
+    first.  Memoized per process: it serves D for ``first_branch_point``
+    and R' for ``bisect_branch_root``.
     """
     zeros = next(k for k, c in enumerate(p.coeffs) if c)
     if p.degree == zeros:
         return None
-    # search t > 0 on p(direction * t) / t^zeros
-    d = UPoly(p.var, (c * direction**k for k, c in enumerate(p.coeffs[zeros:])))
-    chain = [d, d.derivative()]
-    while rem := chain[-2] % chain[-1]:
-        chain.append(-rem)
-    if chain[-1].degree > 0:
-        g = chain[-1].monic()
-        chain = [p.exact_div(g) for p in chain]
-    ints = [_integer_coeffs(p.coeffs)[1] for p in chain]
+    # search t > 0 on p(direction * t) / t^zeros, den times over Z
+    den, d = _integer_coeffs(p.coeffs[zeros:])
+    d = [c * direction**k for k, c in enumerate(d)]
+    ints = [d, [i * c for i, c in enumerate(d) if i]]
+    while len(b := ints[-1]) > 1:
+        # by b with a positive lead, a positive multiple of the remainder
+        r = _prem(ints[-2], b if b[-1] > 0 else [-c for c in b])
+        if not r:
+            break
+        ints.append([-c for c in _primitive(r)])
+    lead = 1
+    if len(ints[-1]) > 1:
+        g = _primitive(ints[-1])
+        ints, lead = [_exact_div(cs, g) for cs in ints], g[-1]
     top = ints[0]
     # (lo / 2^k, hi / 2^k] holds v_lo - v_hi distinct roots and lo is none
     # of them, so the square-free part has the sign top[0] it has at 0 there
@@ -118,7 +132,8 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     v_hi = _sign_changes(cs[-1] for cs in ints)
     if v_lo == v_hi:
         return None
-    sfc = chain[0].float_coeffs()
+    # the floats of the rational square-free part d / monic(g), top lc(g) / den
+    sfc = UPoly(p.var, [Fraction(c * lead, den) for c in top]).float_coeffs()
     dsfc = [i * c for i, c in enumerate(sfc)][1:]
     bits = 32
     while True:
@@ -137,11 +152,7 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
         t = (lo + hi) / (2 << k)
         if bits == 60:
             return direction * t
-        for _ in range(8):
-            fp = _horner(dsfc, t)
-            if fp == 0.0:
-                break
-            t -= _horner(sfc, t) / fp
+        t = _newton(sfc, dsfc, 0.0, t, 0.0, 8)[0]
         if math.isfinite(t):
             (an, ad), (bn, bd) = (math.nextafter(t, u).as_integer_ratio()
                                   for u in (0.0, math.inf))
@@ -212,7 +223,8 @@ def track_root(
 
     Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
     slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin, and the
-    first-order equation cannot start there) and a finite q_target.  The
+    first-order equation cannot start there), a finite q_target and
+    finite, nonnegative atol and rtol (ValueError otherwise).  The
     float tables of W, D, R and R' are built once per call; the six stages
     and both combinations of the pair are written out as left-to-right
     sums over them, and each accepted step is polished by Newton on R and
@@ -221,6 +233,8 @@ def track_root(
     q_target = float(q_target)
     if not math.isfinite(q_target):
         raise ValueError(f"q_target must be finite, got {q_target}")
+    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf):
+        raise ValueError(f"atol and rtol must be finite and nonnegative, got {atol}, {rtol}")
     if spec.rprime().coefficient(0) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
     ode = abel_ode(spec)

@@ -479,6 +479,25 @@ class TestMain:
         assert report["status"] == "domain_error"
         assert "float range" in report["errors"][0]
 
+    def test_coefficient_beyond_float_range_in_the_isolator(self, capsys):
+        # the branch point's Newton table is built from these coefficients
+        assert main(["check", "x^3-1" + "0" * 320 + "x", "--q", "1", "--no-timing"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "domain_error"
+        assert "float range" in report["errors"][0]
+
+    @pytest.mark.parametrize("verb", ["solve", "check"])
+    @pytest.mark.parametrize("option,value", [
+        ("--tol-abs", "nan"), ("--tol-abs", "-1e-9"), ("--tol-abs", "inf"),
+        ("--tol-rel", "nan"), ("--tol-rel", "-1"), ("--tol-rel", "-inf"),
+    ])
+    def test_bad_tolerance_is_a_usage_error(self, capsys, verb, option, value):
+        assert main([verb, "x^3+x", "--q", "1", option, value, "--no-timing"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "usage_error"
+        assert report["errors"] == [f"{option} must be finite and nonnegative,"
+                                    f" got {float(value)}"]
+
     def test_degree_limit_answers_at_once(self, capsys):
         assert parse_polynomial(f"x^{MAX_DEGREE}+x").n == MAX_DEGREE
         for argv in (["derive-linear", f"x^{MAX_DEGREE + 1}+x"],

@@ -238,20 +238,20 @@ class TestIntegrands:
         fact = factorize(trinomial(3, 1))
         weight = q_poly(1, 2)
         spec = build_integrands(fact, weight, surd=3)
-        num, den = spec.lhs_sq
+        num, den = spec.lhs[:2]
         lhs_num = compose_q(weight, fact.problem.R)
         # reduced pair still represents (surd * (G(R))^2) / script_u
         assert num * fact.script_u == lhs_num * lhs_num * 3 * den
-        rnum, rden = spec.rhs_sq
+        rnum, rden = spec.rhs[:2]
         assert rnum * fact.script_d == weight * weight * 3 * rden
 
     def test_quintic_squares_cancel_origin_zero(self):
         fact = factorize(ProblemSpec(x_poly(0, 0, 0, 5, 0, 1)))
         spec = build_integrands(fact, q_poly(0, 5), surd=5)
-        num, den = spec.lhs_sq
+        num, den = spec.lhs[:2]
         assert num == x_poly(0, 0, 0, 0, 1)
         assert den == x_poly(12, 0, -8, 0, 4, 0, 1)
-        rnum, rden = spec.rhs_sq
+        rnum, rden = spec.rhs[:2]
         assert rnum == q_poly(1)
         assert rden == 25 * q_poly(108, 0, 1)
 
@@ -280,9 +280,38 @@ class TestIntegrands:
     def test_rational_kind_denominators(self):
         fact = factorize(trinomial(2, 1))
         spec = build_integrands(fact, q_poly(1), "corollary2")
-        assert spec.lhs_den == x_poly(1, 2)
-        assert spec.rhs_den == q_poly(1, 4)
+        assert spec.lhs[1] == x_poly(1, 2)
+        assert spec.rhs[1] == q_poly(1, 4)
         assert spec.kind == "corollary2"
+
+    REMARK2_CASES = [
+        (x_poly(0, 0, 0, 5, 0, 1), q_poly(0, 5)),   # R'(0) = 0
+        (x_poly(0, 1, 2, 1), q_poly(1)),            # D(0) = 0
+        (x_poly(0, 1, 0, 1), q_poly(0, 1)),         # w(0) = 0
+        (x_poly(0, 1, 0, 1), q_poly(1)),
+        (x_poly(0, 1, 0, 1), q_poly(2, 1)),
+        (x_poly(0, 2, 0, 0, 1), q_poly(-1, 0, 3)),
+    ]
+
+    def test_theorem1_sign_polynomials(self):
+        # the sign rule lives in the triples: sign(R'(0)) w(R) on the x
+        # side, or w(R) R' under Remark 2, and w on the q side
+        for r, weight in self.REMARK2_CASES:
+            fact = factorize(ProblemSpec(r))
+            spec = build_integrands(fact, weight)
+            wr = compose_q(weight, r)
+            want = wr * r.derivative() if spec.remark2 else wr * fact.sign_rp0
+            assert spec.lhs[2] == want
+            assert spec.rhs[2] == weight
+
+    def test_corollary2_triples(self):
+        for r, weight in self.REMARK2_CASES:
+            fact = factorize(ProblemSpec(r))
+            if fact.disc_zero:
+                continue
+            spec = build_integrands(fact, weight, "corollary2")
+            assert spec.lhs == (compose_q(weight, r), r.derivative() * fact.U, None)
+            assert spec.rhs == (weight, fact.D, None)
 
     def test_weight_validation(self):
         fact = factorize(trinomial(2, 1))

@@ -407,6 +407,12 @@ class TestTracking:
             with pytest.raises(ValueError):
                 track_root(trinomial(3, 1), q)
 
+    @pytest.mark.parametrize("tol", [{"atol": math.nan}, {"atol": -1e-12}, {"atol": math.inf},
+                                     {"rtol": math.nan}, {"rtol": -1.0}, {"rtol": -math.inf}])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="atol and rtol"):
+            track_root(trinomial(3, 1), 1.0, **tol)
+
     def test_degenerate_origin_rejected(self):
         with pytest.raises(DomainError):
             track_root(ProblemSpec(UPoly("x", (0, 0, 0, 5, 0, 1))), 0.5)
@@ -572,6 +578,73 @@ def test_solve_and_check_pinned_bit_for_bit(problem, q, w1, w2, solved, thm1, co
     for kind, weight, want in (("theorem1", w1, thm1), ("corollary2", w2, cor2)):
         r = result(verb="check", kind=kind, weight=weight)
         assert repr((r["x"], r["lhs"], r["rhs"], r["diff"])) == repr(want)
+
+
+F = Fraction
+
+# rational, non-square-free and root-at-0 polynomials: the isolator runs its
+# Newton steps on the floats of the rational square-free part, and any drift
+# in the last digit of an isolated root fails here
+BRANCH_POINT_PINS = [
+    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), 1, 0.0184426910347354),
+    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), -1, -1.0825078090350215),
+    ((0, 0, 0, -7, F(2, 7), F(5, 3)), 1, 1.965467553805436),
+    ((0, 0, F(15, 7), 38, F(-11, 81), -1), -1, -0.056384333086145925),
+    ((F(43200, 49), F(47260, 49), F(18702, 49), F(114619, 784), F(429, 7), 9), -1,
+     -1.9047619047619049),
+    ((F(-784, 3), F(3472, 9), F(16736, 27), F(2324, 9), F(136, 3), 4), -1, -2.3333333333333335),
+    ((13, 0, F(22, 7), -1), 1, 3.9683635501194656),
+    ((0, F(11, 27), 13, F(-39, 7), F(17, 3), F(5, 3)), -1, -0.030916622485759507),
+    ((F(4177045121, 81000000000000), F(-543229, 250000000), F(-1225, 243)), 1,
+     0.0029900938781866593),
+    ((F(11, 1000), 34, 14, F(13, 16), 35, F(5, 3)), -1, -0.00032357252239233615),
+]
+
+
+@pytest.mark.parametrize("coeffs,direction,want", BRANCH_POINT_PINS)
+def test_first_branch_point_pinned_bit_for_bit(coeffs, direction, want):
+    assert repr(first_branch_point(UPoly("q", coeffs), direction)) == repr(want)
+
+
+BISECT_PINS = [
+    ((0, F(-5, 2), F(-11, 81), 17), -0.3, 0.13615757516620983),
+    ((0, F(-5, 2), F(-11, 81), 17), 0.1, -0.04054243299584879),
+    ((0, F(1, 3), F(-7, 2), 1), 0.005, 0.01862168162206089),
+    ((0, F(19, 3), F(17, 500), F(3, 8), -26), 1.7, 0.2992930650569364),
+    ((0, 0, F(3, 7), F(-2, 9)), 0.05, 0.3813412594136705),
+    ((0, 1, 2, 1), 0.01, 0.00980671360874185),
+    ((0, F(7, 16), 0, F(-5, 3), F(1, 2)), -0.05, -0.12133916893668509),
+]
+
+
+@pytest.mark.parametrize("coeffs,q,want", BISECT_PINS)
+def test_bisect_branch_root_pinned_bit_for_bit(coeffs, q, want):
+    assert repr(bisect_branch_root(UPoly("x", coeffs), q)) == repr(want)
+
+
+CLOSED_FORM_PINS = [
+    (cardano_root, (1.0, 0.7), 0.5413510989305169),
+    (cardano_root, (-0.4, 2.3), 1.4208335763226616),
+    (vieta_trig_root, (-3.0, 0.9), -0.3099229286144267),
+    (vieta_trig_root, (-1.7, -0.5), 0.31197963617648766),
+    (vieta_hyp_root, (2.0, -1.3), -0.5614894822901626),
+    (vieta_hyp_root, (0.3, 4.1), 1.538073969469485),
+    (depressed_cubic_real_roots, (-3.0, 0.9),
+     [-1.86608999067199, 0.30992292861442666, 1.5561670620575634]),
+    (depressed_cubic_real_roots, (1.2, -0.7), [0.48705163104565136]),
+    (quartic_real_roots, (-4.0, 1.3, 0.5),
+     [-2.121707674286327, -0.22746866342798364, 0.5883715624758704, 1.7608047752384404]),
+    (quartic_real_roots, (-5.0, 0.0, 4.0), [-2.0, -1.0, 1.0, 2.0]),
+    (quartic_real_roots, (2.0, -3.0, -1.0), [-0.27929945187431426, 1.1572199042296485]),
+    (quartic_w_root, (1.0, 0.6), 0.5243857636193325),
+    (quartic_w_root, (-2.0, 0.3), -0.14974856790419155),
+]
+
+
+@pytest.mark.parametrize("fn,args,want", CLOSED_FORM_PINS)
+def test_closed_forms_pinned_bit_for_bit(fn, args, want):
+    # each closed form ends in a few Newton steps; their floats are pinned
+    assert repr(fn(*args)) == repr(want)
 
 
 def test_cli_import_loads_no_numpy():
