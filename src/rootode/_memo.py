@@ -1,11 +1,12 @@
 """One bounded, process-wide memo for the work that depends on R alone.
 
-The discriminant, the first-order and linear equations and the first
-branch point are fixed by R, while a caller such as a sweep over targets
-asks for them again at every q.  ``memoized`` gives a function a result
-cache in the one shared LRU table below, keyed by the function and its
-arguments (frozen ``ProblemSpec``s, immutable ``UPoly``s, ints).  Results
-are frozen dataclasses, ``UPoly``s or floats, so sharing them is safe.  An
+The discriminant, the first-order and linear equations, the first
+branch point and the near-poles of D are fixed by R, while a caller such
+as a sweep over targets asks for them again at every q.  ``memoized``
+gives a function a result cache in the one shared LRU table below, keyed
+by the function and its arguments (frozen ``ProblemSpec``s, immutable
+``UPoly``s, ints).  Results are frozen dataclasses, ``UPoly``s, floats or
+tuples of floats, so sharing them is safe.  An
 exception propagates and is not stored, so a certificate that fails raises
 again on the next call.
 """
@@ -14,11 +15,14 @@ from __future__ import annotations
 from functools import lru_cache, wraps
 
 # A sweep cycle works on about 24 polynomials.  Each holds at most three
-# exact derivations (factorize, abel_ode, linear_ode) and four Sturm
-# isolations (D and R' on either side of 0), so 24 * 7 entries keep one
-# cycle's working set; an entry is a few small polynomials (a factorize
-# result also keeps, for abel_ode, two integer lists of its frame).
-SIZE = 24 * (3 + 4)
+# exact derivations (factorize, abel_ode, linear_ode) and six Sturm
+# isolations (D and R' on either side of 0, and the near-pole table of D'
+# for check on either side); an entry is a few small polynomials or floats
+# (a factorize result also keeps, for abel_ode, two integer lists of its
+# frame).  The polynomials of the sweep's named ops recur in every cycle at
+# shuffled places, so their entries outlive an LRU table only if it holds
+# about two cycles' keys: a seed-1 sweep run of two cycles uses 263.
+SIZE = 288
 
 
 @lru_cache(maxsize=SIZE)

@@ -182,6 +182,9 @@ class IntegrandSpec:
 
     kind "corollary2" (rational): (weight(R(s)), R'(s) U(s), None) against
     (weight(t), D(t), None), with ``remark2`` false.
+
+    ``D`` is the discriminant of R(x) - q in x: its roots off the real
+    line are the poles both sides come near (see ``check_identity``).
     """
 
     kind: str
@@ -190,6 +193,7 @@ class IntegrandSpec:
     remark2: bool
     lhs: tuple[UPoly, UPoly, UPoly | None]
     rhs: tuple[UPoly, UPoly, UPoly | None]
+    D: UPoly
 
 
 def build_integrands(
@@ -224,7 +228,7 @@ def build_integrands(
     wr = compose_q(weight, spec.R)
     if kind == "corollary2":
         return IntegrandSpec(kind, spec, weight, False,
-                             (wr, spec.rprime() * fact.U, None), (weight, fact.D, None))
+                             (wr, spec.rprime() * fact.U, None), (weight, fact.D, None), fact.D)
     # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
     ord_w, ord_d = (next(k for k, c in enumerate(p.coeffs) if c) for p in (weight, fact.D))
     if ord_d >= 2 + 2 * ord_w:
@@ -234,7 +238,7 @@ def build_integrands(
     sign = wr * spec.rprime() if remark2 else wr * fact.sign_rp0
     return IntegrandSpec(kind, spec, weight, remark2,
                          (*_reduced(wr * wr * surd, fact.script_u), sign),
-                         (*_reduced(weight * weight * surd, fact.script_d), weight))
+                         (*_reduced(weight * weight * surd, fact.script_d), weight), fact.D)
 
 
 def _split(polys) -> tuple[Fraction, list[list[int]]]:

@@ -15,6 +15,15 @@ singularity left where D(0) = 0 costs the double-exponential rule of
 The rule's nodes do not depend on the interval, so each level's are
 tabulated once per process, on first use: two doubles per node in
 ``array('d')``, 295 kB once all 18,433 nodes of the 13 levels are held.
+
+Tanh-sinh converges at a rate set by how near the nearest singularity of
+the integrand lies to the interval, relative to its length, and it crowds
+its nodes at the ends only.  A complex root pair of D just off [0, q]
+puts a spike inside both intervals that the finest step does not resolve,
+so ``check_identity`` splits each side at such near-poles: at the real
+roots t* of D' between 0 and q where D's local quadratic model puts a root
+pair within |q|/16 of t*, and at their images x(t*) on the x side.  Each
+piece then has its singularity near an end, where the nodes are.
 """
 from __future__ import annotations
 
@@ -23,9 +32,12 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable
 
+from .._memo import memoized
 from ..algebra import UPoly, _horner
 from ..derive import IntegrandSpec
 from ..errors import QuadratureError, SingularIntegrandError
+from .closedform import bisect_branch_root
+from .tracking import _roots
 
 __all__ = [
     "quad",
@@ -42,6 +54,9 @@ MAX_LEVEL = 12
 # the last level may change the sum by this share of the integral of |f|; on
 # a smooth integrand the error left is far smaller, as each level squares it
 QUAD_TOL = 1e-11
+# check_identity splits at a real root t* of D' when D's local quadratic model
+# has its root pair within this share of |q| of t*
+NEAR_POLE = 1 / 16
 
 
 # per level, the nodes t that level adds: e = exp(-pi sinh t) and the weight
@@ -172,13 +187,66 @@ class IdentityReport:
     diff: float
 
 
+@memoized
+def _near_poles(d: UPoly, direction: int) -> tuple[tuple[float, float], ...]:
+    """(t*, rho) for each real root t* of D' on the given side of 0, nearest
+    first.
+
+    The roots are isolated exactly by Sturm's theorem (``tracking._roots``).
+    rho = sqrt|2 D(t*) / D''(t*)| is the distance from t* of the root pair
+    of D's quadratic model there, D(t* + u) ~ D(t*) + D''(t*) u^2 / 2, in
+    floats; inf where D''(t*) is 0.  Memoized per process, like the
+    isolations of D and R'.
+    """
+    dp = d.derivative()
+    if not dp:
+        return ()
+    dc = d.float_coeffs()
+    d2c = dp.derivative().float_coeffs()
+    out = []
+    for t in _roots(dp, direction):
+        d2 = _horner(d2c, t)
+        out.append((t, math.sqrt(abs(2.0 * _horner(dc, t) / d2)) if d2 else math.inf))
+    return tuple(out)
+
+
+def _breakpoints(spec: IntegrandSpec, q: float) -> tuple[float, ...]:
+    """The q-side breakpoints of ``check_identity``, from 0 outward: the t*
+    of ``_near_poles`` strictly between 0 and a finite q whose rho is below
+    NEAR_POLE |q|."""
+    if not (q and math.isfinite(q)):
+        return ()
+    reach = abs(q)
+    return tuple(t for t, rho in _near_poles(spec.D, 1 if q > 0 else -1)
+                 if abs(t) < reach and rho < NEAR_POLE * reach)
+
+
+def _piecewise(f: Callable[[float], float], ends: tuple[float, ...], side: str) -> float:
+    """The ``quad`` integrals of f over [0, ends[0]], [ends[0], ends[1]], ...
+    added up in that order; a QuadratureError names the side and the piece."""
+    total = None
+    for a, b in zip((0.0, *ends), ends):
+        try:
+            y = quad(f, a, b)
+        except QuadratureError as exc:
+            raise QuadratureError(f"{side} side, piece [{a!r}, {b!r}]: {exc}") from exc
+        total = y if total is None else total + y
+    return total
+
+
 def check_identity(spec: IntegrandSpec, x: float, q: float) -> IdentityReport:
     """Compare the x-side and q-side integrals at a matched pair (x, q).
 
     The caller supplies x with R(x) = q on the branch through 0; both
     integrals then measure the same quantity and should agree up to
-    quadrature error.
+    quadrature error.  The q side is split at the near-poles t* of D
+    between 0 and q (``_breakpoints``) and the x side at their images
+    x(t*) on the branch (``bisect_branch_root``); the split leaves each
+    integral unchanged and ``quad`` certifies every piece.  With no
+    near-pole each side is one ``quad`` call over [0, x] resp. [0, q].
     """
-    lhs = quad(lhs_integrand(spec), 0.0, x)
-    rhs = quad(rhs_integrand(spec), 0.0, q)
+    ts = _breakpoints(spec, q)
+    ss = tuple(bisect_branch_root(spec.problem.R, t) for t in ts)
+    lhs = _piecewise(lhs_integrand(spec), (*ss, x), "x")
+    rhs = _piecewise(rhs_integrand(spec), (*ts, q), "q")
     return IdentityReport(lhs=lhs, rhs=rhs, diff=lhs - rhs)

@@ -7,13 +7,15 @@ selection and starting points.  The first branch point, the nearest
 nonzero real root of D on the side of the target, is isolated beforehand
 in exact arithmetic by Sturm's theorem, on a chain built over Z by the
 pseudo-remainders of ``algebra._prem``, and targets at or beyond it are
-refused.  ``_newton`` is the one float Newton of the numeric layer: it
-polishes the tracked steps, the isolated roots and the closed forms of
-``closedform``.
+refused; the same isolator (``_roots``) lists every real root of D' for
+the near-poles of ``quadrature.check_identity``.  ``_newton`` is the one
+float Newton of the numeric layer: it polishes the tracked steps, the
+isolated roots and the closed forms of ``closedform``.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,28 +90,28 @@ def _sign_changes(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-@memoized
-def _nearest_root(p: UPoly, direction: int) -> float | None:
-    """Nearest nonzero real root of the nonzero p on the given side of 0,
-    or None.
+def _roots(p: UPoly, direction: int) -> Iterator[float]:
+    """The distinct nonzero real roots of the nonzero p on the given side
+    of 0, nearest first, as a generator.
 
-    Sturm's theorem isolates the root exactly: the chain of p and p',
+    Sturm's theorem isolates the roots exactly: the chain of p and p',
     continued by negated remainders and divided by its last member
     gcd(p, p') so that a multiple root counts once, loses one sign change
     per distinct root in (a, b] from a to b.  The chain is built over Z
     by ``_prem``, each divisor signed to a positive lead so that every
     pseudo-remainder is a positive multiple of the remainder and the signs
     are those of the chain over Q.  Bisection on dyadic rationals shrinks
-    (0, B], B past Cauchy's bound, to an interval of relative width 2^-32
-    about that root alone.  Newton (``_newton``) on the square-free part,
-    in floats, then gives a float whose two neighbours bracket the root,
-    or else bisection goes on to 2^-60.  A root at 0 itself is divided out
-    first.  Memoized per process: it serves D for ``first_branch_point``
-    and R' for ``bisect_branch_root``.
+    (0, B], B past Cauchy's bound, keeping the nearer half that holds a
+    root and setting the farther one aside for later, to an interval of
+    relative width 2^-32 about one root alone.  Newton (``_newton``) on the
+    square-free part, in floats, then gives a float whose two neighbours
+    bracket the root, or else bisection goes on to 2^-60.  A root at 0
+    itself is divided out first.  Each root comes from the same dyadic
+    intervals whether or not the roots beyond it are asked for.
     """
     zeros = next(k for k, c in enumerate(p.coeffs) if c)
     if p.degree == zeros:
-        return None
+        return
     # search t > 0 on p(direction * t) / t^zeros, den times over Z
     den, d = _integer_coeffs(p.coeffs[zeros:])
     d = [c * direction**k for k, c in enumerate(d)]
@@ -125,41 +127,58 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
         g = _primitive(ints[-1])
         ints, lead = [_exact_div(cs, g) for cs in ints], g[-1]
     top = ints[0]
-    # (lo / 2^k, hi / 2^k] holds v_lo - v_hi distinct roots and lo is none
-    # of them, so the square-free part has the sign top[0] it has at 0 there
-    lo, hi, k = 0, 1 << (sum(map(abs, top)) // abs(top[-1])).bit_length(), 0
-    v_lo = _sign_changes(cs[0] for cs in ints)
-    v_hi = _sign_changes(cs[-1] for cs in ints)
-    if v_lo == v_hi:
-        return None
+    v_0 = _sign_changes(cs[0] for cs in ints)
+    v_b = _sign_changes(cs[-1] for cs in ints)
+    if v_0 == v_b:
+        return
     # the floats of the rational square-free part d / monic(g), top lc(g) / den
     sfc = UPoly(p.var, [Fraction(c * lead, den) for c in top]).float_coeffs()
     dsfc = [i * c for i, c in enumerate(sfc)][1:]
-    bits = 32
-    while True:
-        if v_lo - v_hi > 1 or (hi - lo) << bits > hi:
-            lo, hi, k = 2 * lo, 2 * hi, k + 1
-            mid = (lo + hi) // 2
-            if v_lo - v_hi > 1:
-                v_mid = _sign_changes(_at(cs, mid, 1 << k) for cs in ints)
-            else:
-                v_mid = v_lo if _at(top, mid, 1 << k) * top[0] > 0 else v_hi
-            if v_mid < v_lo:
-                hi, v_hi = mid, v_mid
-            else:
-                lo, v_lo = mid, v_mid
-            continue
-        t = (lo + hi) / (2 << k)
-        if bits == 60:
-            return direction * t
-        t = _newton(sfc, dsfc, 0.0, t, 0.0, 8)[0]
-        if math.isfinite(t):
-            (an, ad), (bn, bd) = (math.nextafter(t, u).as_integer_ratio()
-                                  for u in (0.0, math.inf))
-            if (lo * ad < an << k and bn << k <= hi * bd
-                    and _at(top, an, ad) * _at(top, bn, bd) <= 0):
-                return direction * t
-        bits = 60
+    # intervals (lo / 2^k, hi / 2^k] holding v_lo - v_hi distinct roots, the
+    # nearest last
+    todo = [(0, 1 << (sum(map(abs, top)) // abs(top[-1])).bit_length(), 0, v_0, v_b)]
+    while todo:
+        lo, hi, k, v_lo, v_hi = todo.pop()
+        # the sign of the square-free part just right of lo: top[0]'s, as at
+        # 0, flipped once by each of the v_0 - v_lo simple roots in (0, lo]
+        s = top[0] if (v_0 - v_lo) % 2 == 0 else -top[0]
+        bits = 32
+        while True:
+            if v_lo - v_hi > 1 or (hi - lo) << bits > hi:
+                lo, hi, k = 2 * lo, 2 * hi, k + 1
+                mid = (lo + hi) // 2
+                if v_lo - v_hi > 1:
+                    v_mid = _sign_changes(_at(cs, mid, 1 << k) for cs in ints)
+                else:
+                    v_mid = v_lo if _at(top, mid, 1 << k) * s > 0 else v_hi
+                if v_mid < v_lo:
+                    if v_mid > v_hi:
+                        todo.append((mid, hi, k, v_mid, v_hi))
+                    hi, v_hi = mid, v_mid
+                else:
+                    lo, v_lo = mid, v_mid
+                continue
+            t = (lo + hi) / (2 << k)
+            if bits == 60:
+                break
+            t = _newton(sfc, dsfc, 0.0, t, 0.0, 8)[0]
+            if math.isfinite(t):
+                (an, ad), (bn, bd) = (math.nextafter(t, u).as_integer_ratio()
+                                      for u in (0.0, math.inf))
+                if (lo * ad < an << k and bn << k <= hi * bd
+                        and _at(top, an, ad) * _at(top, bn, bd) <= 0):
+                    break
+            bits = 60
+        yield direction * t
+
+
+@memoized
+def _nearest_root(p: UPoly, direction: int) -> float | None:
+    """Nearest nonzero real root of the nonzero p on the given side of 0,
+    or None: the first root ``_roots`` yields, the farther ones never
+    isolated.  Memoized per process: it serves D for ``first_branch_point``
+    and R' for ``bisect_branch_root``."""
+    return next(_roots(p, direction), None)
 
 
 def first_branch_point(d: UPoly, direction: int) -> float | None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rootode import bisect_branch_root
 from rootode.algebra import MAX_DEGREE, UPoly
 from rootode.cli import (
     DEMO_NAMES,
@@ -255,7 +256,8 @@ class TestVerbs:
         # outermost nodes, so no sum is trusted
         report, code = run(Command("check", problem="x^3+x", q="1e50", kind=kind))
         assert (code, report.status) == (2, "domain_error")
-        assert report.errors == ["integrand not negligible at the ends of [a, b]"]
+        assert report.errors == ["q side, piece [0.0, 1e+50]: integrand not negligible"
+                                 " at the ends of [a, b]"]
 
     @pytest.mark.parametrize("q", ["1e-20", "1e-14"])
     def test_check_tiny_q_matches_solve(self, q):
@@ -287,17 +289,29 @@ class TestVerbs:
             assert report.result["q_star"] == pytest.approx(-((4 / 27) ** 0.5), abs=1e-12)
 
     @pytest.mark.parametrize("problem, q, kind", [
-        ("x^5-3x^4+2x^2-x", "-7.55021", "corollary2"),
         ("x^3-3x^2+x", "1", "corollary2"),
         ("x^4-2x^2+x", "1", "corollary2"),
     ])
     def test_check_former_hangs_refused(self, problem, q, kind):
-        # a pole just off the path, two targets past q*
+        # two targets past q*
         t0 = time.perf_counter()
         report, code = run(Command("check", problem=problem, q=q, kind=kind))
         assert time.perf_counter() - t0 < 5.0
         assert code == 2
         assert report.status in ("domain_error", "hit_branch_point")
+
+    @pytest.mark.parametrize("kind", ["theorem1", "corollary2"])
+    def test_check_near_pole_split(self, kind):
+        # D has a root pair at -0.14566 +- 0.00137i, just off [q, 0]: unsplit,
+        # tanh-sinh ran all its levels, and corollary2 did not converge
+        problem, q = "x^5-3x^4+2x^2-x", "-7.55021"
+        t0 = time.perf_counter()
+        report, code = run(Command("check", problem=problem, q=q, kind=kind))
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, report.status) == (0, "ok")
+        r = report.result
+        assert abs(r["diff"]) <= r["tol"]
+        assert r["x"] == bisect_branch_root(parse_polynomial(problem).R, float(q))
 
     @pytest.mark.parametrize("problem, q, kind", [
         ("x^5-3x^4-x^3+2x^2+3x", "1.92451", "theorem1"),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from rootode.algebra import UPoly, discriminant, poly_gcd
@@ -336,6 +336,19 @@ class TestBranchPoint:
             below, above = (sf(Fraction(math.nextafter(got, t))) for t in (-math.inf, math.inf))
             assert below * above <= 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.fractions(-20, 20, max_denominator=9).filter(bool), min_size=1, max_size=6),
+           st.integers(1, 5), st.sampled_from([1, -1]))
+    def test_every_root_on_a_side(self, roots, c, direction):
+        # p = (q^2 + c) prod (q - r), repeated roots allowed: tracking._roots
+        # yields each distinct r on the side once, nearest first, to an ulp
+        p = UPoly("q", (c, 0, 1))
+        for r in roots:
+            p = p * UPoly("q", (-r, 1))
+        want = sorted({r for r in roots if r * direction > 0}, key=abs)
+        got = list(tracking._roots(p, direction))
+        assert got == pytest.approx([float(r) for r in want], rel=1e-15)
+
     def test_rational_root_behind_a_nearer_one(self):
         # D = -16 (q+1)^2 (16q+7); bisecting (-4, 0) meets the double root -1
         # before the nearer -7/16
@@ -515,6 +528,94 @@ class TestIdentities:
             x = bisect_branch_root(r, q)
             rep = check_identity(spec, x, q)
             assert abs(rep.diff) < 1e-8
+
+
+NAMED_R = UPoly("x", (0, -1, 2, 0, -3, 1))    # x^5 - 3x^4 + 2x^2 - x
+
+
+@st.composite
+def branch_checks(draw):
+    """(integrand pair, x, q, interior t) for R of degree 3..5 with small
+    integer coefficients, R'(0) != 0 and D(0) != 0, q a share of the way
+    to the first branch point (or to +-1 where there is none) and t a share
+    of the way to q.  Pairs with a near-pole of D inside [0, q] are left
+    out: unsplit, their rule's error can reach 1e-12."""
+    n = draw(st.integers(min_value=3, max_value=5))
+    c1 = draw(st.integers(-3, 3).filter(bool))
+    middle = draw(st.lists(st.integers(-3, 3), min_size=n - 2, max_size=n - 2))
+    lead = draw(st.integers(-3, 3).filter(bool))
+    spec = ProblemSpec(UPoly("x", [0, c1, *middle, lead]))
+    fact = factorize(spec)
+    if fact.disc_zero:
+        reject()
+    direction = draw(st.sampled_from([1, -1]))
+    q_star = first_branch_point(fact.D, direction)
+    q = draw(st.floats(0.05, 0.7)) * (q_star if q_star is not None else direction)
+    t = draw(st.floats(0.2, 0.8)) * q
+    ispec = build_integrands(fact, UPoly.one("q"), draw(st.sampled_from(["theorem1", "corollary2"])))
+    if quadrature._breakpoints(ispec, q):
+        reject()
+    return ispec, bisect_branch_root(spec.R, q), q, t
+
+
+class TestNearPoleSplit:
+    def test_named_breakpoints(self):
+        # D has a root pair at -0.14566 +- 0.00137i: its model's pair is
+        # 1.8e-4 |q| from t*, and t* maps to s* with R(s*) = t*; R' is -0.034
+        # there, so s* moves 30 times as far as t*
+        ispec = build_integrands(factorize(ProblemSpec(NAMED_R)), UPoly.one("q"), "corollary2")
+        (t,) = quadrature._breakpoints(ispec, -7.55021)
+        assert t == pytest.approx(-0.1456603, abs=1e-7)
+        s = bisect_branch_root(NAMED_R, t)
+        assert s == pytest.approx(0.374996, abs=1e-6)
+        assert float(NAMED_R(Fraction(s))) == pytest.approx(t, rel=1e-14)
+        dp = ispec.D.derivative()
+        below, above = (dp(Fraction(math.nextafter(t, u))) for u in (-math.inf, math.inf))
+        assert below * above < 0
+
+    def _quad_calls(self, monkeypatch, problem, q, kind):
+        calls = []
+
+        def counted(f, a, b):
+            calls.append((a, b))
+            return quad(f, a, b)
+        monkeypatch.setattr(quadrature, "quad", counted)
+        report, _ = run(Command("check", problem=problem, q=q, kind=kind, timing=False))
+        assert report.status == "ok"
+        return calls, report.result["x"]
+
+    @pytest.mark.parametrize("kind", ["theorem1", "corollary2"])
+    def test_split_only_near_a_pole(self, monkeypatch, kind):
+        # x^3+x^2-3x: D' has its root 29/27 inside [0, 2.79931], but D's
+        # model puts the pair 0.84 |q| from it, so neither side is split
+        calls, x = self._quad_calls(monkeypatch, "x^3+x^2-3x", "2.79931", kind)
+        assert calls == [(0.0, x), (0.0, 2.79931)]
+        calls, x = self._quad_calls(monkeypatch, "x^5-3x^4+2x^2-x", "-7.55021", kind)
+        (t,) = quadrature._breakpoints(build_integrands(
+            factorize(ProblemSpec(NAMED_R)), UPoly.one("q"), kind), -7.55021)
+        s = bisect_branch_root(NAMED_R, t)
+        assert calls == [(0.0, s), (s, x), (0.0, t), (t, -7.55021)]
+
+    def test_failure_names_side_and_piece(self):
+        # every level runs on the x side's [0, x], x = 4.6e102
+        ispec = build_integrands(factorize(trinomial(3, 1)), UPoly.one("q"), "corollary2")
+        x = bisect_branch_root(ispec.problem.R, 1e308)
+        with pytest.raises(QuadratureError) as exc:
+            check_identity(ispec, x, 1e308)
+        assert str(exc.value) == f"x side, piece [0.0, {x!r}]: no convergence at step 2^-12"
+
+    @settings(max_examples=60, deadline=None)
+    @given(branch_checks())
+    def test_forced_split_agrees(self, case):
+        # the integral is additive: a split at any interior t and its image
+        # x(t) leaves both sides as they were, up to the rule's error
+        ispec, x, q, t = case
+        s = bisect_branch_root(ispec.problem.R, t)
+        for f, end, mid, side in ((quadrature.lhs_integrand(ispec), x, s, "x"),
+                                  (quadrature.rhs_integrand(ispec), q, t, "q")):
+            whole = quad(f, 0.0, end)
+            split = quadrature._piecewise(f, (mid, end), side)
+            assert abs(split - whole) <= 1e-12 * abs(whole)
 
 
 # (problem, q, theorem1 weight, corollary2 weight,
