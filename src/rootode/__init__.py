@@ -12,7 +12,6 @@ from .algebra import (
     UPoly,
     compose_q,
     discriminant,
-    poly_gcd,
 )
 from .derive import (
     AbelODE,
@@ -54,7 +53,7 @@ from .numeric.series import (
     quartic_series_3f2,
     series_ode_residual,
 )
-from .numeric.tracking import TrackResult, first_branch_point, newton_polish, track_root
+from .numeric.tracking import TrackResult, first_branch_point, track_root
 
 __version__ = "0.1.0"
 
@@ -88,9 +87,7 @@ __all__ = [
     "first_branch_point",
     "lagrange_series",
     "linear_ode",
-    "newton_polish",
     "pfq_series",
-    "poly_gcd",
     "quad",
     "quartic_real_roots",
     "quartic_series_2f1_product",

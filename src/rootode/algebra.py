@@ -13,9 +13,10 @@ division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
 Beside it sit helpers on ascending lists of ints (product, sum, exact
-division over Z, and the gcd behind ``poly_gcd``: 1 certified by Euclid
-modulo a small prime, else primitive pseudo-remainders), on which the
-exact core runs, and the discriminant of R(x) - q.  With n = deg R and
+division over Z, and ``_gcd``, the gcd behind ``derive._reduced``: 1
+certified by Euclid modulo a small prime, else primitive
+pseudo-remainders), on which the exact core runs, and the discriminant of
+R(x) - q.  With n = deg R and
 m = n-1, the discriminant is the polynomial whose roots are the critical
 values R(xi) at the roots xi of R',
 
@@ -257,63 +258,10 @@ class UPoly:
             k >>= 1
         return result
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            return UPoly(self.var, tuple(a / c for a in self.coeffs))
-        return NotImplemented
-
-    def __divmod__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        if not o:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = o.coeffs
-        dn = len(dv) - 1
-        lead = dv[-1]
-        if len(rem) - 1 < dn:
-            return UPoly.zero(self.var), self
-        quo = [0] * (len(rem) - dn)
-        for k in range(len(rem) - 1, dn - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            if lead == 1:
-                f = c
-            elif type(c) is int and type(lead) is int:
-                f = _ratio(c, lead)
-            else:
-                f = Fraction(c) / lead
-            quo[k - dn] = f
-            for i in range(dn + 1):
-                rem[k - dn + i] -= f * dv[i]
-        return UPoly(self.var, quo), UPoly(self.var, rem[:dn])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
-    def exact_div(self, other: "UPoly") -> "UPoly":
-        """Divide by ``other`` asserting zero remainder."""
-        quo, rem = divmod(self, other)
-        if rem:
-            raise NonExactDivisionError(
-                f"{self} is not divisible by {other}"
-            )
-        return quo
-
     # -- calculus and structure ---------------------------------------
 
     def derivative(self) -> "UPoly":
         return UPoly(self.var, tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def monic(self) -> "UPoly":
-        if not self:
-            raise ValueError("cannot normalize the zero polynomial")
-        return self if self.lc == 1 else self / self.lc
 
     def compose(self, inner: "UPoly") -> "UPoly":
         """Substitute ``inner`` for the variable; result is in ``inner.var``."""
@@ -436,18 +384,6 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
             return y if y[-1] > 0 else [-c for c in y]
         x, y = y, _primitive(r)
     return [1]
-
-
-def poly_gcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic greatest common divisor: ``_gcd`` of the two polynomials with
-    their denominators cleared, made monic."""
-    if a.var != b.var:
-        raise VariableMismatchError("gcd of polynomials in different variables")
-    if not a and not b:
-        raise ValueError("gcd(0, 0) is undefined")
-    if not a or not b:
-        return (a or b).monic()
-    return UPoly(a.var, _gcd(_integer_coeffs(a.coeffs)[1], _integer_coeffs(b.coeffs)[1])).monic()
 
 
 # -- discriminants ----------------------------------------------------

@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from ..algebra import UPoly, _integer_coeffs, _mul, _rat
 from ..derive import LinearODE, ProblemSpec
+from ..errors import DomainError
 
 __all__ = [
     "lagrange_series",
@@ -63,7 +64,8 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
     substitution, c_m = e_m L^m / rho^(2m-1), one division per returned
     coefficient.  The series comes from R(S) = q alone, never from the
     derived linear ODE, so checking it against that ODE stays an
-    independent test.  Requires R'(0) != 0 and 1 <= order <= MAX_SERIES_ORDER.
+    independent test.  Requires 1 <= order <= MAX_SERIES_ORDER (else
+    ValueError) and R'(0) != 0 (else DomainError).
     """
     if order < 1:
         raise ValueError("need order >= 1")
@@ -71,7 +73,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
         raise ValueError(f"series order {order} exceeds the limit {MAX_SERIES_ORDER}")
     r = spec.R.coeffs
     if r[1] == 0:
-        raise ValueError("series inversion needs R'(0) != 0")
+        raise DomainError("series inversion needs R'(0) != 0")
     lcm_den, a = _integer_coeffs(r)
     rho = a[1]
     top = min(spec.n, order)

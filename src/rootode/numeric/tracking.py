@@ -25,9 +25,7 @@ from ..derive import ProblemSpec, abel_ode
 from ..errors import DomainError
 
 __all__ = [
-    "PolishResult",
     "TrackResult",
-    "newton_polish",
     "first_branch_point",
     "past_branch_point",
     "track_root",
@@ -37,14 +35,6 @@ __all__ = [
 RESIDUAL_TOL = 1e-10
 # accepted RK steps before tracking gives up with status step_limit
 MAX_STEPS = 100_000
-
-
-@dataclass(frozen=True)
-class PolishResult:
-    x: float
-    residual: float
-    iters: int
-    converged: bool
 
 
 def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
@@ -64,15 +54,6 @@ def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
         x -= f / fp
     f = _horner(coeffs, x) - q
     return x, abs(f), max_iter, abs(f) <= scale
-
-
-def newton_polish(r: UPoly, q: float, x0: float, tol: float = 1e-12,
-                  max_iter: int = 50) -> PolishResult:
-    """Newton iteration on R(x) - q = 0 from x0, at most max_iter steps;
-    iters counts the steps taken."""
-    coeffs = r.float_coeffs()
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-    return PolishResult(*_newton(coeffs, dcoeffs, q, x0, tol, max_iter))
 
 
 def _at(cs: list[int], n: int, s: int) -> int:

@@ -493,6 +493,15 @@ class TestMain:
         assert report["status"] == "domain_error"
         assert "float range" in report["errors"][0]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "x^3+x^2", "--q", "0.1"],
+        ["series", "x^3+x^2", "--order", "5"],
+    ])
+    def test_singular_origin_is_a_domain_error(self, capsys, argv):
+        # R'(0) = 0 is input outside the domain, not a malformed command
+        assert main(argv + ["--no-timing"]) == 2
+        assert json.loads(capsys.readouterr().out)["status"] == "domain_error"
+
     def test_coefficient_beyond_float_range_in_the_isolator(self, capsys):
         # the branch point's Newton table is built from these coefficients
         assert main(["check", "x^3-1" + "0" * 320 + "x", "--q", "1", "--no-timing"]) == 2

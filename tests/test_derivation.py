@@ -29,6 +29,8 @@ from rootode import lagrange_series, series_ode_residual
 from rootode.numeric.tracking import _nearest_root
 from rootode.render import text_linear
 
+from q_division import qdivmod, qexact_div, r_adic_digits
+
 
 def q_poly(*cs):
     return UPoly("q", cs)
@@ -75,7 +77,7 @@ def _resultant(a, b):
     """Res(a, b) over Q by the Euclidean remainder sequence, b nonzero."""
     if b.degree == 0:
         return Fraction(b.lc) ** a.degree
-    c = a % b
+    c = qdivmod(a, b)[1]
     if not c:
         return Fraction(0)
     sign = -1 if a.degree * b.degree % 2 else 1
@@ -96,11 +98,8 @@ def assert_matches_q_route(spec):
     sign = -1 if n * (n - 1) // 2 % 2 else 1
     for t in range(n):
         assert D(t) == sign * _resultant(R - t, rp) / R.lc, f"D({t}) differs for R = {R}"
-    U = compose_q(D, R).exact_div(rp * rp)
-    f, digits = rp * U, []
-    while f:
-        f, c = divmod(f, R)
-        digits.append(c)
+    U = qexact_div(compose_q(D, R), rp * rp)
+    digits = r_adic_digits(rp * U, R)
     W = tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(n))
     sgn = 1 if D.trailing() > 0 else -1
     assert (fact.U, fact.script_d, fact.script_u) == (U, D * sgn, U * sgn), f"R = {R}"
@@ -424,10 +423,7 @@ def _reference_tower(spec):
     for k in range(1, spec.n):
         if k > 1:
             f = ru * f.derivative() - (k - 1) * dp * f
-        g, digits = f, []
-        while g:
-            g, c = divmod(g, spec.R)
-            digits.append(c)
+        digits = r_adic_digits(f, spec.R)
         raw.append(tuple(UPoly("q", [c.coefficient(j) for c in digits]) for j in range(spec.n)))
     return raw
 
@@ -701,7 +697,7 @@ def _reference_kernel(rows, ncols):
         for i in range(len(m)):
             if i != r:
                 f = m[i][c]
-                m[i] = [(piv * e - f * g).exact_div(prev) for e, g in zip(m[i], m[r])]
+                m[i] = [qexact_div(piv * e - f * g, prev) for e, g in zip(m[i], m[r])]
         prev, pivots[c], r = piv, r, r + 1
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):

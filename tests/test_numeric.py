@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import UPoly, discriminant, poly_gcd
+from rootode.algebra import UPoly, discriminant
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
 from rootode import (
     babylonian_root,
@@ -20,7 +20,6 @@ from rootode import (
     cardano_root,
     check_identity,
     first_branch_point,
-    newton_polish,
     quad,
     quartic_real_roots,
     quartic_w_root,
@@ -38,6 +37,8 @@ from rootode.numeric.closedform import (
     ferrari_real_roots,
 )
 from rootode.numeric.quadrature import rhs_integrand
+
+from q_division import qexact_div, rational_euclid
 
 
 def mono_trinomial(n, p):
@@ -248,32 +249,35 @@ class TestClosedForms:
         assert abs(r(x) - 5.9e307) <= 1e-15 * 5.9e307
 
 
+def _newton(r, q, x0, max_iter=50):
+    """tracking._newton on R(x) - q from x0, tol 1e-12: (x, residual,
+    steps taken, converged)."""
+    c = r.float_coeffs()
+    return tracking._newton(c, [i * v for i, v in enumerate(c)][1:], q, x0, 1e-12, max_iter)
+
+
 class TestPolish:
     def test_converges_near_root(self):
-        r = mono_trinomial(3, 1)
-        res = newton_polish(r, 0.7, 0.6)
-        assert res.converged
-        assert abs(res.residual) < 1e-14
-        assert abs(res.x - cardano_root(1.0, 0.7)) < 1e-14
+        x, residual, _, converged = _newton(mono_trinomial(3, 1), 0.7, 0.6)
+        assert converged
+        assert residual < 1e-14
+        assert abs(x - cardano_root(1.0, 0.7)) < 1e-14
 
     def test_reports_failure(self):
         # derivative vanishes at the start point, far from any root
-        r = mono_trinomial(3, -1)
-        res = newton_polish(r, 1e6, math.sqrt(1 / 3), max_iter=3)
-        assert not res.converged
+        assert not _newton(mono_trinomial(3, -1), 1e6, math.sqrt(1 / 3), max_iter=3)[3]
 
     def test_counts_the_steps_taken(self):
         # R'(0) = 0 stops Newton before its first step
-        res = newton_polish(UPoly("x", (0, 0, 1)), 1.0, 0.0)
-        assert (res.x, res.iters, res.converged) == (0.0, 0, False)
+        x, _, iters, converged = _newton(UPoly("x", (0, 0, 1)), 1.0, 0.0)
+        assert (x, iters, converged) == (0.0, 0, False)
         # an overflowed residual stops it as well
-        res = newton_polish(UPoly("x", (0, 1, 0, 1)), 1.0, 1e200)
-        assert (res.iters, res.converged) == (0, False)
+        _, _, iters, converged = _newton(UPoly("x", (0, 1, 0, 1)), 1.0, 1e200)
+        assert (iters, converged) == (0, False)
         # one step from the root of 2x - 1 lands on it
-        res = newton_polish(UPoly("x", (0, 2)), 1.0, 0.0)
-        assert (res.x, res.iters, res.converged) == (0.5, 1, True)
-        res = newton_polish(mono_trinomial(3, 1), 0.7, 0.6, max_iter=2)
-        assert res.iters == 2
+        x, _, iters, converged = _newton(UPoly("x", (0, 2)), 1.0, 0.0)
+        assert (x, iters, converged) == (0.5, 1, True)
+        assert _newton(mono_trinomial(3, 1), 0.7, 0.6, max_iter=2)[2] == 2
 
 
 def _reference_first_branch_point(d, direction):
@@ -283,7 +287,7 @@ def _reference_first_branch_point(d, direction):
     d = UPoly("q", d.coeffs[next(k for k, c in enumerate(d.coeffs) if c):])
     if d.degree == 0:
         return None
-    sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
+    sf = qexact_div(d, rational_euclid(d, d.derivative())) if d.degree > 1 else d
     sfc = sf.float_coeffs()
     dsfc = [i * c for i, c in enumerate(sfc)][1:]
     best = None
@@ -332,7 +336,7 @@ class TestBranchPoint:
         # neighbours
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-300)
         if got:
-            sf = d.exact_div(poly_gcd(d, d.derivative())) if d.degree > 1 else d
+            sf = qexact_div(d, rational_euclid(d, d.derivative())) if d.degree > 1 else d
             below, above = (sf(Fraction(math.nextafter(got, t))) for t in (-math.inf, math.inf))
             assert below * above <= 0
 

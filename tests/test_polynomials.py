@@ -22,10 +22,11 @@ from rootode.algebra import (
     UPoly,
     compose_q,
     discriminant,
-    poly_gcd,
 )
 from rootode.derive import ProblemSpec, linear_ode
 from rootode.errors import DomainError, NonExactDivisionError, VariableMismatchError
+
+from q_division import qdivmod, qexact_div, qmonic, rational_euclid
 
 
 def rand_poly(rng, var="x", max_deg=6, lo=-9, hi=9, nonzero=False):
@@ -60,16 +61,6 @@ def _ref_mul(a, b):
     return _trim(out)
 
 
-def _ref_divmod(a, b):
-    rem, quo = list(a), [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    for k in range(len(a) - len(b), -1, -1):
-        f = rem[k + len(b) - 1] / b[-1]
-        quo[k] = f
-        for i, y in enumerate(b):
-            rem[k + i] -= f * y
-    return _trim(quo), _trim(rem[: len(b) - 1])
-
-
 def _ref_compose(a, b):
     acc = []
     for c in reversed(a):
@@ -87,20 +78,11 @@ _rationals = st.builds(Fraction, st.integers(-12, 12), st.sampled_from([1, 1, 1,
 _coeff_lists = st.lists(_rationals, max_size=5)
 
 
-def _rational_euclid(a, b):
-    """Monic gcd by Euclid's algorithm over Q, remainders made monic."""
-    while b:
-        a, b = b, a % b
-        if b:
-            b = b.monic()
-    return a.monic()
-
-
 class TestCanonicalCoefficients:
     @settings(max_examples=150, deadline=None)
-    @given(_coeff_lists, _coeff_lists, _coeff_lists)
-    def test_results_int_where_integral(self, a, b, c):
-        pa, pb, pc = UPoly("x", a), UPoly("x", b), UPoly("x", c)
+    @given(_coeff_lists, _coeff_lists)
+    def test_results_int_where_integral(self, a, b):
+        pa, pb = UPoly("x", a), UPoly("x", b)
         ra, rb = _trim(a), _trim(b)
         results = [
             (pa + pb, _ref_add(ra, rb)),
@@ -109,10 +91,6 @@ class TestCanonicalCoefficients:
             (pa.compose(pb), _ref_compose(ra, rb)),
             (pa.derivative(), _trim(i * y for i, y in enumerate(ra) if i)),
         ]
-        if pc:
-            quo, rem = divmod(pa, pc)
-            results += list(zip((quo, rem), _ref_divmod(ra, _trim(c))))
-            results.append(((pa * pc).exact_div(pc), ra))
         for got, want in results:
             assert _canonical(got), got
             assert list(got.coeffs) == want
@@ -206,33 +184,10 @@ class TestRingLaws:
 
 
 class TestDivision:
-    def test_divmod_random(self):
-        rng = random.Random(99)
-        for _ in range(500):
-            a = rand_poly(rng, max_deg=8)
-            b = rand_poly(rng, max_deg=5, nonzero=True)
-            quo, rem = divmod(a, b)
-            assert quo * b + rem == a
-            assert rem.degree < b.degree
-
-    def test_exact_division_roundtrip(self):
-        rng = random.Random(5)
-        for _ in range(200):
-            a = rand_poly(rng, nonzero=True)
-            b = rand_poly(rng, nonzero=True)
-            assert (a * b).exact_div(b) == a
-
-    def test_exact_division_failure_raises(self):
-        with pytest.raises(NonExactDivisionError):
-            UPoly("x", (1, 0, 1)).exact_div(UPoly("x", (1, 1)))
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            divmod(UPoly("x", (1, 1)), UPoly.zero("x"))
-
     def test_integer_helpers_match_upoly(self):
-        # _mul and _monic_divmod on int lists agree with UPoly, the
-        # remainder padded to deg b entries, or all of a when a is shorter
+        # _mul and _monic_divmod on int lists agree with UPoly and division
+        # over Q, the remainder padded to deg b entries, or all of a when a
+        # is shorter
         rng = random.Random(17)
         for _ in range(300):
             a = [rng.randint(-9, 9) for _ in range(rng.randint(1, 12))]
@@ -240,7 +195,7 @@ class TestDivision:
             assert UPoly("x", _mul(a, b)) == UPoly("x", a) * UPoly("x", b)
             quo, rem = _monic_divmod(a, b)
             assert len(rem) == min(len(a), len(b) - 1)
-            assert (UPoly("x", quo), UPoly("x", rem)) == divmod(UPoly("x", a), UPoly("x", b))
+            assert (UPoly("x", quo), UPoly("x", rem)) == qdivmod(UPoly("x", a), UPoly("x", b))
 
     def test_ratio_is_canonical(self):
         for num, den in ((6, 3), (-6, 4), (6, -4), (0, 7), (7, 1), (-9, -3)):
@@ -249,39 +204,39 @@ class TestDivision:
             assert type(got) is (int if Fraction(num, den).denominator == 1 else Fraction)
 
 
+def _int_poly(rng, max_deg):
+    """A nonzero integer list of degree at most max_deg, entries in [-9, 9]."""
+    return list(rand_poly(rng, max_deg=max_deg, nonzero=True).coeffs)
+
+
 class TestGcd:
+    """``_gcd`` on integer lists against Euclid over Q."""
+
     def test_known_common_factor(self):
-        f = UPoly("x", (1, 1)) ** 2 * UPoly("x", (-2, 1))
-        g = UPoly("x", (1, 1)) * UPoly("x", (3, 1))
-        assert poly_gcd(f, g) == UPoly("x", (1, 1))
+        f = _mul(_mul([1, 1], [1, 1]), [-2, 1])
+        assert _gcd(f, _mul([1, 1], [3, 1])) == [1, 1]
 
     def test_gcd_divides_both_random(self):
         rng = random.Random(11)
         for _ in range(100):
-            a = rand_poly(rng, max_deg=4, nonzero=True)
-            b = rand_poly(rng, max_deg=4, nonzero=True)
-            g = poly_gcd(a, b)
-            assert a % g == UPoly.zero("x")
-            assert b % g == UPoly.zero("x")
-            assert g.lc == 1
+            a, b = _int_poly(rng, 4), _int_poly(rng, 4)
+            g = _gcd(a, b)
+            assert not qdivmod(UPoly("x", a), UPoly("x", g))[1]
+            assert not qdivmod(UPoly("x", b), UPoly("x", g))[1]
+            assert g[-1] > 0 and math.gcd(*g) == 1
 
     def test_gcd_of_coprime_is_one(self):
-        assert poly_gcd(UPoly("x", (1, 1)), UPoly("x", (2, 1))) == UPoly.one("x")
+        assert _gcd([1, 1], [2, 1]) == [1]
 
     def test_matches_rational_euclid(self):
-        # rational coefficients, a planted common factor, and zero operands
+        # a planted common factor, constants among the operands
         rng = random.Random(17)
         for _ in range(150):
-            g = UPoly("x", [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))])
-            a = rand_poly(rng, max_deg=4) * g
-            b = rand_poly(rng, max_deg=4) * g * Fraction(rng.randint(1, 5), rng.randint(1, 5))
-            if a or b:
-                assert poly_gcd(a, b) == _rational_euclid(a, b)
-                assert poly_gcd(b, a) == _rational_euclid(a, b)
-
-    def test_gcd_zero_zero_undefined(self):
-        with pytest.raises(ValueError):
-            poly_gcd(UPoly.zero("x"), UPoly.zero("x"))
+            g = _int_poly(rng, 2)
+            a, b = _mul(_int_poly(rng, 4), g), _mul(_int_poly(rng, 4), g)
+            want = rational_euclid(UPoly("x", a), UPoly("x", b))
+            assert qmonic(UPoly("x", _gcd(a, b))) == want
+            assert qmonic(UPoly("x", _gcd(b, a))) == want
 
 
 # -- the gcd by pseudo-remainders alone, the reference for the certificate --
@@ -388,7 +343,7 @@ def bareiss_determinant(rows, one):
     """Fraction-free determinant; entries may live in any integral domain
     supporting *, -, truth testing and exact division."""
     def exact_quot(a, b):
-        return a.exact_div(b) if isinstance(a, UPoly) else Fraction(a, b)
+        return qexact_div(a, b) if isinstance(a, UPoly) else Fraction(a, b)
 
     n = len(rows)
     if n == 0:

@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rootode import (
+    DomainError,
     ProblemSpec,
     UPoly,
     lagrange_series,
@@ -165,7 +166,7 @@ class TestLagrange:
                 lagrange_series(spec, order)
 
     def test_requires_simple_origin(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             lagrange_series(ProblemSpec(UPoly("x", (0, 0, 1, 1))), 5)
 
     def test_evaluate_matches_closed_form(self):
