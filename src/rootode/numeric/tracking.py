@@ -1,27 +1,28 @@
-"""Numeric continuation of the root branch along its first-order equation.
+"""Numeric continuation of the root branch, certified at the target.
 
-Integrates x' = W(x, q)/D(q) from (0, 0) with an embedded Cash-Karp 4(5)
-pair and polishes each accepted step with Newton on R(x) - q, so the
-result carries full Newton accuracy while the integration supplies branch
-selection and starting points.  The first branch point, the nearest
-nonzero real root of D on the side of the target, is isolated beforehand
-in exact arithmetic by Sturm's theorem, on a chain built over Z by the
-pseudo-remainders of ``algebra._prem``, and targets at or beyond it are
-refused; the same isolator (``_roots``) lists every real root of D' for
-the near-poles of ``quadrature.check_identity``.  ``_newton`` is the one
-float Newton of the numeric layer: it polishes the tracked steps, the
-isolated roots and the closed forms of ``closedform``.
+Modulo R - q, the first-order equation x' = W/D is R'(x) x' = 1, so the
+branch's tangent is 1/R'(x).  ``track_root`` follows x(q) from (0, 0) by
+Euler predictor and Newton corrector steps (Allgower and Georg,
+"Introduction to Numerical Continuation Methods", ch. 2 and 6), and
+returns the float next to the root, certified by exact signs of R - q.
+The first branch point, the nearest nonzero real root of D on the side of
+the target, is isolated beforehand in exact arithmetic by Sturm's theorem,
+on a chain built over Z by the pseudo-remainders of ``algebra._prem``, and
+targets at or beyond it are refused; the same isolator (``_roots``) gives
+the critical points of R and the near-poles of ``quadrature``.
+``_newton`` is the one float Newton of the numeric layer.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .._memo import memoized
 from ..algebra import UPoly, _exact_div, _horner, _integer_coeffs, _prem, _primitive
-from ..derive import ProblemSpec, abel_ode
+from ..derive import ProblemSpec, factorize
 from ..errors import DomainError
 
 __all__ = [
@@ -31,29 +32,27 @@ __all__ = [
     "track_root",
 ]
 
-# Newton's residual target after each accepted step, relative to 1 + |q|
-RESIDUAL_TOL = 1e-10
-# accepted RK steps before tracking gives up with status step_limit
+# accepted continuation steps before tracking gives up with status step_limit
 MAX_STEPS = 100_000
 
 
 def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
             max_iter: int = 50) -> tuple[float, float, int, bool]:
     """Newton on R(x) - q = 0 from x, with R and R' given as float
-    coefficient lists: (x, |R(x) - q|, steps taken, converged).  Stops
-    early, unconverged, where R'(x) is 0 or R(x) - q is not finite; with
-    tol 0 it runs max_iter plain steps unless R(x) - q reaches exactly 0."""
-    scale = tol * (1.0 + abs(q))
+    coefficient lists: (x, |R(x) - q|, steps taken, converged), converged
+    once |R(x) - q| <= tol.  Stops early, unconverged, where R'(x) is 0 or
+    R(x) - q is not finite; with tol 0 it runs max_iter plain steps unless
+    R(x) - q reaches exactly 0."""
     for it in range(max_iter):
         f = _horner(coeffs, x) - q
-        if abs(f) <= scale:
+        if abs(f) <= tol:
             return x, abs(f), it, True
         fp = _horner(dcoeffs, x)
         if fp == 0.0 or not math.isfinite(f):
             return x, abs(f), it, False
         x -= f / fp
     f = _horner(coeffs, x) - q
-    return x, abs(f), max_iter, abs(f) <= scale
+    return x, abs(f), max_iter, abs(f) <= tol
 
 
 def _at(cs: list[int], n: int, s: int) -> int:
@@ -158,7 +157,7 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     """Nearest nonzero real root of the nonzero p on the given side of 0,
     or None: the first root ``_roots`` yields, the farther ones never
     isolated.  Memoized per process: it serves D for ``first_branch_point``
-    and R' for ``bisect_branch_root``."""
+    and R' for ``bisect_branch_root`` and ``track_root``."""
     return next(_roots(p, direction), None)
 
 
@@ -184,8 +183,10 @@ class TrackResult:
 
     status is "ok", "hit_branch_point" (target at or past the first real
     root of D; x is NaN), "step_limit" (MAX_STEPS accepted steps did not
-    reach the target; x is NaN) or "step_underflow".  q_star is the first
-    branch point in the direction of travel when one exists.
+    reach the target; x is NaN) or "step_underflow" (x the last accepted
+    point).  steps counts accepted steps and polish_iters every Newton
+    iteration.  q_star is the first branch point in the direction of
+    travel when one exists.
     """
 
     x: float
@@ -196,20 +197,45 @@ class TrackResult:
     q_star: float | None
 
 
-# Cash-Karp tableau, with the nodes c_i = sum_j a_ij and the error weights
-# b5 - b4 of the embedded pair
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
-)
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-_CK_C = tuple(sum(row) for row in _CK_A)
-_CK_E = tuple(b5 - b4 for b5, b4 in zip(_CK_B5, _CK_B4))
+def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
+    """The float next to the root of R = q, found from x on the monotone
+    stretch of R - q from 0 (sign of -q) to end (sign of q), with exact
+    signs, in integers on the dyadic floats as in ``_roots``: steps of 1, 2,
+    4, ... ulps towards the sign change, then bisection, to two consecutive
+    floats of opposite signs.  Of the two, the one with the smaller exact
+    |R - q|, compared as rationals; the smaller in magnitude on a tie."""
+    den, ints = _integer_coeffs(r.coeffs)
+    a, b = q.as_integer_ratio()
+    cs = [b * c for c in ints]
+    cs[0] -= den * a
+
+    def value(t: float) -> tuple[int, int]:
+        # (d^deg den b (R(t) - q), d) at t = n/d: an integer of the sign of R(t) - q
+        n, d = t.as_integer_ratio()
+        return _at(cs, n, d), d
+
+    near, (v_near, d_near) = x, value(x)
+    if not v_near:
+        return x
+    end = 0.0 if (v_near > 0) == (q > 0) else end
+    step = math.copysign(math.ulp(x), end - x)
+    while True:
+        far = end if (near + step - end) * step >= 0 else near + step
+        v_far, d_far = value(far)
+        if not v_far or (v_far > 0) != (v_near > 0):
+            break
+        if far == end:
+            raise DomainError("R does not reach q on its monotone stretch")
+        near, v_near, d_near, step = far, v_far, d_far, 2.0 * step
+    while v_far and (mid := near + 0.5 * (far - near)) not in (near, far):
+        v_mid, d_mid = value(mid)
+        if v_mid and (v_mid > 0) == (v_near > 0):
+            near, v_near, d_near = mid, v_mid, d_mid
+        else:
+            far, v_far, d_far = mid, v_mid, d_mid
+    # |R - q| at n/d is |v| / d^deg times den b
+    lhs, rhs = (abs(v) * d ** (len(cs) - 1) for v, d in ((v_near, d_far), (v_far, d_near)))
+    return near if lhs < rhs or (lhs == rhs and abs(near) < abs(far)) else far
 
 
 def track_root(
@@ -222,87 +248,60 @@ def track_root(
     """Follow the branch x(q), x(0) = 0, to q_target.
 
     Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
-    slope), D(0) != 0 (otherwise x' = W/D is 0/0 at the origin, and the
-    first-order equation cannot start there), a finite q_target and
-    finite, nonnegative atol and rtol (ValueError otherwise).  The
-    float tables of W, D, R and R' are built once per call; the six stages
-    and both combinations of the pair are written out as left-to-right
-    sums over them, and each accepted step is polished by Newton on R and
-    R' (polish_iters counts its steps).
+    slope), a finite q_target and finite, nonnegative atol and rtol
+    (ValueError otherwise).  A step of h from (q, x) predicts x + h/R'(x)
+    and makes at most three Newton corrections on R(x) = q + h.  It is
+    accepted when |R(x) - q - h| <= atol + rtol |q + h| with x on the
+    monotone stretch of R from 0 towards x_c, the nearest root of R' on the
+    branch's side, so the corrector cannot jump to another root; else h is
+    quartered.  h doubles after at most two corrections.  At the target
+    Newton with tol 0 and ``_next_to_root`` give the float next to the root.
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):
         raise ValueError(f"q_target must be finite, got {q_target}")
     if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf):
         raise ValueError(f"atol and rtol must be finite and nonnegative, got {atol}, {rtol}")
-    if spec.rprime().coefficient(0) == 0:
+    rp = spec.rprime()
+    if rp.coefficient(0) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
-    ode = abel_ode(spec)
-    if not ode.D.coefficient(0):
-        raise DomainError("D(0) = 0: R has a multiple root, and x' = W/D is 0/0 at the origin")
     if q_target == 0.0:
         return TrackResult(0.0, 0.0, 0, 0, "ok", None)
     direction = 1 if q_target > 0 else -1
-    q_star = first_branch_point(ode.D, direction)
+    q_star = first_branch_point(factorize(spec).D, direction)
     if past_branch_point(q_target, q_star):
         return TrackResult(math.nan, math.nan, 0, 0, "hit_branch_point", q_star)
 
-    wq = [w.float_coeffs() for w in ode.W]
-    dq = ode.D.float_coeffs()
-
-    def f(q: float, x: float) -> float:
-        return _horner([_horner(cs, q) for cs in wq], x) / _horner(dq, q)
-
     rc = spec.R.float_coeffs()
     drc = [i * c for i, c in enumerate(rc)][1:]
-    _, c2, c3, c4, c5, c6 = _CK_C
-    _, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
-        (a61, a62, a63, a64, a65) = _CK_A
-    # the zero weights b2 and b5 of both rows drop out of the sums
-    b1, _, b3, b4, _, b6 = _CK_B5
-    e1, _, e3, e4, e5, e6 = _CK_E
-    q = 0.0
-    x = 0.0
+    # x leaves 0 on the side where R'(0) x has the sign of q
+    side = direction if rp.coefficient(0) > 0 else -direction
+    end = _nearest_root(rp, side) or side * sys.float_info.max
+    q = x = 0.0
     # a subnormal q_target / 16 can round to 0
     h = q_target / 16.0 or q_target
-    steps = 0
-    polish_total = 0
-    while (q_target - q) * direction > 0:
+    steps = polish_total = 0
+    while q != q_target:
         if steps == MAX_STEPS:
             return TrackResult(math.nan, math.nan, steps, polish_total, "step_limit", q_star)
-        last = abs(h) > abs(q_target - q)
-        if last:
-            h = q_target - q
-        try:
-            k1 = f(q, x)
-            k2 = f(q + h * c2, x + h * (a21 * k1))
-            k3 = f(q + h * c3, x + h * (a31 * k1 + a32 * k2))
-            k4 = f(q + h * c4, x + h * (a41 * k1 + a42 * k2 + a43 * k3))
-            k5 = f(q + h * c5, x + h * (a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4))
-            k6 = f(q + h * c6, x + h * (a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4
-                                        + a65 * k5))
-            ok_eval = all(map(math.isfinite, (k1, k2, k3, k4, k5, k6)))
-        except (ZeroDivisionError, OverflowError):
-            ok_eval = False
-        if ok_eval:
-            x5 = x + h * (b1 * k1 + b3 * k3 + b4 * k4 + b6 * k6)
-            err = abs(h * (e1 * k1 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6))
-            scale = atol + rtol * max(abs(x), abs(x5))
-        else:
-            err = math.inf
-            scale = 1.0
-        if ok_eval and err <= scale:
-            # q + (q_target - q) can miss q_target by an ulp
-            q = q_target if last else q + h
-            x, _, iters, _ = _newton(rc, drc, q, x5, RESIDUAL_TOL)
-            polish_total += iters
+        h = min(h, q_target - q, key=abs)
+        # q + (q_target - q) can miss q_target by an ulp
+        q_next = q_target if h == q_target - q else q + h
+        slope = _horner(drc, x)
+        guess = x + h / slope if slope else math.nan
+        x_next, _, iters, converged = _newton(rc, drc, q_next, guess, atol + rtol * abs(q_next), 3)
+        polish_total += iters
+        if converged and 0.0 <= x_next * side < abs(end):
+            q, x = q_next, x_next
             steps += 1
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * (scale / err) ** 0.2)
-            h *= grow
+            if iters <= 2:
+                h *= 2.0
         else:
-            h *= max(0.2, 0.9 * (scale / err) ** 0.25) if math.isfinite(err) else 0.2
-        if abs(h) <= 1e-15 * abs(q):
-            return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
-                               "step_underflow", q_star)
-    x, residual, iters, _ = _newton(rc, drc, q_target, x, 1e-13)
-    return TrackResult(x, residual, steps, polish_total + iters, "ok", q_star)
+            h /= 4.0
+            if abs(h) <= 1e-15 * abs(q):
+                return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
+                                   "step_underflow", q_star)
+    x_next, _, iters, _ = _newton(rc, drc, q_target, x, 0.0, 4)
+    polish_total += iters
+    x = _next_to_root(spec.R, q_target, x_next if 0.0 <= x_next * side < abs(end) else x, end)
+    return TrackResult(x, abs(_horner(rc, x) - q_target), steps, polish_total, "ok", q_star)

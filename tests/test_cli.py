@@ -1,5 +1,6 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -22,6 +23,8 @@ from rootode.cli import (
     run,
 )
 from rootode.errors import ParseError
+
+from exact_sign import exactly_bracketed
 
 
 class TestParsing:
@@ -274,12 +277,17 @@ class TestVerbs:
         assert report.status == "ok"
         assert report.result["x"] == float(q)
 
-    def test_solve_multiple_root_refused(self):
-        # the same R as above: check answers ok, but tracking cannot start
+    def test_solve_multiple_root_away_from_origin(self):
+        # the same R as above, D(0) = 0: solve answers next to the root,
+        # within an ulp of check's bisection
         report, code = run(Command("solve", problem="x^3+2x^2+x", q="0.01"))
-        assert code == 2
-        assert report.status == "domain_error"
-        assert "D(0) = 0" in report.errors[0]
+        assert (code, report.status) == (0, "ok")
+        x = report.result["x"]
+        assert x == 0.009806713608741848
+        r = parse_polynomial("x^3+2x^2+x").R
+        assert exactly_bracketed(r, 0.01, x)
+        ref = bisect_branch_root(r, 0.01)
+        assert abs(x - ref) <= math.ulp(ref)
 
     def test_check_beyond_branch_point(self):
         for kind in ("theorem1", "corollary2"):
@@ -484,8 +492,9 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["solve", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
         ["check", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
-        # coefficients within range, but W has integers beyond 1.8e308
-        ["solve", "x^12+1" + "0" * 30 + "x", "--q", "0.5"],
+        # coefficients within range, but D has integers beyond 1.8e308, and
+        # the isolator of the branch point at q < 0 needs its floats
+        ["solve", "x^12+1" + "0" * 30 + "x", "--q", "-0.5"],
     ])
     def test_beyond_float_range_is_a_domain_error(self, capsys, argv):
         assert main(argv + ["--no-timing"]) == 2
@@ -501,6 +510,12 @@ class TestMain:
         # R'(0) = 0 is input outside the domain, not a malformed command
         assert main(argv + ["--no-timing"]) == 2
         assert json.loads(capsys.readouterr().out)["status"] == "domain_error"
+
+    def test_solve_needs_no_floats_of_w(self, capsys):
+        # the same R at q > 0, where no branch point is isolated: W has
+        # integers beyond 1.8e308, but the tangent 1/R'(x) does not use W
+        assert main(["solve", "x^12+1" + "0" * 30 + "x", "--q", "0.5", "--no-timing"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["x"] == 5e-31
 
     def test_coefficient_beyond_float_range_in_the_isolator(self, capsys):
         # the branch point's Newton table is built from these coefficients

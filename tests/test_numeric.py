@@ -1,8 +1,10 @@
 """Floating-point side: quadrature, closed forms, tracking, identity checks."""
+import json
 import math
 import random
 import subprocess
 import sys
+import time
 from array import array
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +30,9 @@ from rootode import (
     vieta_trig_root,
 )
 from rootode.errors import DomainError, QuadratureError, SingularIntegrandError
-from rootode.cli import Command, run
+from rootode.cli import Command, parse_polynomial, run
 from rootode.numeric import quadrature, tracking
+from rootode.numeric.tracking import _at
 from rootode.numeric.closedform import (
     biquadratic_real_roots,
     depress_quartic,
@@ -38,6 +41,7 @@ from rootode.numeric.closedform import (
 )
 from rootode.numeric.quadrature import rhs_integrand
 
+from exact_sign import exactly_bracketed
 from q_division import qexact_div, rational_euclid
 
 
@@ -434,10 +438,54 @@ class TestTracking:
         with pytest.raises(DomainError):
             track_root(ProblemSpec(UPoly("x", (0, 0, 0, 5, 0, 1))), 0.5)
 
-    def test_multiple_root_rejected(self):
-        # R = x (x+1)^2: D(0) = 0, so x' = W/D is 0/0 at the origin
-        with pytest.raises(DomainError, match=r"D\(0\) = 0"):
-            track_root(ProblemSpec(UPoly("x", (0, 1, 2, 1))), 0.01)
+    def test_multiple_root_away_from_origin(self):
+        # R = x (x+1)^2: D(0) = 0 through the double root at -1, where
+        # x' = W/D is 0/0 at the origin; the tangent 1/R'(x) is not
+        spec = ProblemSpec(UPoly("x", (0, 1, 2, 1)))
+        res = track_root(spec, 0.01)
+        assert res.status == "ok"
+        assert res.x == 0.009806713608741848
+        assert exactly_bracketed(spec.R, 0.01, res.x)
+        ref = bisect_branch_root(spec.R, 0.01)
+        assert abs(res.x - ref) <= math.ulp(ref)
+
+    def test_huge_target(self):
+        # D(q) overflowed inside W/D, and tracking underflowed at x = 6.7e76
+        spec = trinomial(3, 1)
+        t0 = time.perf_counter()
+        res = track_root(spec, 1e308)
+        assert time.perf_counter() - t0 < 2.0
+        assert res.status == "ok"
+        assert res.x == 4.641588833612779e+102
+        assert exactly_bracketed(spec.R, 1e308, res.x)
+
+    def test_far_from_root_newton_is_certified(self):
+        # a Newton polish that stops at a residual tolerance answers 128 ulps
+        # from the root here
+        spec = ProblemSpec(UPoly("x", (0, 2, 1, -1, -3, 1)))
+        res = track_root(spec, -18.7805)
+        assert res.status == "ok"
+        assert exactly_bracketed(spec.R, -18.7805, res.x)
+
+    def test_certificate_near_a_branch_point(self, monkeypatch):
+        # R is so flat here that Newton's float x lands 3e7 ulps from the
+        # root; the search doubles its steps, so the ulp walk stays short
+        spec = ProblemSpec(UPoly("x", (0, -2, 3, 1)))
+        q = first_branch_point(factorize(spec).D, 1) * (1 - 3e-12)
+        calls = []
+        monkeypatch.setattr(tracking, "_at", lambda *a: calls.append(a) or _at(*a))
+        res = track_root(spec, q)
+        assert res.status == "ok"
+        assert exactly_bracketed(spec.R, q, res.x)
+        assert len(calls) < 200
+
+    def test_corrector_stays_on_the_monotone_stretch(self):
+        # R' vanishes at x_c = 5.925...: without the guard 0 <= x < x_c a
+        # corrector at q = 0.0798 converges to the root of R = q near x = 8.0
+        spec = ProblemSpec(UPoly("x", (0, Fraction(1, 100), 8, 7, -1)))
+        res = track_root(spec, 1.2765518447256992)
+        assert res.status == "ok"
+        assert res.x == 0.3509884919190399
 
     def test_last_step_lands_on_target(self):
         # q + (q_target - q) fell one ulp short of this target, and the
@@ -475,6 +523,19 @@ class TestTracking:
         assert res.status == "ok"
         ref = bisect_branch_root(spec.R, 1.2)
         assert abs(res.x - ref) < 1e-9
+
+    def test_sweep_pool_answers_are_certified(self):
+        # every inside target of the sweep benchmark's pool
+        pool = json.loads((Path(__file__).parents[1] / "perfbench" / "sweep_pool.json")
+                          .read_text())
+        targets = [(e["problem"], q) for entries in pool.values() for e in entries
+                   for q, _, _ in e["inside"]]
+        assert len(targets) == 1152
+        for problem, q in targets:
+            report, _ = run(Command("solve", problem=problem, q=q, timing=False))
+            assert report.status == "ok"
+            r = parse_polynomial(problem).R
+            assert exactly_bracketed(r, float(q), report.result["x"]), (problem, q)
 
 
 class TestIdentities:
@@ -627,43 +688,43 @@ class TestNearPoleSplit:
 #  check theorem1 (x, lhs, rhs, diff), check corollary2 (x, lhs, rhs, diff))
 PINNED = [
     ('x^3+3x^2-2x', '-0.173396', '2-q', '2-q',
-     (0.10323397606332392, 0.0, 21),
+     (0.10323397606332392, 0.0, 5),
      (0.1032339760633239, -0.0528972233248223, -0.05289722332482228, -2.0816681711721685e-17),
      (0.1032339760633239, -0.007843294267578335, -0.007843294267578333, -1.734723475976807e-18)),
     ('x^3+3x^2+2x', '-0.297301', '2+q', '3-q',
-     (-0.21039018773900392, 5.551115123125783e-17, 34),
+     (-0.21039018773900392, 5.551115123125783e-17, 6),
      (-0.21039018773900395, -0.31269578623270106, -0.3126957862327011, 5.551115123125783e-17),
      (-0.21039018773900395, -0.31307294330428515, -0.31307294330428487, -2.7755575615628914e-16)),
     ('x^3+x^2-3x', '2.79931', '3', '3-q',
-     (-0.9077692331779135, 0.0, 41),
+     (-0.9077692331779135, 0.0, 5),
      (-0.9077692331779135, 0.7530067790011747, 0.7530067790011752, -4.440892098500626e-16),
      (-0.9077692331779135, 0.033689378560248964, 0.03368937856024896, 6.938893903907228e-18)),
     ('x^3+x^2-x', '0.383107', '1', '1-q',
-     (-0.315103484068914, 0.0, 28),
+     (-0.315103484068914, 0.0, 5),
      (-0.315103484068914, 0.13799101108396142, 0.13799101108396136, 5.551115123125783e-17),
      (-0.315103484068914, 0.04152886561417766, 0.041528865614177686, -2.7755575615628914e-17)),
     ('x^4-3x^3-3x^2-2x', '1.37682', '1+q', '3',
-     (-0.7458032237797948, 0.0, 70),
+     (-0.7458032237797948, 0.0, 11),
      (-0.7458032237797948, 0.05900218569933488, 0.05900218569933492, -4.163336342344337e-17),
      (-0.7458032237797948, -0.0037510557795878943, -0.0037510557795878935, -8.673617379884035e-19)),
     ('x^4-2x^3-3x', '-3.00222', '1+q', '2',
-     (0.7974569640977491, 0.0, 32),
+     (0.7974569640977491, 0.0, 6),
      (0.7974569640977491, 0.01288638835831819, 0.012886388358318197, -6.938893903907228e-18),
      (0.7974569640977491, 0.001109621749749846, 0.001109621749749847, -8.673617379884035e-19)),
     ('x^4+3x^3-3x^2-3x', '-1.3277', '1-q', '2',
-     (0.3641192109308149, 0.0, 31),
+     (0.3641192109308149, 0.0, 5),
      (0.3641192109308149, -0.022510803748109376, -0.022510803748109383, 6.938893903907228e-18),
      (0.3641192109308149, -0.00028198532486592697, -0.00028198532486592724, 2.710505431213761e-19)),
     ('x^5-x^4+2x^3+x^2-3x', '-0.804108', '2-2q', '1+2q',
-     (0.3227041202408269, 0.0, 30),
+     (0.3227041202408269, 0.0, 5),
      (0.3227041202408269, -0.010023187333603089, -0.010023187333603087, -1.734723475976807e-18),
      (0.3227041202408269, 3.9833910139242944e-07, 3.9833910139242806e-07, 1.376428539288238e-21)),
     ('x^5+3x^4-x^3+2x', '9.66179', '1', '3-2q',
-     (1.2096226505896224, 8.881784197001252e-15, 85),
+     (1.2096226505896222, 3.552713678800501e-15, 18),
      (1.2096226505896222, 0.009390300038163078, 0.009390300038163083, -5.204170427930421e-18),
      (1.2096226505896222, -3.633417707848957e-05, -3.63341770784895e-05, -6.776263578034403e-20)),
     ('x^5-3x^4-x^3-2x^2+3x', '-32.8047', '3+q', '3+q',
-     (-1.5606186221809542, 0.0, 93),
+     (-1.5606186221809542, 0.0, 24),
      (-1.5606186221809542, 0.01628176687532842, 0.016281766875328424, -3.469446951953614e-18),
      (-1.5606186221809542, 4.416121359774119e-06, 4.416121359774122e-06, -3.3881317890172014e-21)),
 ]
