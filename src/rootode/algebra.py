@@ -390,13 +390,15 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
 
 
 def _mul(a: Sequence, b: Sequence) -> list:
-    """The product of two coefficient lists a and b, ascending, looping over b."""
+    """The product of two coefficient lists a and b, ascending, by the
+    schoolbook double loop over a's nonzero entries."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            out[j:j + len(a)] = [o + x * y for o, x in zip(out[j:j + len(a)], a)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return out
 
 

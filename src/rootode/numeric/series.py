@@ -9,8 +9,11 @@ L q = rho^2 v (L the lcm of R's denominators, rho = L R'(0)) makes the
 inversion monic over the integers, so a table of the powers of the
 partial sum, growing one column per order, is filled in O(n N^2) integer
 operations for N coefficients, and each coefficient is divided once when
-it is returned; order 1000 on a dense quintic takes seconds.  The ODE
-residual is likewise accumulated in integers on one common denominator.
+it is returned.  Each table entry is one C-level sum of products over two
+list slices, strided where the series is a power series in q^g times q;
+order 1000 on a dense quintic takes seconds.  The ODE residual is likewise
+accumulated in integers on one common denominator, a whole row per
+nonzero coefficient of the equation.
 The coefficients are deliberately not generated from the derived linear
 ODE (whose recurrence would be cheaper), because they serve as
 independent evidence when checking the derived differential equations;
@@ -20,6 +23,8 @@ same purpose.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 
 from ..algebra import UPoly, _integer_coeffs, _mul, _rat
 from ..derive import LinearODE, ProblemSpec
@@ -59,8 +64,11 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
         pw[k][m] = sum_{i=1}^{m-k+1} e_i pw[k-1][m-i]    (pw[1] = e),
 
     and then e_m = -sum_k s_k pw[k][m], with no division.  That is
-    O(n order^2) integer operations, skipping the zero e_i of sparse R;
-    the order cap of 1000 on a dense quintic takes seconds.  Undoing the
+    O(n order^2) integer operations, each sum one ``sum(map(mul, ...))``
+    over a slice of e and a reversed slice of pw[k-1].  With g the gcd of
+    the k - 1 over the nonzero s_k, y = v f(v^g), so e_i = 0 unless
+    i = 1 mod g and both slices step by g: sparse R skip their zero e_i.
+    The order cap of 1000 on a dense quintic takes seconds.  Undoing the
     substitution, c_m = e_m L^m / rho^(2m-1), one division per returned
     coefficient.  The series comes from R(S) = q alone, never from the
     derived linear ODE, so checking it against that ODE stays an
@@ -78,27 +86,17 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
     rho = a[1]
     top = min(spec.n, order)
     s = [0, 0] + [a[k] * rho ** (k - 2) for k in range(2, top + 1)]
+    g = gcd(*(k - 1 for k in range(2, top + 1) if s[k])) or 1
     e = [0] * (order + 1)
     pw = [None, e] + [[0] * (order + 1) for _ in range(2, top + 1)]
     e[1] = 1
-    nonzero = [1]  # the indices i with e_i != 0, ascending
     for m in range(2, order + 1):
         rest = 0
         for k in range(2, min(top, m) + 1):
-            prev = pw[k - 1]
-            acc = 0
-            for i in nonzero:
-                if i > m - k + 1:
-                    break
-                p = prev[m - i]
-                if p:
-                    acc += e[i] * p
-            pw[k][m] = acc
-            if s[k] and acc:
+            acc = pw[k][m] = sum(map(mul, e[1:m - k + 2:g], pw[k - 1][m - 1:k - 2:-g]))
+            if s[k]:
                 rest += s[k] * acc
         e[m] = -rest
-        if rest:
-            nonzero.append(m)
     coeffs = []
     num, den = lcm_den, rho  # L^m and rho^(2m-1) at m = 1
     rho2 = rho * rho
@@ -116,8 +114,9 @@ def series_ode_residual(ode: LinearODE, series: tuple[Fraction, ...]) -> list[Fr
     provable order M - max deg(b) - order; with a series that truly
     satisfies the equation every returned coefficient is zero.  The series
     is scaled by d, the lcm of its denominators, so with the integer b_k of
-    a normal-form equation the residual of d S is accumulated in ints and
-    each coefficient is divided by d once at the end.
+    a normal-form equation the residual of d S is accumulated in ints, each
+    nonzero coefficient of b_k adding its multiple of the derivative row in
+    one slice, and each nonzero coefficient is divided by d once at the end.
     """
     m = len(series)
     degs = [p.degree for p in ode.vector() if p]
@@ -131,16 +130,15 @@ def series_ode_residual(ode: LinearODE, series: tuple[Fraction, ...]) -> list[Fr
     def add(poly: UPoly, term: list):
         for i, c in enumerate(poly.coeffs[: keep + 1]):
             if c:
-                for j, t in enumerate(term[: keep + 1 - i], start=i):
-                    if t:
-                        residual[j] += c * t
+                row = term[: keep + 1 - i]
+                residual[i:i + len(row)] = [r + c * t for r, t in zip(residual[i:], row)]
 
     add(ode.b[0], deriv)
     for k in range(1, ode.order + 1):
         deriv = [i * deriv[i] for i in range(1, len(deriv))]
         add(ode.b[k], deriv)
     add(ode.inhomogeneous, [d])
-    return [_rat(Fraction(v, d)) for v in residual]
+    return [_rat(Fraction(v, d)) if v else 0 for v in residual]
 
 
 def pfq_series(

@@ -111,9 +111,14 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
     v_b = _sign_changes(cs[-1] for cs in ints)
     if v_0 == v_b:
         return
-    # the floats of the rational square-free part d / monic(g), top lc(g) / den
-    sfc = UPoly(p.var, [Fraction(c * lead, den) for c in top]).float_coeffs()
-    dsfc = [i * c for i, c in enumerate(sfc)][1:]
+    # the floats of the rational square-free part d / monic(g), top lc(g) / den;
+    # where one lies beyond the float range, bisection alone goes to 2^-60
+    try:
+        sfc = UPoly(p.var, [Fraction(c * lead, den) for c in top]).float_coeffs()
+    except DomainError:
+        sfc = None
+    else:
+        dsfc = [i * c for i, c in enumerate(sfc)][1:]
     # intervals (lo / 2^k, hi / 2^k] holding v_lo - v_hi distinct roots, the
     # nearest last
     todo = [(0, 1 << (sum(map(abs, top)) // abs(top[-1])).bit_length(), 0, v_0, v_b)]
@@ -122,7 +127,7 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
         # the sign of the square-free part just right of lo: top[0]'s, as at
         # 0, flipped once by each of the v_0 - v_lo simple roots in (0, lo]
         s = top[0] if (v_0 - v_lo) % 2 == 0 else -top[0]
-        bits = 32
+        bits = 32 if sfc else 60
         while True:
             if v_lo - v_hi > 1 or (hi - lo) << bits > hi:
                 lo, hi, k = 2 * lo, 2 * hi, k + 1
@@ -138,7 +143,11 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
                 else:
                     lo, v_lo = mid, v_mid
                 continue
-            t = (lo + hi) / (2 << k)
+            try:
+                t = (lo + hi) / (2 << k)
+            except OverflowError:
+                raise DomainError("a root lies beyond the float range"
+                                  " (magnitude above about 1.8e308)") from None
             if bits == 60:
                 break
             t = _newton(sfc, dsfc, 0.0, t, 0.0, 8)[0]

@@ -1,4 +1,5 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
+import hashlib
 import json
 import math
 import sys
@@ -492,9 +493,6 @@ class TestMain:
     @pytest.mark.parametrize("argv", [
         ["solve", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
         ["check", "x^3+1" + "0" * 400 + "x", "--q", "0.5"],
-        # coefficients within range, but D has integers beyond 1.8e308, and
-        # the isolator of the branch point at q < 0 needs its floats
-        ["solve", "x^12+1" + "0" * 30 + "x", "--q", "-0.5"],
     ])
     def test_beyond_float_range_is_a_domain_error(self, capsys, argv):
         assert main(argv + ["--no-timing"]) == 2
@@ -517,8 +515,18 @@ class TestMain:
         assert main(["solve", "x^12+1" + "0" * 30 + "x", "--q", "0.5", "--no-timing"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["x"] == 5e-31
 
+    def test_branch_point_isolated_without_floats_of_d(self, capsys):
+        # coefficients within range, but D has integers beyond 1.8e308: the
+        # isolator of the branch point at q < 0 bisects without Newton
+        text = "x^12+1" + "0" * 30 + "x"
+        assert main(["solve", text, "--q", "-0.5", "--no-timing"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["x"] == -5e-31
+        assert exactly_bracketed(parse_polynomial(text).R, -0.5, result["x"])
+        assert -3.91e32 < result["q_star"] < -3.90e32
+
     def test_coefficient_beyond_float_range_in_the_isolator(self, capsys):
-        # the branch point's Newton table is built from these coefficients
+        # D's branch point, about 3.8e479, is a root beyond the float range
         assert main(["check", "x^3-1" + "0" * 320 + "x", "--q", "1", "--no-timing"]) == 2
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "domain_error"
@@ -585,3 +593,26 @@ class TestMain:
         main(["series", "x^3+x", "--order", "8", "--no-timing"])
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize("text,order,digest", [
+    # the rational and non-monic cases of test_series.py's defining equation,
+    # x^5 +- x at the series workload's top order, and dense degree 2-4 R
+    ("2x^4-x^2+3x", 10, "99d7a571d7da928c1622f86c3f2b7bc595faf98156b1cd0ca99b18a4d5f1614e"),
+    ("x^5+x", 200, "48042f77fe46d9843095d8ca896ed3dde6e486d8c76ae2440e7f136b249ba217"),
+    ("x^5-x", 200, "a6dd6ae44c445edf0110e1eb612d95f38a0ba80c59f2052f7cb350efc7b2eb57"),
+    ("-3x^3+x^2-5/4x", 150, "c703a667c40526fd845b2744e824a61539a9710212766a4f40cdadbed8633a86"),
+    ("1/7x^5+3/5x^2+2/9x", 200, "abe77b8f57af925042746191c73d979346e1e2a22df6cd676abd5d5348aa8f22"),
+    ("x^2-5/3x", 20, "e82cebfaa44070f3c5d5cd3de771b841355156b8669755d433dd2ce570761fe4"),
+    ("x^2+x", 40, "dcfde437dc08658b693b7012d3ee526b35856199420c06de125adce51e2dc73a"),
+    ("x^3-2x^2+4x", 30, "dae2d3a85e51b17a24ce430434a63a682316c65547dcfcc220d2e0a34e54fd4a"),
+    ("x^3+x^2-x", 70, "7aa1d450266a566cc564ca0676a0f32e55e56a4c70967a24d95863deffae2f5b"),
+    ("x^4+2x^3-x^2-2x", 40, "13e47cebfb14d0410255dad7f22b637cd050fda25d949afea2a0d486fd2bf8fd"),
+    ("x^4-x^3+x^2+x", 60, "55a8e72b15187c1fd7bec88aec85dddf6069a2b38d8251dc8f4086fe3f5802aa"),
+])
+def test_series_output_pinned(text, order, digest):
+    # sha256 of the --no-timing JSON: any byte change in the series or
+    # the residual shows here
+    report, code = run(Command("series", problem=text, order=order, timing=False))
+    assert code == 0
+    assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == digest

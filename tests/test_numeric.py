@@ -391,6 +391,20 @@ class TestBranchPoint:
         d = UPoly("q", (1, -2, 1)) * UPoly("q", (2, 1))
         assert first_branch_point(d, 1) == pytest.approx(1.0, abs=1e-12)
 
+    def test_coefficients_beyond_float_range(self):
+        # (q - 3)(q + 2)(10^320 q^2 + 1): no float Newton table, so bisection
+        # alone brackets each root between its float neighbours
+        p = UPoly("q", (-6, -1, 1)) * UPoly("q", (1, 0, 10**320))
+        assert first_branch_point(p, 1) == 3.0
+        assert first_branch_point(p, -1) == -2.0
+
+    def test_root_beyond_float_range_refused(self):
+        # coefficients in range, the root 10^400 is not
+        p = UPoly("q", (-10**200, Fraction(1, 10**200)))
+        with pytest.raises(DomainError, match="float range"):
+            first_branch_point(p, 1)
+        assert first_branch_point(p, -1) is None
+
 
 class TestTracking:
     def test_against_quadratic_closed_form(self):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootode import algebra
@@ -196,6 +196,21 @@ class TestDivision:
             quo, rem = _monic_divmod(a, b)
             assert len(rem) == min(len(a), len(b) - 1)
             assert (UPoly("x", quo), UPoly("x", rem)) == qdivmod(UPoly("x", a), UPoly("x", b))
+
+    @settings(max_examples=150, deadline=None)
+    @given(*[st.lists(st.just(0) | st.integers(-2**500, 2**500), max_size=60)
+             | st.lists(st.integers(-9, 9), max_size=1)] * 2)
+    @example([], [1, 2])
+    @example([0, 0, 0], [7])
+    @example([0, 3, 0], [0, 0, -2])
+    @example([(-1) ** i * 3**i * (i % 3 > 0) for i in range(60)],
+             [i * 2**400 - 1 for i in range(60)])
+    def test_mul_matches_reference(self, a, b):
+        # empty, one-term, zero-laden and up to 60-term lists: the product
+        # untrimmed, of len(a) + len(b) - 1 entries, or [] for an empty one
+        got = _mul(a, b)
+        assert len(got) == (len(a) + len(b) - 1 if a and b else 0)
+        assert _trim(got) == _ref_mul(a, b)
 
     def test_ratio_is_canonical(self):
         for num, den in ((6, 3), (-6, 4), (6, -4), (0, 7), (7, 1), (-9, -3)):

@@ -103,6 +103,19 @@ def branch_polynomials(draw):
     return ProblemSpec(UPoly("x", [0, rp0, *middle, lead]))
 
 
+@st.composite
+def strided_polynomials(draw):
+    """R = r_1 x + sum_j r_(1+jg) x^(1+jg) of degree up to 9, the exponents
+    minus one sharing g in {2, 3, 4}: its series has e_i = 0 unless
+    i = 1 mod g, the strided sums of lagrange_series."""
+    g = draw(st.sampled_from([2, 3, 4]))
+    middle = draw(st.lists(st.just(Fraction(0)) | small_rationals, max_size=8 // g - 1))
+    coeffs = [0, draw(small_rationals.filter(bool))]
+    for c in [*middle, draw(small_rationals.filter(bool))]:
+        coeffs += [0] * (g - 1) + [c]
+    return ProblemSpec(UPoly("x", coeffs))
+
+
 def binomial(a, k):
     out = Fraction(1)
     for i in range(k):
@@ -151,6 +164,14 @@ class TestLagrange:
         coeffs = lagrange_series(spec, order)
         assert coeffs == _reference_series(spec, order)
         # canonical whatever R's denominators: an int exactly where integral
+        assert _canonical(coeffs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spec=strided_polynomials(), order=st.integers(min_value=1, max_value=40))
+    @example(spec=parse_polynomial("2x^7-1/3x^4+x"), order=40)
+    def test_strided_matches_reference(self, spec, order):
+        coeffs = lagrange_series(spec, order)
+        assert coeffs == _reference_series(spec, order)
         assert _canonical(coeffs)
 
     def test_coefficients_canonical(self):
@@ -208,6 +229,17 @@ class TestResidual:
         ode = linear_ode(ode_spec)
         residual = series_ode_residual(ode, s)
         assert residual == _reference_residual(ode, s)
+        assert _canonical(residual)
+
+    def test_zero_and_nonzero_entries(self):
+        # the equation of x^3 + 2x on the series of x^5 - x^3 + 2x: zeros,
+        # ints and fractions, each an int exactly where it is integral
+        ode = linear_ode(parse_polynomial("x^3+2x"))
+        s = lagrange_series(parse_polynomial("x^5-x^3+2x"), 20)
+        residual = series_ode_residual(ode, s)
+        assert residual == _reference_residual(ode, s)
+        assert residual[:10] == [0, 24, 0, 20, 0, 0, 0, -15, 0, Fraction(-4355, 256)]
+        assert type(residual[0]) is int and type(residual[9]) is Fraction
         assert _canonical(residual)
 
     def test_short_series_rejected(self):
