@@ -38,7 +38,6 @@ from .errors import (
 )
 from .numeric.closedform import (
     babylonian_root,
-    bisect_branch_root,
     cardano_root,
     quartic_real_roots,
     quartic_w_root,
@@ -53,7 +52,7 @@ from .numeric.series import (
     quartic_series_3f2,
     series_ode_residual,
 )
-from .numeric.tracking import TrackResult, first_branch_point, track_root
+from .numeric.tracking import TrackResult, bisect_branch_root, first_branch_point, track_root
 
 __version__ = "0.1.0"
 

@@ -42,10 +42,14 @@ from .derive import (
     abel_ode,
 )
 from .errors import ParseError, RootodeError
-from .numeric.closedform import bisect_branch_root
 from .numeric.quadrature import check_identity
 from .numeric.series import lagrange_series, series_ode_residual
-from .numeric.tracking import first_branch_point, past_branch_point, track_root
+from .numeric.tracking import (
+    bisect_branch_root,
+    first_branch_point,
+    past_branch_point,
+    track_root,
+)
 from .render import (
     abel_coeff_arrays,
     coeff_strings,
@@ -214,6 +218,7 @@ class Command:
     weight: str | None = None
     kind: str = "theorem1"
     fmt: str = "json"
+    # read by check alone
     tol_abs: float | None = None
     tol_rel: float | None = None
     timing: bool = True
@@ -282,23 +287,12 @@ def _h_derive_linear(cmd: Command) -> dict:
     }
 
 
-def _tolerances(cmd: Command, atol: float, rtol: float) -> tuple[float, float]:
-    """(--tol-abs, --tol-rel), each defaulting to the given value; a
-    negative or non-finite one is a ValueError, hence a usage_error."""
-    for name, value in (("--tol-abs", cmd.tol_abs), ("--tol-rel", cmd.tol_rel)):
-        if value is not None and not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-    return (atol if cmd.tol_abs is None else cmd.tol_abs,
-            rtol if cmd.tol_rel is None else cmd.tol_rel)
-
-
 def _h_solve(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     if cmd.q is None:
         raise ValueError("solve requires --q")
     qv = parse_q_value(cmd.q)
-    atol, rtol = _tolerances(cmd, 1e-12, 1e-10)
-    res = track_root(spec, qv, atol=atol, rtol=rtol)
+    res = track_root(spec, qv)
     finite = math.isfinite(res.x)
     out = {
         "q": cmd.q,
@@ -319,7 +313,12 @@ def _h_check(cmd: Command) -> dict:
     if cmd.q is None:
         raise ValueError("check requires --q")
     qv = parse_q_value(cmd.q)
-    atol, rtol = _tolerances(cmd, 1e-8, 1e-10)
+    # a negative or non-finite tolerance is a ValueError, hence a usage_error
+    for name, value in (("--tol-abs", cmd.tol_abs), ("--tol-rel", cmd.tol_rel)):
+        if value is not None and not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+    atol = 1e-8 if cmd.tol_abs is None else cmd.tol_abs
+    rtol = 1e-10 if cmd.tol_rel is None else cmd.tol_rel
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
     if qv != 0.0:
@@ -505,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=quiet)
     common.add_argument("--format", choices=("json", "text", "latex"), dest="fmt")
     common.add_argument("--no-timing", action="store_false", dest="timing")
-    common.add_argument("--tol-abs", type=float)
-    common.add_argument("--tol-rel", type=float)
 
     parser = _Parser(prog="rootode",
                      description="Differential equations satisfied by roots "
@@ -526,6 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", required=True)
     p.add_argument("--weight")
     p.add_argument("--kind", choices=("theorem1", "corollary2"))
+    p.add_argument("--tol-abs", type=float)
+    p.add_argument("--tol-rel", type=float)
     verb("series").add_argument("--order", type=int)
     verb("demo", "name", choices=DEMO_NAMES)
     return parser

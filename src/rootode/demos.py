@@ -14,7 +14,6 @@ from .algebra import UPoly
 from .derive import ProblemSpec, build_integrands, factorize, linear_ode, trinomial
 from .numeric.closedform import (
     babylonian_root,
-    bisect_branch_root,
     cardano_root,
     depress_quartic,
     quartic_real_roots,
@@ -24,7 +23,7 @@ from .numeric.closedform import (
 )
 from .numeric.quadrature import check_identity, lhs_integrand, quad, rhs_integrand
 from .numeric.series import lagrange_series, quartic_series_2f1_product, quartic_series_3f2
-from .numeric.tracking import track_root
+from .numeric.tracking import bisect_branch_root, track_root
 
 __all__ = ["DEMOS"]
 

@@ -1,21 +1,18 @@
-"""Closed-form and bisection root oracles.
+"""Closed-form root oracles.
 
 Radical and trigonometric solution formulas for quadratics, cubics and
-quartics, plus a bisection fallback for the branch through 0 of any R:
-its bracket runs from 0 to the first critical point of R, isolated
-exactly by Sturm's theorem, so it holds that branch's root and no other.
-These provide values independent of the differential equations, so
-agreement between the two routes is meaningful evidence of correctness.
+quartics.  These provide values independent of the differential
+equations, so agreement between the two routes is meaningful evidence of
+correctness.
 """
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 
-from ..algebra import UPoly, _horner
+from ..algebra import UPoly
 from ..errors import DomainError
-from .tracking import _nearest_root, _newton
+from .tracking import _newton
 
 __all__ = [
     "babylonian_root",
@@ -28,7 +25,6 @@ __all__ = [
     "quartic_w_root",
     "depress_quartic",
     "depressed_cubic_real_roots",
-    "bisect_branch_root",
 ]
 
 # continuation steps in q of quartic_w_root
@@ -217,57 +213,3 @@ def quartic_w_root(p: float, q: float) -> float:
         raise DomainError("x-formula radicand went negative")
     x = (math.sqrt(rad) - 1.0) / (2.0 * w)
     return _polish([-q, p, 0.0, 0.0, 1.0], x)
-
-
-def bisect_branch_root(r: UPoly, q: float) -> float:
-    """Root of R(x) = q on the monotone stretch of R that starts at 0.
-
-    The branch leaves 0 on the side where the lowest nonzero term c_k x^k
-    of R has the sign of q; for even k both sides are tried, positive
-    first.  On a side, R is monotone from 0 to x_c, the nearest nonzero
-    real root of R' isolated exactly by Sturm's theorem, or to Cauchy's
-    bound on the roots of R - q when R' has none.  So [0, x_c] is an exact
-    bracket: it holds the root if and only if R - q changes sign on it,
-    and bisection shrinks it to two neighbouring floats.  Inside the first
-    branch-point radius the branch root always lies there; a q that R does
-    not reach on the stretch raises DomainError.
-    """
-    if r.var != "x" or r.degree < 1:
-        raise ValueError("expected a nonconstant polynomial in x")
-    coeffs = r.float_coeffs()
-
-    def f(x: float) -> float:
-        return _horner(coeffs, x) - q
-
-    f0 = f(0.0)
-    if f0 == 0.0:
-        return 0.0
-    # near 0, R ~ c_k x^k with c_k the lowest nonzero coefficient; for odd k
-    # the branch leaves 0 on the side where c_k x^k has the sign of q
-    directions = (1, -1)
-    for k, c in enumerate(coeffs):
-        if k and c:
-            if k % 2:
-                directions = (int(math.copysign(1.0, q * c)),)
-            break
-    # Cauchy's bound on the roots of R - q, doubled: alone it can round onto
-    # the root of a linear R
-    cauchy = 1.0 + max([abs(f0), *map(abs, coeffs[1:-1])]) / abs(coeffs[-1])
-    bound = min(2.0 * cauchy, sys.float_info.max)
-    for direction in directions:
-        x_c = _nearest_root(r.derivative(), direction)
-        hi = direction * bound if x_c is None else x_c
-        if f(hi) * f0 < 0:
-            a, b = (0.0, hi) if hi > 0 else (hi, 0.0)
-            fa = f(a)
-            # at most about 2100 halvings to neighbouring floats
-            while a < (mid := a + 0.5 * (b - a)) < b:
-                fm = f(mid)
-                if fm == 0.0:
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            return mid
-    raise DomainError("R does not reach q between 0 and its first critical point")

@@ -36,8 +36,7 @@ from .._memo import memoized
 from ..algebra import UPoly, _horner
 from ..derive import IntegrandSpec
 from ..errors import QuadratureError, SingularIntegrandError
-from .closedform import bisect_branch_root
-from .tracking import _roots
+from .tracking import _roots, bisect_branch_root
 
 __all__ = [
     "quad",

@@ -4,7 +4,13 @@ Modulo R - q, the first-order equation x' = W/D is R'(x) x' = 1, so the
 branch's tangent is 1/R'(x).  ``track_root`` follows x(q) from (0, 0) by
 Euler predictor and Newton corrector steps (Allgower and Georg,
 "Introduction to Numerical Continuation Methods", ch. 2 and 6), and
-returns the float next to the root, certified by exact signs of R - q.
+returns the float next to the root, certified by exact signs of R - q
+(``_next_to_root``).  ``bisect_branch_root`` reaches the same float
+without following the branch, by float bisection on the monotone stretch
+of R finished by the same exact signs; it serves ``check``, whose x is
+therefore ``solve``'s, and the near-poles of ``quadrature``.  This module
+alone decides which float is x.
+
 The first branch point, the nearest nonzero real root of D on the side of
 the target, is isolated beforehand in exact arithmetic by Sturm's theorem,
 on a chain built over Z by the pseudo-remainders of ``algebra._prem``, and
@@ -27,6 +33,7 @@ from ..errors import DomainError
 
 __all__ = [
     "TrackResult",
+    "bisect_branch_root",
     "first_branch_point",
     "past_branch_point",
     "track_root",
@@ -37,7 +44,7 @@ MAX_STEPS = 100_000
 
 
 def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
-            max_iter: int = 50) -> tuple[float, float, int, bool]:
+            max_iter: int) -> tuple[float, float, int, bool]:
     """Newton on R(x) - q = 0 from x, with R and R' given as float
     coefficient lists: (x, |R(x) - q|, steps taken, converged), converged
     once |R(x) - q| <= tol.  Stops early, unconverged, where R'(x) is 0 or
@@ -208,7 +215,7 @@ class TrackResult:
 
 def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
     """The float next to the root of R = q, found from x on the monotone
-    stretch of R - q from 0 (sign of -q) to end (sign of q), with exact
+    stretch of R - q from 0 to end, where it changes sign once, with exact
     signs, in integers on the dyadic floats as in ``_roots``: steps of 1, 2,
     4, ... ulps towards the sign change, then bisection, to two consecutive
     floats of opposite signs.  Of the two, the one with the smaller exact
@@ -226,7 +233,8 @@ def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
     near, (v_near, d_near) = x, value(x)
     if not v_near:
         return x
-    end = 0.0 if (v_near > 0) == (q > 0) else end
+    # cs[0] has the sign of R(0) - q: search towards the end of the other sign
+    end = 0.0 if (v_near > 0) != (cs[0] > 0) else end
     step = math.copysign(math.ulp(x), end - x)
     while True:
         far = end if (near + step - end) * step >= 0 else near + step
@@ -247,30 +255,80 @@ def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
     return near if lhs < rhs or (lhs == rhs and abs(near) < abs(far)) else far
 
 
-def track_root(
-    spec: ProblemSpec,
-    q_target: float,
-    *,
-    atol: float = 1e-12,
-    rtol: float = 1e-10,
-) -> TrackResult:
+def bisect_branch_root(r: UPoly, q: float) -> float:
+    """The float next to the root of R(x) = q on the monotone stretch of R
+    that starts at 0: the x that ``track_root`` returns, found without
+    following the branch.
+
+    The branch leaves 0 on the side where the lowest nonzero term c_k x^k
+    of R has the sign of q; for even k both sides are tried, positive
+    first.  On a side, R is monotone from 0 to x_c, the nearest nonzero
+    real root of R' isolated exactly by Sturm's theorem, or to Cauchy's
+    bound on the roots of R - q when R' has none.  So [0, x_c] is an exact
+    bracket: it holds the root if and only if R - q changes sign on it.
+    Float bisection shrinks it to two neighbouring floats, and
+    ``_next_to_root`` finishes from there with exact signs.  Inside the
+    first branch-point radius the branch root always lies there; a q that
+    R does not reach on the stretch raises DomainError.
+    """
+    if r.var != "x" or r.degree < 1:
+        raise ValueError("expected a nonconstant polynomial in x")
+    coeffs = r.float_coeffs()
+
+    def f(x: float) -> float:
+        return _horner(coeffs, x) - q
+
+    f0 = f(0.0)
+    if f0 == 0.0:
+        return 0.0
+    # near 0, R ~ c_k x^k with c_k the lowest nonzero coefficient; for odd k
+    # the branch leaves 0 on the side where c_k x^k has the sign of q
+    directions = (1, -1)
+    for k, c in enumerate(coeffs):
+        if k and c:
+            if k % 2:
+                directions = (int(math.copysign(1.0, q * c)),)
+            break
+    # Cauchy's bound on the roots of R - q, doubled: alone it can round onto
+    # the root of a linear R
+    cauchy = 1.0 + max([abs(f0), *map(abs, coeffs[1:-1])]) / abs(coeffs[-1])
+    bound = min(2.0 * cauchy, sys.float_info.max)
+    for direction in directions:
+        x_c = _nearest_root(r.derivative(), direction)
+        hi = direction * bound if x_c is None else x_c
+        if f(hi) * f0 < 0:
+            a, b = (0.0, hi) if hi > 0 else (hi, 0.0)
+            fa = f(a)
+            # at most about 2100 halvings to neighbouring floats
+            while a < (mid := a + 0.5 * (b - a)) < b:
+                fm = f(mid)
+                if fm == 0.0:
+                    break
+                if (fm > 0) == (fa > 0):
+                    a, fa = mid, fm
+                else:
+                    b = mid
+            return _next_to_root(r, q, mid, hi)
+    raise DomainError("R does not reach q between 0 and its first critical point")
+
+
+def track_root(spec: ProblemSpec, q_target: float) -> TrackResult:
     """Follow the branch x(q), x(0) = 0, to q_target.
 
     Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
-    slope), a finite q_target and finite, nonnegative atol and rtol
-    (ValueError otherwise).  A step of h from (q, x) predicts x + h/R'(x)
-    and makes at most three Newton corrections on R(x) = q + h.  It is
-    accepted when |R(x) - q - h| <= atol + rtol |q + h| with x on the
-    monotone stretch of R from 0 towards x_c, the nearest root of R' on the
-    branch's side, so the corrector cannot jump to another root; else h is
-    quartered.  h doubles after at most two corrections.  At the target
-    Newton with tol 0 and ``_next_to_root`` give the float next to the root.
+    slope) and a finite q_target (ValueError otherwise).  A step of h from
+    (q, x) predicts x + h/R'(x) and makes at most three Newton corrections
+    on R(x) = q + h.  It is accepted when |R(x) - q - h| <= 1e-12 +
+    1e-10 |q + h| with x on the monotone stretch of R from 0 towards x_c,
+    the nearest root of R' on the branch's side, so the corrector cannot
+    jump to another root; else h is quartered.  h doubles after at most two
+    corrections.  At the target Newton with tol 0 and ``_next_to_root``
+    give the float next to the root, so the acceptance sets the path and
+    its cost, not the x of an "ok" result.
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):
         raise ValueError(f"q_target must be finite, got {q_target}")
-    if not (0.0 <= atol < math.inf and 0.0 <= rtol < math.inf):
-        raise ValueError(f"atol and rtol must be finite and nonnegative, got {atol}, {rtol}")
     rp = spec.rprime()
     if rp.coefficient(0) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
@@ -298,7 +356,8 @@ def track_root(
         q_next = q_target if h == q_target - q else q + h
         slope = _horner(drc, x)
         guess = x + h / slope if slope else math.nan
-        x_next, _, iters, converged = _newton(rc, drc, q_next, guess, atol + rtol * abs(q_next), 3)
+        tol = 1e-12 + 1e-10 * abs(q_next)
+        x_next, _, iters, converged = _newton(rc, drc, q_next, guess, tol, 3)
         polish_total += iters
         if converged and 0.0 <= x_next * side < abs(end):
             q, x = q_next, x_next

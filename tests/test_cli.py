@@ -1,7 +1,6 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
@@ -268,8 +267,7 @@ class TestVerbs:
         checked, _ = run(Command("check", problem="x^7+x", q=q))
         solved, _ = run(Command("solve", problem="x^7+x", q=q))
         assert checked.status == solved.status == "ok"
-        x = solved.result["x"]
-        assert abs(checked.result["x"] - x) <= 1e-15 * abs(x)
+        assert checked.result["x"] == solved.result["x"]
 
     @pytest.mark.parametrize("q", ["1e-20", "5e-324"])
     def test_solve_tiny_q(self, q):
@@ -280,15 +278,14 @@ class TestVerbs:
 
     def test_solve_multiple_root_away_from_origin(self):
         # the same R as above, D(0) = 0: solve answers next to the root,
-        # within an ulp of check's bisection
+        # the float that check's bisection also answers
         report, code = run(Command("solve", problem="x^3+2x^2+x", q="0.01"))
         assert (code, report.status) == (0, "ok")
         x = report.result["x"]
         assert x == 0.009806713608741848
         r = parse_polynomial("x^3+2x^2+x").R
         assert exactly_bracketed(r, 0.01, x)
-        ref = bisect_branch_root(r, 0.01)
-        assert abs(x - ref) <= math.ulp(ref)
+        assert bisect_branch_root(r, 0.01) == x
 
     def test_check_beyond_branch_point(self):
         for kind in ("theorem1", "corollary2"):
@@ -375,7 +372,8 @@ class TestVerbs:
            st.floats(allow_nan=False, allow_infinity=False))
     def test_solve_and_check_agree(self, c1, middle, q):
         # monic R of degree 2-7 with R'(0) != 0; check's x comes from the
-        # bisection bracket, solve's from tracking the Abel equation
+        # bisection bracket, solve's from tracking the branch, and both end
+        # on the certified float
         problem = "".join(f"{c:+d}*x^{k}" for k, c in enumerate([c1, *middle, 1], 1) if c)
         reports = {}
         for verb, kind in (("solve", "theorem1"), ("check", "theorem1"),
@@ -386,8 +384,7 @@ class TestVerbs:
         solved = reports.pop(("solve", "theorem1"))
         for report in reports.values():
             if solved.status == report.status == "ok":
-                x = solved.result["x"]
-                assert abs(report.result["x"] - x) <= 1e-9 * (1.0 + abs(x))
+                assert report.result["x"] == solved.result["x"]
 
     def test_domain_error_exit_2(self):
         report, code = run(Command("solve", problem="x^5+5x^3", q="1"))
@@ -538,11 +535,27 @@ class TestMain:
         ("--tol-rel", "nan"), ("--tol-rel", "-1"), ("--tol-rel", "-inf"),
     ])
     def test_bad_tolerance_is_a_usage_error(self, capsys, verb, option, value):
-        assert main([verb, "x^3+x", "--q", "1", option, value, "--no-timing"]) == 1
+        argv = [verb, "x^3+x", "--q", "1", option, value, "--no-timing"]
+        if verb == "solve":
+            # the tolerances decide check's answer alone; solve has no such flags
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+            return
+        assert main(argv) == 1
         report = json.loads(capsys.readouterr().out)
         assert report["status"] == "usage_error"
         assert report["errors"] == [f"{option} must be finite and nonnegative,"
                                     f" got {float(value)}"]
+
+    @pytest.mark.parametrize("argv", [["solve", "x^3+x", "--q", "1"],
+                                      ["discriminant", "x^3+x"], ["series", "x^3+x"]])
+    def test_tolerance_flags_belong_to_check(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol-abs", "1e-9", "--no-timing"])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: --tol-abs 1e-9" in capsys.readouterr().err
 
     def test_degree_limit_answers_at_once(self, capsys):
         assert parse_polynomial(f"x^{MAX_DEGREE}+x").n == MAX_DEGREE
