@@ -80,9 +80,13 @@ def _ratio(num: int, den: int):
 
 
 def _horner(coeffs: Sequence[float], t: float) -> float:
-    """sum coeffs[k] t^k by Horner's rule: the one float evaluator of the
-    numeric layer, fed with ``UPoly.float_coeffs()``.  Private, so tracers
-    that wrap every public function (perfbench/spans.py) leave it alone."""
+    """sum coeffs[k] t^k by Horner's rule: the float evaluator of single
+    polynomials in the numeric layer, fed with ``UPoly.float_coeffs()``.
+    ``quadrature._integrand`` runs the same recurrence inline, from the
+    same 0.0, on its 2-3 polynomials: it is called once per quadrature
+    node, where a call per polynomial cost more than the arithmetic.
+    Private, so tracers that wrap every public function
+    (perfbench/spans.py) leave it alone."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * t + c

@@ -6,9 +6,10 @@ against 1/sqrt(U) (or 1/(R' U) in the rational form) and a q-side
 integral of the same weight against 1/sqrt(D) (or 1/D).  One evaluator,
 ``_integrand``, serves every side of both kinds: it reads the exact
 (num, den, sign) triple of ``IntegrandSpec``, so the sign rule is decided
-in ``derive`` alone.  Radical integrands are evaluated through their
-gcd-reduced squares so removable 0/0 points, such as s = 0 when
-R'(0) = 0, cause no trouble, and the integrable 1/sqrt endpoint
+in ``derive`` alone, and returns one closure that evaluates the triple's
+polynomials by Horner's rule inline.  Radical integrands are evaluated
+through their gcd-reduced squares so removable 0/0 points, such as s = 0
+when R'(0) = 0, cause no trouble, and the integrable 1/sqrt endpoint
 singularity left where D(0) = 0 costs the double-exponential rule of
 ``quad`` no accuracy.
 
@@ -99,37 +100,54 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     QuadratureError; an interval too short to hold a node gives 0.  The
     nodes and weights come from the per-process table of ``_level``; only
     their scaling to [a, b] is computed per call.
+
+    f is called once per point, a + dist then its mirror b - dist for each
+    node in table order, and the terms are added to running sums with
+    ``+=`` in that order.  Those sums are the result's last bits, so they
+    are never ``sum()`` (compensated on floats from Python 3.12) or
+    ``math.fsum``.
     """
     if a == b:
         return 0.0
     span = b - a
     if not math.isfinite(span):
         raise QuadratureError("infinite interval")
-    # sums over the nodes of w f, of |w f|, and the largest |w f| at |t| = T_MAX
+    # sums over the nodes of w f and of |w f|; ya, yb the |w f| of the last
+    # node's two points, 0 where skipped, read at t = T_MAX on level 1
     acc = l1 = edge = 0.0
     evaluated = False
     est = math.nan
+    isfinite = math.isfinite
     for level in range(MAX_LEVEL + 1):
         h = 0.5**level
         es, ws = _level(level)
         for e, w in zip(es, ws):
             dist = span * e / (1.0 + e)
-            # the largest |w f| of this node
-            top = 0.0
+            x = a + dist
+            if x != a and x != b:
+                y = w * f(x)
+                if not isfinite(y):
+                    raise SingularIntegrandError(f"integrand not finite at {x}")
+                acc += y
+                ya = abs(y)
+                l1 += ya
+                evaluated = True
+            else:
+                ya = 0.0
             # t = 0, where e = 1, is the midpoint and its own mirror image
-            for x in (a + dist, b - dist) if e < 1.0 else (a + dist,):
-                if x != a and x != b:
-                    y = w * f(x)
-                    evaluated = True
-                    if not math.isfinite(y):
-                        raise SingularIntegrandError(f"integrand not finite at {x}")
-                    acc += y
-                    y = abs(y)
-                    l1 += y
-                    if y > top:
-                        top = y
+            x = b - dist
+            if e < 1.0 and x != a and x != b:
+                y = w * f(x)
+                if not isfinite(y):
+                    raise SingularIntegrandError(f"integrand not finite at {x}")
+                acc += y
+                yb = abs(y)
+                l1 += yb
+                evaluated = True
+            else:
+                yb = 0.0
         if level == 1:
-            edge = top
+            edge = max(ya, yb)
         prev, est = est, h * acc
         scale = QUAD_TOL * h * l1
         if abs(est - prev) <= scale:
@@ -148,24 +166,46 @@ def _integrand(num: UPoly, den: UPoly, sign: UPoly | None) -> Callable[[float], 
     A zero of den gives inf and a negative square nan, which ``quad``
     refuses with SingularIntegrandError: a radical pair's num and den are
     coprime, so a zero of den left there is a genuine singularity.
+
+    ``quad`` calls it once per node, so the closure runs the recurrence of
+    ``algebra._horner`` inline over its coefficients reversed once, each
+    accumulator starting from 0.0 as there: the same operations in the same
+    order, so the same bits, signed zeros included, without a call per
+    polynomial.
     """
-    nc = num.float_coeffs()
-    dc = den.float_coeffs()
+    nc = num.float_coeffs()[::-1]
+    dc = den.float_coeffs()[::-1]
     if sign is None:
         def ev(t: float) -> float:
-            d = _horner(dc, t)
-            return _horner(nc, t) / d if d else math.inf
+            d = 0.0
+            for c in dc:
+                d = d * t + c
+            if not d:
+                return math.inf
+            n = 0.0
+            for c in nc:
+                n = n * t + c
+            return n / d
         return ev
-    sc = sign.float_coeffs()
+    sc = sign.float_coeffs()[::-1]
+    sqrt, copysign = math.sqrt, math.copysign
 
     def ev(t: float) -> float:
-        d = _horner(dc, t)
+        d = 0.0
+        for c in dc:
+            d = d * t + c
         if d == 0.0:
             return math.inf
-        ratio = _horner(nc, t) / d
+        n = 0.0
+        for c in nc:
+            n = n * t + c
+        ratio = n / d
         if ratio < 0:
             return math.nan
-        return math.copysign(math.sqrt(ratio), _horner(sc, t) or 1.0)
+        s = 0.0
+        for c in sc:
+            s = s * t + c
+        return copysign(sqrt(ratio), s or 1.0)
     return ev
 
 

@@ -629,3 +629,72 @@ def test_series_output_pinned(text, order, digest):
     report, code = run(Command("series", problem=text, order=order, timing=False))
     assert code == 0
     assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("kind,problem,q,weight,digest", [
+    # PINNED (test_numeric.py) under both kinds
+    ("theorem1", "x^3+3x^2-2x", "-0.173396", "2-q",
+     "695eec1ceb20dc7ef78bef4d5c5cab0df76119e7cd829e171e6ff4b045763dc2"),
+    ("corollary2", "x^3+3x^2-2x", "-0.173396", "2-q",
+     "dc3fce3147679056103d5bd96c0900bda25cd022fe6f55e3a52d8250ff87928a"),
+    ("theorem1", "x^3+3x^2+2x", "-0.297301", "2+q",
+     "76c64fa30fc880ae9eabd9f4a00b57216a13fe8850d3dda785e773ecd5da87b6"),
+    ("corollary2", "x^3+3x^2+2x", "-0.297301", "3-q",
+     "868b4cb79274c2a9aa12140cd75ff12569e67bebe2549d97b0cc4d7a035d30bc"),
+    ("theorem1", "x^3+x^2-3x", "2.79931", "3",
+     "d0c056292fedba62f3c28b04551dc6f26e8bfd37540d5923b6e4ae3cad424657"),
+    ("corollary2", "x^3+x^2-3x", "2.79931", "3-q",
+     "5b620352c8f036d998eb12daa3c7d99bd3e67d05f9fdf57e26a4e1f37c7cd9bd"),
+    ("theorem1", "x^3+x^2-x", "0.383107", "1",
+     "fd9d97e65c4375a65f2c0f7516532f4f84319145db56183a946e043b0fbf55ff"),
+    ("corollary2", "x^3+x^2-x", "0.383107", "1-q",
+     "2a965533e1e9ab15c2b4692496d9728e7fa614b143c9f6a54a828c5c313d8cb0"),
+    ("theorem1", "x^4-3x^3-3x^2-2x", "1.37682", "1+q",
+     "1b91ed4f5c141d49d84682ac0f008b025ada4d03c657195665848eac11b20c4f"),
+    ("corollary2", "x^4-3x^3-3x^2-2x", "1.37682", "3",
+     "c81b9745a927f43c08dc123e543db2342cd34aaca2103f2b7b402869a43c482d"),
+    ("theorem1", "x^4-2x^3-3x", "-3.00222", "1+q",
+     "1ca2d033dea3926b85c4bbd7ee17f32cc16d48e7be6391bfe6e7123f4c50d82b"),
+    ("corollary2", "x^4-2x^3-3x", "-3.00222", "2",
+     "a6611b78f1bc6466a9395d8fb0c0f05dc41d96132659c51c6537c0203f2b0713"),
+    ("theorem1", "x^4+3x^3-3x^2-3x", "-1.3277", "1-q",
+     "34a3a277527de55deb5a376f5c7bc17e780631028a9730a7d9bbc060624ea76f"),
+    ("corollary2", "x^4+3x^3-3x^2-3x", "-1.3277", "2",
+     "f33114d0bd4ab8ca347dd97b10a4e8b9f56f2d3c6353132daae3bb16eabdc421"),
+    ("theorem1", "x^5-x^4+2x^3+x^2-3x", "-0.804108", "2-2q",
+     "15dbbe022b45dbe4df50674c87084a49c7561b5ad0d15c6b247aace94dcfc1da"),
+    ("corollary2", "x^5-x^4+2x^3+x^2-3x", "-0.804108", "1+2q",
+     "104883c86975b2ba21851b02bed747c076a1d03e381524b96ecd80aac6acbdd7"),
+    ("theorem1", "x^5+3x^4-x^3+2x", "9.66179", "1",
+     "061dd54436fbd9f0c903c3ba40918ab1f82003c9cea73d27294408de8c074231"),
+    ("corollary2", "x^5+3x^4-x^3+2x", "9.66179", "3-2q",
+     "249eb3d2f57537cb7ec389cb0b4cd3d2fb4afd1ccd38050508239cd404012a97"),
+    ("theorem1", "x^5-3x^4-x^3-2x^2+3x", "-32.8047", "3+q",
+     "de5630cdd9fe56d360a601f6eecc450d02ff72df800b95f76760e5eb14dd4e18"),
+    ("corollary2", "x^5-3x^4-x^3-2x^2+3x", "-32.8047", "3+q",
+     "6ebc250bb6e202f1ab96a4ed10cbf327f9e8212784cdc1367512c3521dbd0cdf"),
+    # the near-pole split of the known sweep op
+    ("theorem1", "x^5-3x^4+2x^2-x", "-7.55021", "3-q",
+     "b051e7b3545502ed69f1b354cc15ddf0f4b991f1eb0bf102a234de64ed5b3712"),
+    ("corollary2", "x^5-3x^4+2x^2-x", "-7.55021", "1+2q",
+     "de2ff207b307b3bb0411ac69f44aa18763600343baffddc4a8841aed29576686"),
+    # w(0) = 0: the Remark 2 sign rule
+    ("theorem1", "x^3+x^2-x", "0.383107", "q",
+     "b28b626bfc23630da9b00b4eda22075170c770e83620a70de957477f5d4fe72f"),
+    # D(0) = 0
+    ("theorem1", "x^3+2x^2+x", "0.01", "1",
+     "ebcac73f7a5d11c4609436cf35a9e74bf961d48c850c3fc78edc9d4ddf8c9681"),
+    # the betti demo's checks
+    ("demo", "betti", None, None,
+     "0c6386c06e830e93abf1bcfaa58c7774c0a1a33fd67eed7622bba52619e5c46c"),
+])
+def test_check_output_pinned(kind, problem, q, weight, digest):
+    # sha256 of the --no-timing JSON: a change in the last bit of x, of
+    # either integral or of their difference shows here
+    if kind == "demo":
+        cmd = Command("demo", demo=problem, timing=False)
+    else:
+        cmd = Command("check", problem=problem, q=q, kind=kind, weight=weight, timing=False)
+    report, code = run(cmd)
+    assert code == 0
+    assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == digest

@@ -2,6 +2,7 @@
 import json
 import math
 import random
+import struct
 import subprocess
 import sys
 import time
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import UPoly, discriminant
+from rootode.algebra import UPoly, _horner, discriminant
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
 from rootode import (
     babylonian_root,
@@ -117,6 +118,26 @@ class TestQuad:
                                 for t, e in zip(ts, want_e)]
             # quad takes the edge terms from the last node of level 1
             assert (ts[-1] == quadrature.T_MAX) == (level == 1)
+
+    def test_singular_integrand_names_the_first_point_in_node_order(self):
+        # over [-1, 3]: level 0's node t = 1 has its mirror point at
+        # 2.9027359281454936, level 1's node t = 1/2 its first point at
+        # -0.3485429844968716; level 0 is summed first, so with a pole at
+        # both the first is named
+        a, b = -1.0, 3.0
+        right0, left1 = 2.9027359281454936, -0.3485429844968716
+        for poles, named in (({right0, left1}, right0), ({left1}, left1)):
+            with pytest.raises(SingularIntegrandError, match=f"at {named}$"):
+                quad(lambda x: math.inf if x in poles else 1.0, a, b)
+        # 1/(t - right0) is inf there and finite at every node before it;
+        # sqrt(1/(t - left1)) is nan at level 0's t = 1 node, left of left1
+        one = UPoly("x", (1,))
+        pole = quadrature._integrand(one, UPoly("x", (-Fraction(right0), 1)), None)
+        with pytest.raises(SingularIntegrandError, match=f"at {right0}$"):
+            quad(pole, a, b)
+        root = quadrature._integrand(one, UPoly("x", (-Fraction(left1), 1)), UPoly("x", (0, 1)))
+        with pytest.raises(SingularIntegrandError, match="at -0.9027359281454939$"):
+            quad(root, a, b)
 
     def test_values_pinned_bit_for_bit(self):
         # a change of node placement or summation order shows here first
@@ -553,6 +574,51 @@ class TestTracking:
             assert checked.result["x"] == report.result["x"], (problem, q)
 
 
+def _horner_integrand(num, den, sign):
+    """The integrand evaluator as a call of ``_horner`` per polynomial: the
+    reference for the closure of ``quadrature._integrand``."""
+    nc, dc = num.float_coeffs(), den.float_coeffs()
+    if sign is None:
+        def ev(t):
+            d = _horner(dc, t)
+            return _horner(nc, t) / d if d else math.inf
+        return ev
+    sc = sign.float_coeffs()
+
+    def ev(t):
+        d = _horner(dc, t)
+        if d == 0.0:
+            return math.inf
+        ratio = _horner(nc, t) / d
+        if ratio < 0:
+            return math.nan
+        return math.copysign(math.sqrt(ratio), _horner(sc, t) or 1.0)
+    return ev
+
+
+def _polys(min_size=0):
+    coeff = st.fractions(-10**6, 10**6, max_denominator=10**6)
+    return st.lists(coeff, min_size=min_size, max_size=6).map(lambda cs: UPoly("x", cs))
+
+
+_NODES_T = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-160, -1e-160]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys(), _polys(), st.none() | _polys(), st.lists(_NODES_T, min_size=1, max_size=8))
+def test_integrand_closure_matches_horner_bit_for_bit(num, den, sign, ts):
+    # the inlined Horner steps are _horner's, from the same 0.0, so every
+    # value is the same double: signed zeros, infinities and nan included
+    got = quadrature._integrand(num, den, sign)
+    want = _horner_integrand(num, den, sign)
+    for t in ts:
+        assert struct.pack("<d", got(t)) == struct.pack("<d", want(t)), t
+
+
 class TestIdentities:
     def test_quadratic_radical(self):
         spec = build_integrands(factorize(trinomial(2, 1)), UPoly("q", (1,)))
@@ -806,6 +872,36 @@ def test_bisect_branch_root_pinned_bit_for_bit(coeffs, q, want):
     r = UPoly("x", coeffs)
     assert exactly_bracketed(r, q, want)
     assert repr(bisect_branch_root(r, q)) == repr(want)
+
+
+@pytest.mark.parametrize("problem,q,floats,exacts", [
+    # a target well inside the radius: Newton finishes from a bracket of
+    # relative width 2^-12 (halving to neighbouring floats took 56)
+    ("x^3+3x^2-2x", -0.173396, 24, 2),
+    ("x^3+3x^2-2x", 4.06409, 24, 2),
+    # q = q* (1 - 3e-12) on either side: R - q has a near-double root, where
+    # Newton does not converge in its steps and halving takes over (38 and 34
+    # float evaluations before); the exact walk of _next_to_root stays as
+    # short as after halving (32 and 36)
+    ("x^3+3x^2-2x", 8.303314829119353 * (1 - 3e-12), 56, 40),
+    ("x^3+3x^2-2x", -0.3033148291193521 * (1 - 3e-12), 56, 40),
+])
+def test_bisect_branch_root_evaluations_bounded(monkeypatch, problem, q, floats, exacts):
+    r = parse_polynomial(problem).R
+    x = bisect_branch_root(r, q)  # isolates x_c once, memoized
+    counts = {"float": 0, "exact": 0}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(tracking, "_horner", counted("float", tracking._horner))
+    monkeypatch.setattr(tracking, "_at", counted("exact", tracking._at))
+    assert bisect_branch_root(r, q) == x
+    assert exactly_bracketed(r, q, x)
+    assert counts["float"] <= floats and counts["exact"] <= exacts, counts
 
 
 CLOSED_FORM_PINS = [
