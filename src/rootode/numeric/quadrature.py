@@ -112,42 +112,31 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     span = b - a
     if not math.isfinite(span):
         raise QuadratureError("infinite interval")
-    # sums over the nodes of w f and of |w f|; ya, yb the |w f| of the last
-    # node's two points, 0 where skipped, read at t = T_MAX on level 1
+    # sums over the nodes of w f, of |w f|, and the largest |w f| at |t| = T_MAX
     acc = l1 = edge = 0.0
     evaluated = False
     est = math.nan
-    isfinite = math.isfinite
     for level in range(MAX_LEVEL + 1):
         h = 0.5**level
         es, ws = _level(level)
         for e, w in zip(es, ws):
             dist = span * e / (1.0 + e)
-            x = a + dist
-            if x != a and x != b:
-                y = w * f(x)
-                if not isfinite(y):
-                    raise SingularIntegrandError(f"integrand not finite at {x}")
-                acc += y
-                ya = abs(y)
-                l1 += ya
-                evaluated = True
-            else:
-                ya = 0.0
+            # the largest |w f| of this node
+            top = 0.0
             # t = 0, where e = 1, is the midpoint and its own mirror image
-            x = b - dist
-            if e < 1.0 and x != a and x != b:
-                y = w * f(x)
-                if not isfinite(y):
-                    raise SingularIntegrandError(f"integrand not finite at {x}")
-                acc += y
-                yb = abs(y)
-                l1 += yb
-                evaluated = True
-            else:
-                yb = 0.0
+            for x in (a + dist, b - dist) if e < 1.0 else (a + dist,):
+                if x != a and x != b:
+                    y = w * f(x)
+                    evaluated = True
+                    if not math.isfinite(y):
+                        raise SingularIntegrandError(f"integrand not finite at {x}")
+                    acc += y
+                    y = abs(y)
+                    l1 += y
+                    if y > top:
+                        top = y
         if level == 1:
-            edge = max(ya, yb)
+            edge = top
         prev, est = est, h * acc
         scale = QUAD_TOL * h * l1
         if abs(est - prev) <= scale:

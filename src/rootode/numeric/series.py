@@ -93,15 +93,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
     for m in range(2, order + 1):
         rest = 0
         for k in range(2, min(top, m) + 1):
-            if k == 2:
-                # e_i e_(m-i) is symmetric in i and m - i: the terms with
-                # i < m - i twice, and e_(m/2)^2 for even m
-                acc = 2 * sum(map(mul, e[1:(m + 1) // 2:g], e[m - 1:m // 2:-g]))
-                if not m % 2:
-                    acc += e[m // 2] ** 2
-            else:
-                acc = sum(map(mul, e[1:m - k + 2:g], pw[k - 1][m - 1:k - 2:-g]))
-            pw[k][m] = acc
+            acc = pw[k][m] = sum(map(mul, e[1:m - k + 2:g], pw[k - 1][m - 1:k - 2:-g]))
             if s[k]:
                 rest += s[k] * acc
         e[m] = -rest

@@ -120,13 +120,14 @@ class TestQuad:
             assert (ts[-1] == quadrature.T_MAX) == (level == 1)
 
     def test_singular_integrand_names_the_first_point_in_node_order(self):
-        # over [-1, 3]: level 0's node t = 1 has its mirror point at
-        # 2.9027359281454936, level 1's node t = 1/2 its first point at
-        # -0.3485429844968716; level 0 is summed first, so with a pole at
-        # both the first is named
+        # over [-1, 3]: level 0's node t = 1 has its points at
+        # -0.9027359281454939 and, mirrored, 2.9027359281454936, level 1's
+        # node t = 1/2 its first point at -0.3485429844968716; a node's
+        # point comes before its mirror and level 0 before level 1, so with
+        # a pole at both the first is named
         a, b = -1.0, 3.0
-        right0, left1 = 2.9027359281454936, -0.3485429844968716
-        for poles, named in (({right0, left1}, right0), ({left1}, left1)):
+        left0, right0, left1 = -0.9027359281454939, 2.9027359281454936, -0.3485429844968716
+        for poles, named in (({left0, right0}, left0), ({right0, left1}, right0), ({left1}, left1)):
             with pytest.raises(SingularIntegrandError, match=f"at {named}$"):
                 quad(lambda x: math.inf if x in poles else 1.0, a, b)
         # 1/(t - right0) is inf there and finite at every node before it;
@@ -136,7 +137,7 @@ class TestQuad:
         with pytest.raises(SingularIntegrandError, match=f"at {right0}$"):
             quad(pole, a, b)
         root = quadrature._integrand(one, UPoly("x", (-Fraction(left1), 1)), UPoly("x", (0, 1)))
-        with pytest.raises(SingularIntegrandError, match="at -0.9027359281454939$"):
+        with pytest.raises(SingularIntegrandError, match=f"at {left0}$"):
             quad(root, a, b)
 
     def test_values_pinned_bit_for_bit(self):
