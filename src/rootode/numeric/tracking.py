@@ -3,24 +3,23 @@
 Modulo R - q, the first-order equation x' = W/D is R'(x) x' = 1, so the
 branch's tangent is 1/R'(x).  ``track_root`` follows x(q) from (0, 0) by
 Euler predictor and Newton corrector steps (Allgower and Georg,
-"Introduction to Numerical Continuation Methods", ch. 2 and 6), and
-returns the float next to the root, certified by exact signs of R - q
-(``_next_to_root``).  ``bisect_branch_root`` reaches the same float
-without following the branch, by float bisection and Newton on the
-monotone stretch of R, finished by the same exact signs; it serves
-``check``, whose x is therefore ``solve``'s, and the near-poles of
-``quadrature``.  This module alone decides which float is x.
+"Introduction to Numerical Continuation Methods", ch. 2 and 6).
+``bisect_branch_root`` skips the path and guesses x from R's lowest term.
+Both end in ``_certified``, the one path from a guess to the float next to
+the root: Newton kept inside the exact bracket from 0 to R's first critical
+point, finished by exact signs of R - q.  So ``check`` answers ``solve``'s
+x, and this module alone decides which float is x.
 
 The first branch point, the nearest nonzero real root of D on the side of
 the target, is isolated beforehand in exact arithmetic by Sturm's theorem,
 on a chain built over Z by the pseudo-remainders of ``algebra._prem``, and
 targets at or beyond it are refused; the same isolator (``_roots``) gives
 the critical points of R and the near-poles of ``quadrature``.
-``_newton`` is the one float Newton of the numeric layer.
 """
 from __future__ import annotations
 
 import math
+import struct
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -41,10 +40,6 @@ __all__ = [
 
 # accepted continuation steps before tracking gives up with status step_limit
 MAX_STEPS = 100_000
-# bisect_branch_root halves its bracket to this relative width, then tries
-# at most _NEWTON_FINISH Newton steps from its midpoint
-_NARROW = 2.0**-12
-_NEWTON_FINISH = 6
 
 
 def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
@@ -205,8 +200,8 @@ class TrackResult:
     root of D; x is NaN), "step_limit" (MAX_STEPS accepted steps did not
     reach the target; x is NaN) or "step_underflow" (x the last accepted
     point).  steps counts accepted steps and polish_iters every Newton
-    iteration.  q_star is the first branch point in the direction of
-    travel when one exists.
+    iteration, the corrector's and ``_certified``'s.  q_star is the first
+    branch point in the direction of travel when one exists.
     """
 
     x: float
@@ -259,78 +254,84 @@ def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
     return near if lhs < rhs or (lhs == rhs and abs(near) < abs(far)) else far
 
 
+def _count_mid(a: float, b: float) -> float:
+    """The mean of the bit patterns of a and b, of one sign (either may be 0):
+    strictly between them unless they are neighbours, so 64 halvings close any pair."""
+    ia, ib = (struct.unpack("<q", struct.pack("<d", abs(v)))[0] for v in (a, b))
+    return math.copysign(struct.unpack("<d", struct.pack("<q", (ia + ib) // 2))[0], a + b)
+
+
+def _certified(r: UPoly, coeffs, dcoeffs, q: float, x: float, end: float) -> tuple[float, int]:
+    """From a guess x in [0, end], where R - q changes sign once, with R and
+    R' as floats: (the float next to the root of R = q, Newton steps taken).
+    The bracket [0, end] shrinks to each x by the float sign of R(x) - q.  A
+    Newton step is taken when it lands strictly inside it and moves at most
+    half as far as the last move (``rtsafe``, Press et al., "Numerical
+    Recipes", 9.4); else the bracket is halved, by value after a step past
+    it (the root lies at its scale), else by count (``_count_mid``).  Within
+    Horner's rounding bound (when finite) one more Newton step ends the
+    loop, as do neighbouring floats; ``_next_to_root`` then gives the same
+    float wherever the loop stopped."""
+    abs_coeffs = [abs(c) for c in coeffs]
+    slack = len(coeffs) * sys.float_info.epsilon
+    qtol = slack * abs(q)
+    # the bound grows with |x|: above it at end, |R(x) - q| is above it at x
+    cap = slack * _horner(abs_coeffs, abs(end)) + qtol
+    # R - q has the sign of R(0) - q at a and the other sign at b
+    pos0 = coeffs[0] - q > 0
+    a, b, steps, moved = 0.0, end, 0, math.inf
+    while True:
+        f = _horner(coeffs, x) - q
+        if abs(f) <= cap and abs(f) <= slack * _horner(abs_coeffs, abs(x)) + qtol < math.inf:
+            break
+        a, b = (x, b) if (f > 0) == pos0 else (a, x)
+        if math.nextafter(a, b) == b:
+            return _next_to_root(r, q, x, end), steps
+        lo, hi = (a, b) if a < b else (b, a)
+        fp = _horner(dcoeffs, x) if math.isfinite(f) else 0.0
+        y = x - f / fp if fp else math.nan
+        if lo < y < hi and abs(y - x) <= 0.5 * moved:
+            steps += 1
+        else:
+            y = 0.5 * a + 0.5 * b if math.isfinite(y) and not lo <= y <= hi else _count_mid(a, b)
+        moved, x = abs(y - x), y
+    fp = _horner(dcoeffs, x)
+    y = x - f / fp if fp else x
+    if min(a, b) < y < max(a, b):
+        x, steps = y, steps + 1
+    return _next_to_root(r, q, x, end), steps
+
+
 def bisect_branch_root(r: UPoly, q: float) -> float:
     """The float next to the root of R(x) = q on the monotone stretch of R
-    that starts at 0: the x that ``track_root`` returns, found without
-    following the branch.
+    from 0: ``track_root``'s x, found without following the branch.
 
-    The branch leaves 0 on the side where the lowest nonzero term c_k x^k
-    of R has the sign of q; for even k both sides are tried, positive
-    first.  On a side, R is monotone from 0 to x_c, the nearest nonzero
-    real root of R' isolated exactly by Sturm's theorem, or to Cauchy's
-    bound on the roots of R - q when R' has none.  So [0, x_c] is an exact
-    bracket: it holds the root if and only if R - q changes sign on it.
-    Float bisection shrinks it to relative width _NARROW, and from its
-    midpoint at most _NEWTON_FINISH steps of ``_newton`` bring |R - q|
-    within the rounding bound of Horner's rule: about 24 float evaluations
-    in all at a typical target, where halving to neighbouring floats takes
-    about 57.  Where Newton does not get there or leaves the bracket, as
-    near a double root (q close to a branch point), halving goes on to two
-    neighbouring floats instead.  ``_next_to_root`` finishes from either
-    with exact signs, and its float does not depend on where in the
-    bracket it starts, so the Newton finish changes the cost and never x.
-    Inside the first branch-point radius the branch root always lies
-    there; a q that R does not reach on the stretch raises DomainError.
-    """
+    The branch leaves 0 where the lowest nonzero term c_k x^k of R - R(0)
+    has the sign of q - R(0); for even k both sides are tried, positive
+    first.  R is monotone from 0 to x_c, the nearest nonzero root of R'
+    (isolated exactly by Sturm's theorem), or to the largest float if R'
+    has none: an exact bracket.  ``_certified`` starts from the tangent
+    guess |(q - R(0))/c_k|^(1/k), or from the bracket's midpoint by count
+    if the guess is not inside; halving is its fallback.  A q that R does
+    not reach there raises DomainError; inside the first branch point R
+    always reaches it."""
     if r.var != "x" or r.degree < 1:
         raise ValueError("expected a nonconstant polynomial in x")
     coeffs = r.float_coeffs()
-
-    def f(x: float) -> float:
-        return _horner(coeffs, x) - q
-
-    f0 = f(0.0)
+    f0 = coeffs[0] - q
     if f0 == 0.0:
         return 0.0
-    # near 0, R ~ c_k x^k with c_k the lowest nonzero coefficient; for odd k
-    # the branch leaves 0 on the side where c_k x^k has the sign of q
-    directions = (1, -1)
-    for k, c in enumerate(coeffs):
-        if k and c:
-            if k % 2:
-                directions = (int(math.copysign(1.0, q * c)),)
-            break
-    # Cauchy's bound on the roots of R - q, doubled: alone it can round onto
-    # the root of a linear R
-    cauchy = 1.0 + max([abs(f0), *map(abs, coeffs[1:-1])]) / abs(coeffs[-1])
-    bound = min(2.0 * cauchy, sys.float_info.max)
+    # for odd k the branch leaves 0 where c_k x^k has the sign of -f0
+    k, c = next((k, c) for k, c in enumerate(coeffs) if k and c)
+    directions = (int(math.copysign(1.0, -f0 * c)),) if k % 2 else (1, -1)
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     for direction in directions:
-        x_c = _nearest_root(r.derivative(), direction)
-        hi = direction * bound if x_c is None else x_c
-        if f(hi) * f0 < 0:
-            a, b = (0.0, hi) if hi > 0 else (hi, 0.0)
-            fa = f(a)
-            newton = True
-            # at most about 2100 halvings to neighbouring floats
-            while a < (mid := a + 0.5 * (b - a)) < b:
-                if newton and b - a <= _NARROW * abs(mid):
-                    newton = False
-                    # Newton stops within Horner's rounding bound on R - q at mid
-                    tol = len(coeffs) * sys.float_info.epsilon * (
-                        _horner([abs(c) for c in coeffs], abs(mid)) + abs(q))
-                    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
-                    x, _, _, converged = _newton(coeffs, dcoeffs, q, mid, tol, _NEWTON_FINISH)
-                    if converged and a <= x <= b:
-                        mid = x
-                        break
-                fm = f(mid)
-                if fm == 0.0:
-                    break
-                if (fm > 0) == (fa > 0):
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            return _next_to_root(r, q, mid, hi)
+        end = _nearest_root(r.derivative(), direction) or direction * sys.float_info.max
+        if (_horner(coeffs, end) - q) * f0 < 0:
+            # a guess that underflows starts at the smallest float instead
+            x = direction * max(abs(f0 / c) ** (1.0 / k), math.ulp(0.0))
+            x = x if abs(x) < abs(end) else _count_mid(0.0, end)
+            return _certified(r, coeffs, dcoeffs, q, x, end)[0]
     raise DomainError("R does not reach q between 0 and its first critical point")
 
 
@@ -344,9 +345,9 @@ def track_root(spec: ProblemSpec, q_target: float) -> TrackResult:
     1e-10 |q + h| with x on the monotone stretch of R from 0 towards x_c,
     the nearest root of R' on the branch's side, so the corrector cannot
     jump to another root; else h is quartered.  h doubles after at most two
-    corrections.  At the target Newton with tol 0 and ``_next_to_root``
-    give the float next to the root, so the acceptance sets the path and
-    its cost, not the x of an "ok" result.
+    corrections.  From the last x, ``_certified`` gives the float next to
+    the root, so the acceptance sets the path and its cost, not the x of
+    an "ok" result.
     """
     q_target = float(q_target)
     if not math.isfinite(q_target):
@@ -391,7 +392,5 @@ def track_root(spec: ProblemSpec, q_target: float) -> TrackResult:
             if abs(h) <= 1e-15 * abs(q):
                 return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
                                    "step_underflow", q_star)
-    x_next, _, iters, _ = _newton(rc, drc, q_target, x, 0.0, 4)
-    polish_total += iters
-    x = _next_to_root(spec.R, q_target, x_next if 0.0 <= x_next * side < abs(end) else x, end)
-    return TrackResult(x, abs(_horner(rc, x) - q_target), steps, polish_total, "ok", q_star)
+    x, iters = _certified(spec.R, rc, drc, q_target, x, end)
+    return TrackResult(x, abs(_horner(rc, x) - q_target), steps, polish_total + iters, "ok", q_star)

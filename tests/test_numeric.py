@@ -876,16 +876,32 @@ def test_bisect_branch_root_pinned_bit_for_bit(coeffs, q, want):
 
 
 @pytest.mark.parametrize("problem,q,floats,exacts", [
-    # a target well inside the radius: Newton finishes from a bracket of
-    # relative width 2^-12 (halving to neighbouring floats took 56)
+    # a target well inside the radius: Newton from the tangent guess, after
+    # one halving by value where its first step overshoots the bracket
+    # (4.06409), lands next to the root (halving to neighbouring floats took
+    # 56, halving to relative width 2^-12 and then Newton 23)
     ("x^3+3x^2-2x", -0.173396, 24, 2),
     ("x^3+3x^2-2x", 4.06409, 24, 2),
+    # Newton first gets within Horner's bound some ulps from the root, and
+    # one more step lands next to it (12 exact evaluations without that
+    # step; 25 float and 4 exact before)
+    ("x^4-x^3-3x^2-3x", 1.10602, 24, 2),
     # q = q* (1 - 3e-12) on either side: R - q has a near-double root, where
-    # Newton does not converge in its steps and halving takes over (38 and 34
-    # float evaluations before); the exact walk of _next_to_root stays as
-    # short as after halving (32 and 36)
+    # Newton converges linearly and the exact walk of _next_to_root is long
+    # (halving, then Newton: 52 and 48 float, 32 and 36 exact evaluations)
     ("x^3+3x^2-2x", 8.303314829119353 * (1 - 3e-12), 56, 40),
     ("x^3+3x^2-2x", -0.3033148291193521 * (1 - 3e-12), 56, 40),
+    # small |q|: the tangent guess is all but the root, where halving from
+    # [0, x_c] to relative width 2^-12 cost a halving per binade (52 and 683
+    # float evaluations) and 31 at q = 0.01, where D(0) = 0
+    ("x^3+3x^2-2x", 1e-9, 16, 2),
+    ("x^3+3x^2-2x", -1e-200, 16, 2),
+    ("x^3+2x^2+x", 0.01, 16, 2),
+    # the smallest float: the guess underflows to 0 (was 1078 float
+    # evaluations); the largest targets: R overflows on most of [0, 1.8e308]
+    # and halving by count finds the root's binade (was 700 float and 78 exact)
+    ("x^3+3x^2-2x", 5e-324, 64, 4),
+    ("x^3+x", 1e308, 64, 4),
 ])
 def test_bisect_branch_root_evaluations_bounded(monkeypatch, problem, q, floats, exacts):
     r = parse_polynomial(problem).R
@@ -903,6 +919,89 @@ def test_bisect_branch_root_evaluations_bounded(monkeypatch, problem, q, floats,
     assert bisect_branch_root(r, q) == x
     assert exactly_bracketed(r, q, x)
     assert counts["float"] <= floats and counts["exact"] <= exacts, counts
+
+
+@st.composite
+def _branch_targets(draw):
+    """R of degree 3-5 with small integer coefficients, R(0) = 0 and
+    R'(0) != 0, and q strictly inside its first branch point."""
+    n = draw(st.integers(3, 5))
+    coeffs = [0, draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))]
+    coeffs += [draw(st.integers(-3, 3)) for _ in range(n - 2)] + [draw(st.sampled_from([-1, 1, 2]))]
+    spec = ProblemSpec(UPoly("x", coeffs))
+    direction = draw(st.sampled_from([1, -1]))
+    q_star = first_branch_point(factorize(spec).D, direction)
+    scale = abs(q_star) if q_star is not None else 10.0
+    return spec.R, direction * scale * draw(st.floats(1e-6, 0.999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_branch_targets())
+def test_certified_float_does_not_depend_on_the_start(target):
+    r, q = target
+    coeffs = r.float_coeffs()
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    side = 1 if q * coeffs[1] > 0 else -1
+    end = tracking._nearest_root(r.derivative(), side) or side * sys.float_info.max
+    starts = [math.nextafter(0.0, end), math.nextafter(end, 0.0), tracking._count_mid(0.0, end)]
+    guess = q / coeffs[1]
+    if abs(guess) < abs(end):
+        starts.append(guess)
+    xs = {tracking._certified(r, coeffs, dcoeffs, q, x, end)[0] for x in starts}
+    assert xs == {bisect_branch_root(r, q)}
+    assert exactly_bracketed(r, q, xs.pop())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, sys.float_info.max), st.floats(0.0, sys.float_info.max),
+       st.sampled_from([1.0, -1.0]))
+def test_count_mid_lies_strictly_between(a, b, sign):
+    a, b = sign * a, sign * b
+    mid = tracking._count_mid(a, b)
+    lo, hi = min(a, b), max(a, b)
+    if lo == hi or math.nextafter(lo, hi) == hi:
+        assert mid in (lo, hi)
+    else:
+        assert lo < mid < hi
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 5e-324), (0.0, 1e-323), (5e-324, 1.5e-323),
+                                 (0.0, sys.float_info.max), (1.0, sys.float_info.max),
+                                 (-0.0, -sys.float_info.max)])
+def test_count_mid_closes_any_bracket_in_64_halvings(a, b):
+    # keep either half every time: the count of floats between the ends halves
+    for keep_upper in (True, False):
+        lo, hi, halvings = a, b, 0
+        while math.nextafter(lo, hi) != hi:
+            mid = tracking._count_mid(lo, hi)
+            assert min(lo, hi) < mid < max(lo, hi)
+            lo, hi = (mid, hi) if keep_upper else (lo, mid)
+            halvings += 1
+        assert halvings <= 64
+
+
+def test_polish_iters_counts_the_certified_steps(monkeypatch):
+    # every Newton iteration, the corrector's and the final loop's
+    spec = ProblemSpec(UPoly("x", (0, -2, 3, 1)))
+    track_root(spec, 4.06409)  # isolates x_c and q* once, memoized, with Newton of their own
+    newton, certified = [], []
+    plain, loop = tracking._newton, tracking._certified
+
+    def counted_newton(*args):
+        out = plain(*args)
+        newton.append(out[2])
+        return out
+
+    def counted_certified(*args):
+        out = loop(*args)
+        certified.append(out[1])
+        return out
+
+    monkeypatch.setattr(tracking, "_newton", counted_newton)
+    monkeypatch.setattr(tracking, "_certified", counted_certified)
+    res = track_root(spec, 4.06409)
+    assert res.status == "ok" and len(certified) == 1 and certified[0] >= 1
+    assert res.polish_iters == sum(newton) + certified[0]
 
 
 CLOSED_FORM_PINS = [
