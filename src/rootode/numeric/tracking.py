@@ -23,7 +23,6 @@ import struct
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .._memo import memoized
 from ..algebra import UPoly, _exact_div, _horner, _integer_coeffs, _prem, _primitive
@@ -48,7 +47,8 @@ def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
     coefficient lists: (x, |R(x) - q|, steps taken, converged), converged
     once |R(x) - q| <= tol.  Stops early, unconverged, where R'(x) is 0 or
     R(x) - q is not finite; with tol 0 it runs max_iter plain steps unless
-    R(x) - q reaches exactly 0."""
+    R(x) - q reaches exactly 0.  Its callers: ``track_root``'s corrector
+    and ``closedform._polish``."""
     for it in range(max_iter):
         f = _horner(coeffs, x) - q
         if abs(f) <= tol:
@@ -87,19 +87,21 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
     by ``_prem``, each divisor signed to a positive lead so that every
     pseudo-remainder is a positive multiple of the remainder and the signs
     are those of the chain over Q.  Bisection on dyadic rationals shrinks
-    (0, B], B past Cauchy's bound, keeping the nearer half that holds a
-    root and setting the farther one aside for later, to an interval of
-    relative width 2^-32 about one root alone.  Newton (``_newton``) on the
-    square-free part, in floats, then gives a float whose two neighbours
-    bracket the root, or else bisection goes on to 2^-60.  A root at 0
-    itself is divided out first.  Each root comes from the same dyadic
-    intervals whether or not the roots beyond it are asked for.
+    (0, B], B a power of 2 past Cauchy's bound, keeping the nearer half
+    that holds a root and setting the farther one aside for later, to an
+    interval of relative width 2^-60 about one root alone.  Each root is
+    the float nearest it: every point halfway between two floats lies on
+    the dyadic grid by then, so the interval lies on one side of it and its
+    midpoint rounds as the root does (to the float nearer 0 when the root
+    is such a point).  No float of p is formed.  A root at 0 itself is
+    divided out first.  Each root comes from the same dyadic intervals
+    whether or not the roots beyond it are asked for.
     """
     zeros = next(k for k, c in enumerate(p.coeffs) if c)
     if p.degree == zeros:
         return
-    # search t > 0 on p(direction * t) / t^zeros, den times over Z
-    den, d = _integer_coeffs(p.coeffs[zeros:])
+    # search t > 0 on p(direction * t) / t^zeros, scaled to Z
+    d = _integer_coeffs(p.coeffs[zeros:])[1]
     d = [c * direction**k for k, c in enumerate(d)]
     ints = [d, [i * c for i, c in enumerate(d) if i]]
     while len(b := ints[-1]) > 1:
@@ -108,23 +110,14 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
         if not r:
             break
         ints.append([-c for c in _primitive(r)])
-    lead = 1
     if len(ints[-1]) > 1:
         g = _primitive(ints[-1])
-        ints, lead = [_exact_div(cs, g) for cs in ints], g[-1]
+        ints = [_exact_div(cs, g) for cs in ints]
     top = ints[0]
     v_0 = _sign_changes(cs[0] for cs in ints)
     v_b = _sign_changes(cs[-1] for cs in ints)
     if v_0 == v_b:
         return
-    # the floats of the rational square-free part d / monic(g), top lc(g) / den;
-    # where one lies beyond the float range, bisection alone goes to 2^-60
-    try:
-        sfc = UPoly(p.var, [Fraction(c * lead, den) for c in top]).float_coeffs()
-    except DomainError:
-        sfc = None
-    else:
-        dsfc = [i * c for i, c in enumerate(sfc)][1:]
     # intervals (lo / 2^k, hi / 2^k] holding v_lo - v_hi distinct roots, the
     # nearest last
     todo = [(0, 1 << (sum(map(abs, top)) // abs(top[-1])).bit_length(), 0, v_0, v_b)]
@@ -133,37 +126,24 @@ def _roots(p: UPoly, direction: int) -> Iterator[float]:
         # the sign of the square-free part just right of lo: top[0]'s, as at
         # 0, flipped once by each of the v_0 - v_lo simple roots in (0, lo]
         s = top[0] if (v_0 - v_lo) % 2 == 0 else -top[0]
-        bits = 32 if sfc else 60
-        while True:
-            if v_lo - v_hi > 1 or (hi - lo) << bits > hi:
-                lo, hi, k = 2 * lo, 2 * hi, k + 1
-                mid = (lo + hi) // 2
-                if v_lo - v_hi > 1:
-                    v_mid = _sign_changes(_at(cs, mid, 1 << k) for cs in ints)
-                else:
-                    v_mid = v_lo if _at(top, mid, 1 << k) * s > 0 else v_hi
-                if v_mid < v_lo:
-                    if v_mid > v_hi:
-                        todo.append((mid, hi, k, v_mid, v_hi))
-                    hi, v_hi = mid, v_mid
-                else:
-                    lo, v_lo = mid, v_mid
-                continue
-            try:
-                t = (lo + hi) / (2 << k)
-            except OverflowError:
-                raise DomainError("a root lies beyond the float range"
-                                  " (magnitude above about 1.8e308)") from None
-            if bits == 60:
-                break
-            t = _newton(sfc, dsfc, 0.0, t, 0.0, 8)[0]
-            if math.isfinite(t):
-                (an, ad), (bn, bd) = (math.nextafter(t, u).as_integer_ratio()
-                                      for u in (0.0, math.inf))
-                if (lo * ad < an << k and bn << k <= hi * bd
-                        and _at(top, an, ad) * _at(top, bn, bd) <= 0):
-                    break
-            bits = 60
+        while v_lo - v_hi > 1 or (hi - lo) << 60 > hi:
+            lo, hi, k = 2 * lo, 2 * hi, k + 1
+            mid = (lo + hi) // 2
+            if v_lo - v_hi > 1:
+                v_mid = _sign_changes(_at(cs, mid, 1 << k) for cs in ints)
+            else:
+                v_mid = v_lo if _at(top, mid, 1 << k) * s > 0 else v_hi
+            if v_mid < v_lo:
+                if v_mid > v_hi:
+                    todo.append((mid, hi, k, v_mid, v_hi))
+                hi, v_hi = mid, v_mid
+            else:
+                lo, v_lo = mid, v_mid
+        try:
+            t = (lo + hi) / (2 << k)
+        except OverflowError:
+            raise DomainError("a root lies beyond the float range"
+                              " (magnitude above about 1.8e308)") from None
         yield direction * t
 
 
@@ -177,9 +157,9 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
 
 
 def first_branch_point(d: UPoly, direction: int) -> float | None:
-    """Nearest nonzero real root of D on the given side of 0, or None,
-    isolated exactly by Sturm's theorem.  A root at 0 itself (a multiple
-    root of R) does not count."""
+    """Nearest nonzero real root of D on the given side of 0, or None:
+    the float nearest it, found by exact Sturm isolation and bisection
+    alone.  A root at 0 itself (a multiple root of R) does not count."""
     if d.var != "q" or not d:
         raise ValueError("expected a nonzero polynomial in q")
     if direction not in (1, -1):
@@ -188,8 +168,9 @@ def first_branch_point(d: UPoly, direction: int) -> float | None:
 
 
 def past_branch_point(q: float, q_star: float | None) -> bool:
-    """True when q lies at or beyond the branch point q_star, if any."""
-    return q_star is not None and abs(q) >= abs(q_star) - 1e-12 * (1.0 + abs(q_star))
+    """True when q lies at or beyond the branch point q_star, if any, within
+    a relative 1e-12, so a tiny q_star still admits the targets inside it."""
+    return q_star is not None and abs(q) >= abs(q_star) * (1.0 - 1e-12)
 
 
 @dataclass(frozen=True)

@@ -514,7 +514,7 @@ class TestMain:
 
     def test_branch_point_isolated_without_floats_of_d(self, capsys):
         # coefficients within range, but D has integers beyond 1.8e308: the
-        # isolator of the branch point at q < 0 bisects without Newton
+        # isolator forms no float of D, as for every root it isolates
         text = "x^12+1" + "0" * 30 + "x"
         assert main(["solve", text, "--q", "-0.5", "--no-timing"]) == 0
         result = json.loads(capsys.readouterr().out)["result"]

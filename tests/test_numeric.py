@@ -42,7 +42,7 @@ from rootode.numeric.closedform import (
 )
 from rootode.numeric.quadrature import rhs_integrand
 
-from exact_sign import exactly_bracketed
+from exact_sign import exactly_bracketed, nearest_to_a_root
 from q_division import qexact_div, rational_euclid
 
 
@@ -363,26 +363,24 @@ class TestBranchPoint:
             assert got is None
             return
         # float roots lose digits on clustered roots, so they are matched to
-        # that accuracy; the certified value has the root between its float
-        # neighbours
+        # that accuracy; the certified value is the float nearest the root
         assert got == pytest.approx(ref, rel=1e-9, abs=1e-300)
         if got:
-            sf = qexact_div(d, rational_euclid(d, d.derivative())) if d.degree > 1 else d
-            below, above = (sf(Fraction(math.nextafter(got, t))) for t in (-math.inf, math.inf))
-            assert below * above <= 0
+            assert nearest_to_a_root(d, got)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.fractions(-20, 20, max_denominator=9).filter(bool), min_size=1, max_size=6),
            st.integers(1, 5), st.sampled_from([1, -1]))
     def test_every_root_on_a_side(self, roots, c, direction):
         # p = (q^2 + c) prod (q - r), repeated roots allowed: tracking._roots
-        # yields each distinct r on the side once, nearest first, to an ulp
+        # yields each distinct r on the side once, nearest first, as the
+        # float nearest it
         p = UPoly("q", (c, 0, 1))
         for r in roots:
             p = p * UPoly("q", (-r, 1))
         want = sorted({r for r in roots if r * direction > 0}, key=abs)
         got = list(tracking._roots(p, direction))
-        assert got == pytest.approx([float(r) for r in want], rel=1e-15)
+        assert got == [float(r) for r in want]
 
     def test_rational_root_behind_a_nearer_one(self):
         # D = -16 (q+1)^2 (16q+7); bisecting (-4, 0) meets the double root -1
@@ -459,6 +457,20 @@ class TestTracking:
         inside = track_root(spec, 0.9 * q_star)
         assert inside.status == "ok"
         assert abs(inside.x - vieta_trig_root(-1.0, 0.9 * q_star)) < 1e-9
+
+    @pytest.mark.parametrize("q,status", [
+        ("-1e-30", "ok"), ("-1e-18", "ok"), ("-2.4e-17", "ok"),
+        ("-2.5e-17", "hit_branch_point"), ("-3e-17", "hit_branch_point"),
+    ])
+    def test_tiny_branch_point_blocks_only_past_it(self, q, status):
+        # q* = -2.5e-17: the refusal margin must scale with |q*|, since an
+        # absolute floor of 1e-12 would refuse every target on this side
+        problem = "x^2+1/100000000x"
+        for verb in ("solve", "check"):
+            report, code = run(Command(verb=verb, problem=problem, q=q, timing=False))
+            assert (report.status, code) == (status, 0 if status == "ok" else 2)
+            if status == "ok":
+                assert exactly_bracketed(parse_polynomial(problem).R, float(q), report.result["x"])
 
     def test_q_zero_shortcut(self):
         res = track_root(trinomial(4, 2), 0.0)
@@ -833,28 +845,31 @@ def test_solve_and_check_pinned_bit_for_bit(problem, q, w1, w2, solved, thm1, co
 
 F = Fraction
 
-# rational, non-square-free and root-at-0 polynomials: the isolator runs its
-# Newton steps on the floats of the rational square-free part, and any drift
-# in the last digit of an isolated root fails here
+# rational, non-square-free and root-at-0 polynomials: the isolator bisects
+# on the dyadic grid to the float nearest each root, which the exact
+# half-ulp check proves, and any drift in the last digit fails here
 BRANCH_POINT_PINS = [
-    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), 1, 0.0184426910347354),
-    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), -1, -1.0825078090350215),
-    ((0, 0, 0, -7, F(2, 7), F(5, 3)), 1, 1.965467553805436),
-    ((0, 0, F(15, 7), 38, F(-11, 81), -1), -1, -0.056384333086145925),
+    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), 1, 0.018442691034735396),
+    ((F(-1, 2), 27, F(19, 3), -17, F(-13, 8), -2), -1, -1.0825078090350213),
+    ((0, 0, 0, -7, F(2, 7), F(5, 3)), 1, 1.9654675538054363),
+    ((0, 0, F(15, 7), 38, F(-11, 81), -1), -1, -0.05638433308614593),
+    # the rational root -40/21
     ((F(43200, 49), F(47260, 49), F(18702, 49), F(114619, 784), F(429, 7), 9), -1,
-     -1.9047619047619049),
+     -1.9047619047619047),
     ((F(-784, 3), F(3472, 9), F(16736, 27), F(2324, 9), F(136, 3), 4), -1, -2.3333333333333335),
-    ((13, 0, F(22, 7), -1), 1, 3.9683635501194656),
+    ((13, 0, F(22, 7), -1), 1, 3.968363550119466),
     ((0, F(11, 27), 13, F(-39, 7), F(17, 3), F(5, 3)), -1, -0.030916622485759507),
     ((F(4177045121, 81000000000000), F(-543229, 250000000), F(-1225, 243)), 1,
      0.0029900938781866593),
-    ((F(11, 1000), 34, 14, F(13, 16), 35, F(5, 3)), -1, -0.00032357252239233615),
+    ((F(11, 1000), 34, 14, F(13, 16), 35, F(5, 3)), -1, -0.0003235725223923362),
 ]
 
 
 @pytest.mark.parametrize("coeffs,direction,want", BRANCH_POINT_PINS)
 def test_first_branch_point_pinned_bit_for_bit(coeffs, direction, want):
-    assert repr(first_branch_point(UPoly("q", coeffs), direction)) == repr(want)
+    d = UPoly("q", coeffs)
+    assert nearest_to_a_root(d, want)
+    assert repr(first_branch_point(d, direction)) == repr(want)
 
 
 BISECT_PINS = [
