@@ -5,7 +5,7 @@ branch x(q) through the origin.  This package derives, in exact rational
 arithmetic, the differential equations that branch satisfies (a
 first-order equation polynomial in x, and a linear equation of order
 n-1), together with separated-variables integral identities, and provides
-numeric machinery to track, verify and cross-check the branch against
+numeric machinery to find, verify and cross-check the branch against
 closed-form and series solutions.
 """
 from .algebra import (
@@ -52,7 +52,7 @@ from .numeric.series import (
     quartic_series_3f2,
     series_ode_residual,
 )
-from .numeric.tracking import TrackResult, bisect_branch_root, first_branch_point, track_root
+from .numeric.tracking import bisect_branch_root, first_branch_point
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "QuadratureError",
     "RootodeError",
     "SingularIntegrandError",
-    "TrackResult",
     "UPoly",
     "VariableMismatchError",
     "__version__",
@@ -93,6 +92,5 @@ __all__ = [
     "quartic_series_3f2",
     "quartic_w_root",
     "series_ode_residual",
-    "track_root",
     "trinomial",
 ]

@@ -6,7 +6,9 @@ Verbs:
   variants for R(x) = q.
 * ``derive-abel`` — the first-order equation x' = sum a_j(q) x^j.
 * ``derive-linear`` — the linear equation of order at most n-1.
-* ``solve`` — track the branch root to a target q and report the residual.
+* ``solve`` — the branch root x(q) at a target q and its residual; a target
+  at or past the first nonzero real root of D on its side is refused as
+  ``hit_branch_point``.
 * ``check`` — numerically verify the separated-variables integral identity;
   a target at or past the first nonzero real root of D on its side is
   refused as ``hit_branch_point``, and a divergent identity or a quadrature
@@ -32,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import MAX_DEGREE, UPoly, _ratio
+from .algebra import MAX_DEGREE, UPoly, _horner, _ratio
 from .demos import DEMOS
 from .derive import (
     ProblemSpec,
@@ -41,14 +43,13 @@ from .derive import (
     linear_ode,
     abel_ode,
 )
-from .errors import ParseError, RootodeError
+from .errors import DomainError, ParseError, RootodeError
 from .numeric.quadrature import check_identity
 from .numeric.series import lagrange_series, series_ode_residual
 from .numeric.tracking import (
     bisect_branch_root,
     first_branch_point,
     past_branch_point,
-    track_root,
 )
 from .render import (
     abel_coeff_arrays,
@@ -287,25 +288,30 @@ def _h_derive_linear(cmd: Command) -> dict:
     }
 
 
+def _q_star(d: UPoly, qv: float) -> float | None:
+    """The first branch point, a root of D, on the side of q; None if there
+    is none, or at q = 0."""
+    return first_branch_point(d, 1 if qv > 0 else -1) if qv else None
+
+
 def _h_solve(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     if cmd.q is None:
         raise ValueError("solve requires --q")
     qv = parse_q_value(cmd.q)
-    res = track_root(spec, qv)
-    finite = math.isfinite(res.x)
-    out = {
-        "q": cmd.q,
-        "x": res.x if finite else None,
-        "residual": res.residual if finite else None,
-        "steps": res.steps,
-        "tracking_status": res.status,
-        "q_star": res.q_star,
-    }
-    if res.status != "ok":
-        out["_status"] = res.status
-        out["_errors"] = [f"tracking stopped: {res.status}"]
-    return out
+    if spec.rprime().coefficient(0) == 0:
+        raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
+    if not qv:
+        # x(0) = 0 needs no floats of R, which may lie beyond their range
+        return {"q": cmd.q, "x": 0.0, "residual": 0.0, "tracking_status": "ok", "q_star": None}
+    q_star = _q_star(factorize(spec).D, qv)
+    if past_branch_point(qv, q_star):
+        return {"q": cmd.q, "x": None, "residual": None, "tracking_status": "hit_branch_point",
+                "q_star": q_star, "_status": "hit_branch_point",
+                "_errors": ["tracking stopped: hit_branch_point"]}
+    x = bisect_branch_root(spec.R, qv)
+    residual = abs(_horner(spec.R.float_coeffs(), x) - qv)
+    return {"q": cmd.q, "x": x, "residual": residual, "tracking_status": "ok", "q_star": q_star}
 
 
 def _h_check(cmd: Command) -> dict:
@@ -321,12 +327,11 @@ def _h_check(cmd: Command) -> dict:
     rtol = 1e-10 if cmd.tol_rel is None else cmd.tol_rel
     weight = parse_weight(cmd.weight if cmd.weight is not None else "1")
     fact = factorize(spec)
-    if qv != 0.0:
-        q_star = first_branch_point(fact.D, 1 if qv > 0 else -1)
-        if past_branch_point(qv, q_star):
-            return {"kind": cmd.kind, "weight": str(weight), "q": cmd.q, "q_star": q_star,
-                    "_status": "hit_branch_point",
-                    "_errors": [f"q is at or past the branch point q* = {q_star!r}"]}
+    q_star = _q_star(fact.D, qv)
+    if past_branch_point(qv, q_star):
+        return {"kind": cmd.kind, "weight": str(weight), "q": cmd.q, "q_star": q_star,
+                "_status": "hit_branch_point",
+                "_errors": [f"q is at or past the branch point q* = {q_star!r}"]}
     ispec = build_integrands(fact, weight, cmd.kind)
     x = bisect_branch_root(spec.R, qv)
     rep = check_identity(ispec, x, qv)

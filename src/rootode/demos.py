@@ -23,7 +23,7 @@ from .numeric.closedform import (
 )
 from .numeric.quadrature import check_identity, lhs_integrand, quad, rhs_integrand
 from .numeric.series import lagrange_series, quartic_series_2f1_product, quartic_series_3f2
-from .numeric.tracking import bisect_branch_root, track_root
+from .numeric.tracking import bisect_branch_root
 
 __all__ = ["DEMOS"]
 
@@ -51,7 +51,7 @@ def babylonian() -> list[dict]:
         _check("discriminant_exact", fact.D == UPoly("q", (1, 4))),
         _check("cofactor_exact", fact.U == UPoly.one("x")),
         _within("tracked_vs_closed_form",
-                (abs(track_root(spec, q).x - babylonian_root(1.0, q))
+                (abs(bisect_branch_root(spec.R, q) - babylonian_root(1.0, q))
                  for q in (-0.2, -0.1, 0.5, 1.0, 2.0)), 1e-9),
         _check("radical_identity",
                abs(rad.diff) <= 1e-8 and abs(rad.rhs - closed) <= 1e-8, diff=rad.diff),
@@ -68,12 +68,12 @@ def cardano() -> list[dict]:
         _check("discriminant_exact", fact.script_d == UPoly("q", (4, 0, 27))),
         _check("cofactor_exact", fact.script_u == UPoly("x", (4, 0, 3))),
         _within("tracked_vs_cardano",
-                (abs(track_root(spec, q).x - cardano_root(1.0, q)) for q in qs), 1e-9),
+                (abs(bisect_branch_root(spec.R, q) - cardano_root(1.0, q)) for q in qs), 1e-9),
         _within("cardano_vs_sinh_form",
                 (abs(cardano_root(1.0, q) - vieta_hyp_root(1.0, q)) for q in qs), 1e-12),
         # p = -1: all three roots are real while |q| < sqrt(4/27)
         _within("tracked_vs_trig_form",
-                (abs(track_root(trinomial(3, -1), q).x - vieta_trig_root(-1.0, q))
+                (abs(bisect_branch_root(trinomial(3, -1).R, q) - vieta_trig_root(-1.0, q))
                  for q in (-0.3, -0.1, 0.1, 0.3)), 1e-9),
     ]
 
@@ -124,7 +124,8 @@ def quartic23() -> list[dict]:
         _within("closed_roots_vs_ferrari",
                 (_quartic23_roots_diff(spec.R, qv) for qv in (0.25, 0.75)), 1e-10),
         _within("tracked_vs_closed_branch",
-                (abs(track_root(spec, q).x - _quartic23_branch(q)) for q in (0.25, 0.75)), 1e-10),
+                (abs(bisect_branch_root(spec.R, q) - _quartic23_branch(q))
+                 for q in (0.25, 0.75)), 1e-10),
         _within("arctan_identity", arctan, 1e-8),
     ]
 
@@ -160,7 +161,7 @@ def hypergeom() -> list[dict]:
         _check("series_2f1_product_equals_lagrange", x2 == lag),
         # the auxiliary sextic's real w-branch, inside q* = -3/4^(4/3)
         _within("tracked_vs_w_form",
-                (abs(track_root(spec, q).x - quartic_w_root(1.0, q))
+                (abs(bisect_branch_root(spec.R, q) - quartic_w_root(1.0, q))
                  for q in (-0.4, -0.2, 0.2, 1.0)), 1e-9),
     ]
 

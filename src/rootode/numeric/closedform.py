@@ -10,9 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ..algebra import UPoly
+from ..algebra import UPoly, _horner
 from ..errors import DomainError
-from .tracking import _newton
 
 __all__ = [
     "babylonian_root",
@@ -37,8 +36,16 @@ def _cbrt(t: float) -> float:
 
 
 def _polish(coeffs: list[float], x: float, iters: int = 3) -> float:
-    """A few Newton steps to scrub float noise off a closed-form root."""
-    return _newton(coeffs, [i * c for i, c in enumerate(coeffs)][1:], 0.0, x, 0.0, iters)[0]
+    """A few Newton steps on the polynomial with float coefficients coeffs
+    to scrub float noise off a closed-form root; they stop early where the
+    value is 0 or not finite, or the derivative is 0."""
+    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    for _ in range(iters):
+        f = _horner(coeffs, x)
+        if f == 0.0 or not math.isfinite(f) or (fp := _horner(dcoeffs, x)) == 0.0:
+            break
+        x -= f / fp
+    return x
 
 
 def babylonian_root(p: float, q: float) -> float:

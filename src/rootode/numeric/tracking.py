@@ -1,14 +1,11 @@
-"""Numeric continuation of the root branch, certified at the target.
+"""Branch roots of R(x) = q, certified, and the branch points that bound them.
 
-Modulo R - q, the first-order equation x' = W/D is R'(x) x' = 1, so the
-branch's tangent is 1/R'(x).  ``track_root`` follows x(q) from (0, 0) by
-Euler predictor and Newton corrector steps (Allgower and Georg,
-"Introduction to Numerical Continuation Methods", ch. 2 and 6).
-``bisect_branch_root`` skips the path and guesses x from R's lowest term.
-Both end in ``_certified``, the one path from a guess to the float next to
-the root: Newton kept inside the exact bracket from 0 to R's first critical
-point, finished by exact signs of R - q.  So ``check`` answers ``solve``'s
-x, and this module alone decides which float is x.
+``bisect_branch_root`` guesses the root of the branch x(q), x(0) = 0, from
+R's lowest term and hands it to ``_certified``, the one path from a guess
+to the float next to the root: Newton kept inside the exact bracket from 0
+to R's first critical point, finished by exact signs of R - q.  ``solve``
+and ``check`` both take x from it, so this module alone decides which
+float is x.
 
 The first branch point, the nearest nonzero real root of D on the side of
 the target, is isolated beforehand in exact arithmetic by Sturm's theorem,
@@ -22,43 +19,16 @@ import math
 import struct
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .._memo import memoized
 from ..algebra import UPoly, _exact_div, _horner, _integer_coeffs, _prem, _primitive
-from ..derive import ProblemSpec, factorize
 from ..errors import DomainError
 
 __all__ = [
-    "TrackResult",
     "bisect_branch_root",
     "first_branch_point",
     "past_branch_point",
-    "track_root",
 ]
-
-# accepted continuation steps before tracking gives up with status step_limit
-MAX_STEPS = 100_000
-
-
-def _newton(coeffs, dcoeffs, q: float, x: float, tol: float,
-            max_iter: int) -> tuple[float, float, int, bool]:
-    """Newton on R(x) - q = 0 from x, with R and R' given as float
-    coefficient lists: (x, |R(x) - q|, steps taken, converged), converged
-    once |R(x) - q| <= tol.  Stops early, unconverged, where R'(x) is 0 or
-    R(x) - q is not finite; with tol 0 it runs max_iter plain steps unless
-    R(x) - q reaches exactly 0.  Its callers: ``track_root``'s corrector
-    and ``closedform._polish``."""
-    for it in range(max_iter):
-        f = _horner(coeffs, x) - q
-        if abs(f) <= tol:
-            return x, abs(f), it, True
-        fp = _horner(dcoeffs, x)
-        if fp == 0.0 or not math.isfinite(f):
-            return x, abs(f), it, False
-        x -= f / fp
-    f = _horner(coeffs, x) - q
-    return x, abs(f), max_iter, abs(f) <= tol
 
 
 def _at(cs: list[int], n: int, s: int) -> int:
@@ -152,7 +122,7 @@ def _nearest_root(p: UPoly, direction: int) -> float | None:
     """Nearest nonzero real root of the nonzero p on the given side of 0,
     or None: the first root ``_roots`` yields, the farther ones never
     isolated.  Memoized per process: it serves D for ``first_branch_point``
-    and R' for ``bisect_branch_root`` and ``track_root``."""
+    and R' for ``bisect_branch_root``."""
     return next(_roots(p, direction), None)
 
 
@@ -171,26 +141,6 @@ def past_branch_point(q: float, q_star: float | None) -> bool:
     """True when q lies at or beyond the branch point q_star, if any, within
     a relative 1e-12, so a tiny q_star still admits the targets inside it."""
     return q_star is not None and abs(q) >= abs(q_star) * (1.0 - 1e-12)
-
-
-@dataclass(frozen=True)
-class TrackResult:
-    """Outcome of following the branch from q = 0 to the target.
-
-    status is "ok", "hit_branch_point" (target at or past the first real
-    root of D; x is NaN), "step_limit" (MAX_STEPS accepted steps did not
-    reach the target; x is NaN) or "step_underflow" (x the last accepted
-    point).  steps counts accepted steps and polish_iters every Newton
-    iteration, the corrector's and ``_certified``'s.  q_star is the first
-    branch point in the direction of travel when one exists.
-    """
-
-    x: float
-    residual: float
-    steps: int
-    polish_iters: int
-    status: str
-    q_star: float | None
 
 
 def _next_to_root(r: UPoly, q: float, x: float, end: float) -> float:
@@ -242,9 +192,9 @@ def _count_mid(a: float, b: float) -> float:
     return math.copysign(struct.unpack("<d", struct.pack("<q", (ia + ib) // 2))[0], a + b)
 
 
-def _certified(r: UPoly, coeffs, dcoeffs, q: float, x: float, end: float) -> tuple[float, int]:
+def _certified(r: UPoly, coeffs, dcoeffs, q: float, x: float, end: float) -> float:
     """From a guess x in [0, end], where R - q changes sign once, with R and
-    R' as floats: (the float next to the root of R = q, Newton steps taken).
+    R' as floats: the float next to the root of R = q, whatever the guess.
     The bracket [0, end] shrinks to each x by the float sign of R(x) - q.  A
     Newton step is taken when it lands strictly inside it and moves at most
     half as far as the last move (``rtsafe``, Press et al., "Numerical
@@ -260,32 +210,31 @@ def _certified(r: UPoly, coeffs, dcoeffs, q: float, x: float, end: float) -> tup
     cap = slack * _horner(abs_coeffs, abs(end)) + qtol
     # R - q has the sign of R(0) - q at a and the other sign at b
     pos0 = coeffs[0] - q > 0
-    a, b, steps, moved = 0.0, end, 0, math.inf
+    a, b, moved = 0.0, end, math.inf
     while True:
         f = _horner(coeffs, x) - q
         if abs(f) <= cap and abs(f) <= slack * _horner(abs_coeffs, abs(x)) + qtol < math.inf:
             break
         a, b = (x, b) if (f > 0) == pos0 else (a, x)
         if math.nextafter(a, b) == b:
-            return _next_to_root(r, q, x, end), steps
+            return _next_to_root(r, q, x, end)
         lo, hi = (a, b) if a < b else (b, a)
         fp = _horner(dcoeffs, x) if math.isfinite(f) else 0.0
         y = x - f / fp if fp else math.nan
-        if lo < y < hi and abs(y - x) <= 0.5 * moved:
-            steps += 1
-        else:
+        if not (lo < y < hi and abs(y - x) <= 0.5 * moved):
             y = 0.5 * a + 0.5 * b if math.isfinite(y) and not lo <= y <= hi else _count_mid(a, b)
         moved, x = abs(y - x), y
     fp = _horner(dcoeffs, x)
     y = x - f / fp if fp else x
     if min(a, b) < y < max(a, b):
-        x, steps = y, steps + 1
-    return _next_to_root(r, q, x, end), steps
+        x = y
+    return _next_to_root(r, q, x, end)
 
 
 def bisect_branch_root(r: UPoly, q: float) -> float:
     """The float next to the root of R(x) = q on the monotone stretch of R
-    from 0: ``track_root``'s x, found without following the branch.
+    from 0: the branch x(q), x(0) = 0, at q, which ``solve`` and ``check``
+    report.
 
     The branch leaves 0 where the lowest nonzero term c_k x^k of R - R(0)
     has the sign of q - R(0); for even k both sides are tried, positive
@@ -308,70 +257,10 @@ def bisect_branch_root(r: UPoly, q: float) -> float:
     dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
     for direction in directions:
         end = _nearest_root(r.derivative(), direction) or direction * sys.float_info.max
-        if (_horner(coeffs, end) - q) * f0 < 0:
+        # by f0's sign alone: a subnormal f0 times R(end) - q can underflow to 0
+        if (_horner(coeffs, end) - q) * math.copysign(1.0, f0) < 0:
             # a guess that underflows starts at the smallest float instead
             x = direction * max(abs(f0 / c) ** (1.0 / k), math.ulp(0.0))
             x = x if abs(x) < abs(end) else _count_mid(0.0, end)
-            return _certified(r, coeffs, dcoeffs, q, x, end)[0]
+            return _certified(r, coeffs, dcoeffs, q, x, end)
     raise DomainError("R does not reach q between 0 and its first critical point")
-
-
-def track_root(spec: ProblemSpec, q_target: float) -> TrackResult:
-    """Follow the branch x(q), x(0) = 0, to q_target.
-
-    Requires R'(0) != 0 (otherwise the branch leaves 0 with infinite
-    slope) and a finite q_target (ValueError otherwise).  A step of h from
-    (q, x) predicts x + h/R'(x) and makes at most three Newton corrections
-    on R(x) = q + h.  It is accepted when |R(x) - q - h| <= 1e-12 +
-    1e-10 |q + h| with x on the monotone stretch of R from 0 towards x_c,
-    the nearest root of R' on the branch's side, so the corrector cannot
-    jump to another root; else h is quartered.  h doubles after at most two
-    corrections.  From the last x, ``_certified`` gives the float next to
-    the root, so the acceptance sets the path and its cost, not the x of
-    an "ok" result.
-    """
-    q_target = float(q_target)
-    if not math.isfinite(q_target):
-        raise ValueError(f"q_target must be finite, got {q_target}")
-    rp = spec.rprime()
-    if rp.coefficient(0) == 0:
-        raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
-    if q_target == 0.0:
-        return TrackResult(0.0, 0.0, 0, 0, "ok", None)
-    direction = 1 if q_target > 0 else -1
-    q_star = first_branch_point(factorize(spec).D, direction)
-    if past_branch_point(q_target, q_star):
-        return TrackResult(math.nan, math.nan, 0, 0, "hit_branch_point", q_star)
-
-    rc = spec.R.float_coeffs()
-    drc = [i * c for i, c in enumerate(rc)][1:]
-    # x leaves 0 on the side where R'(0) x has the sign of q
-    side = direction if rp.coefficient(0) > 0 else -direction
-    end = _nearest_root(rp, side) or side * sys.float_info.max
-    q = x = 0.0
-    # a subnormal q_target / 16 can round to 0
-    h = q_target / 16.0 or q_target
-    steps = polish_total = 0
-    while q != q_target:
-        if steps == MAX_STEPS:
-            return TrackResult(math.nan, math.nan, steps, polish_total, "step_limit", q_star)
-        h = min(h, q_target - q, key=abs)
-        # q + (q_target - q) can miss q_target by an ulp
-        q_next = q_target if h == q_target - q else q + h
-        slope = _horner(drc, x)
-        guess = x + h / slope if slope else math.nan
-        tol = 1e-12 + 1e-10 * abs(q_next)
-        x_next, _, iters, converged = _newton(rc, drc, q_next, guess, tol, 3)
-        polish_total += iters
-        if converged and 0.0 <= x_next * side < abs(end):
-            q, x = q_next, x_next
-            steps += 1
-            if iters <= 2:
-                h *= 2.0
-        else:
-            h /= 4.0
-            if abs(h) <= 1e-15 * abs(q):
-                return TrackResult(x, abs(_horner(rc, x) - q), steps, polish_total,
-                                   "step_underflow", q_star)
-    x, iters = _certified(spec.R, rc, drc, q_target, x, end)
-    return TrackResult(x, abs(_horner(rc, x) - q_target), steps, polish_total + iters, "ok", q_star)

@@ -32,7 +32,6 @@ from rootode import (
     quartic_series_3f2,
     quartic_w_root,
     series_ode_residual,
-    track_root,
     vieta_trig_root,
 )
 from rootode.numeric.quadrature import lhs_integrand, rhs_integrand
@@ -163,10 +162,13 @@ def test_criterion_05_tracking_vs_closed_forms():
         if abs(q) < 1e-3:
             continue
         count += 1
-        res = track_root(spec, q)
+        c = spec.R.coefficient(1)
+        problem = f"x^{n}{'+' if c > 0 else '-'}{abs(c)}x"
+        res, _ = run(Command("solve", problem=problem, q=repr(q), timing=False))
         if res.status != "ok":
             failures.append(f"n={n}, p={p:.3f}, q={q:.3f}: status {res.status}")
             continue
+        x = res.result["x"]
         if n == 2:
             oracle = babylonian_root(p, q)
         elif n == 3:
@@ -179,13 +181,13 @@ def test_criterion_05_tracking_vs_closed_forms():
         else:
             oracle = quartic_w_root(p, q)
             ferrari = quartic_real_roots(0.0, p, -q)
-            if min(abs(res.x - r) for r in ferrari) > 1e-9:
+            if min(abs(x - r) for r in ferrari) > 1e-9:
                 failures.append(f"n=4, p={p:.3f}, q={q:.3f}: no Ferrari root nearby")
-        if abs(res.x - oracle) > 1e-9:
+        if abs(x - oracle) > 1e-9:
             failures.append(
-                f"n={n}, p={p:.3f}, q={q:.3f}: |tracked-oracle| = {abs(res.x - oracle):.2e}"
+                f"n={n}, p={p:.3f}, q={q:.3f}: |tracked-oracle| = {abs(x - oracle):.2e}"
             )
-        poly_val = res.x**n + p * res.x - q
+        poly_val = x**n + p * x - q
         if abs(poly_val) > 1e-10:
             failures.append(f"n={n}, p={p:.3f}, q={q:.3f}: |P(x)| = {abs(poly_val):.2e}")
     elapsed = time.perf_counter() - t0
@@ -216,9 +218,9 @@ def test_criterion_06_quartic_fixture():
         ):
             failures.append(f"q={qv}: closed-form roots disagree with Ferrari")
         branch = 0.5 - 0.5 * math.sqrt(-1.0 + 2.0 * math.sqrt(1.0 + 4.0 * qv))
-        res = track_root(spec, qv)
-        if abs(res.x - branch) > 1e-10:
-            failures.append(f"q={qv}: tracked branch off by {abs(res.x - branch):.2e}")
+        x = bisect_branch_root(spec.R, qv)
+        if abs(x - branch) > 1e-10:
+            failures.append(f"q={qv}: tracked branch off by {abs(x - branch):.2e}")
 
     ispec = build_integrands(fact, UPoly.const("q", -2))
     phi_f, psi_f = lhs_integrand(ispec), rhs_integrand(ispec)
@@ -291,11 +293,11 @@ def test_criterion_10_branch_point_detection():
     if found is None or abs(found - q_star) > 1e-10:
         failures.append(f"reported q* = {found} instead of sqrt(4/27)")
     for q in (0.5, q_star + 1e-9, -0.5):
-        res = track_root(spec, q)
+        res, _ = run(Command("solve", problem="x^3-x", q=repr(q), timing=False))
         if res.status != "hit_branch_point" and abs(q) > q_star:
             failures.append(f"q={q}: status {res.status}, expected refusal")
-        if res.status == "hit_branch_point" and not math.isnan(res.x):
-            failures.append(f"q={q}: refused but still returned x = {res.x}")
+        if res.status == "hit_branch_point" and res.result["x"] is not None:
+            failures.append(f"q={q}: refused but still returned x = {res.result['x']}")
     _, code = run(Command("solve", problem="x^3-x", q="1"))
     if code != 2:
         failures.append(f"CLI exit code {code} for tracking past the fold")

@@ -148,6 +148,12 @@ class TestVerbs:
         assert abs(r["residual"]) < 1e-12
         assert r["tracking_status"] == "ok"
 
+    def test_solve_result_keys(self):
+        # an answer, a refusal past q* and the q = 0 shortcut report the same keys
+        for q in ("3/4", "-1", "0"):
+            report, _ = run(Command("solve", problem="x^2+x", q=q, timing=False))
+            assert list(report.result) == ["q", "x", "residual", "tracking_status", "q_star"]
+
     def test_solve_nonmonic_matches_check(self):
         # lc(R) = 2: the first-order equation is derived over Q
         solved, code = run(Command("solve", problem="2x^3+x", q="0.5"))
@@ -371,9 +377,8 @@ class TestVerbs:
            st.lists(st.integers(-3, 3), max_size=5),
            st.floats(allow_nan=False, allow_infinity=False))
     def test_solve_and_check_agree(self, c1, middle, q):
-        # monic R of degree 2-7 with R'(0) != 0; check's x comes from the
-        # bisection bracket, solve's from tracking the branch, and both end
-        # on the certified float
+        # monic R of degree 2-7 with R'(0) != 0; solve and check take x from
+        # the same certified root finder, whatever their other work
         problem = "".join(f"{c:+d}*x^{k}" for k, c in enumerate([c1, *middle, 1], 1) if c)
         reports = {}
         for verb, kind in (("solve", "theorem1"), ("check", "theorem1"),
