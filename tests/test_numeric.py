@@ -284,17 +284,26 @@ class TestClosedForms:
         assert abs(r(x) - 5.9e307) <= 1e-15 * 5.9e307
 
 
-def test_polish_stop_rules():
-    # Newton from a closed-form root stops before a step it cannot take
-    cubic = [-0.7, 1.0, 0.0, 1.0]
-    assert abs(closedform._polish(cubic, 0.6, 50) - cardano_root(1.0, 0.7)) < 1e-14
-    # R'(0) = 0, with R(0) = 0 or not: no 0/0 or f/0 step
-    assert closedform._polish([0.0, 0.0, 1.0], 0.0) == 0.0
-    assert closedform._polish([-1.0, 0.0, 1.0], 0.0) == 0.0
-    # an overflowed value: without the stop, inf/inf would make x NaN
-    assert closedform._polish([-1.0, 1.0, 0.0, 1.0], 1e200) == 1e200
-    # one step from 0 lands on the root of 2x - 1, where f = 0 stops it
-    assert closedform._polish([-1.0, 2.0], 0.0) == 0.5
+class TestPolish:
+    def test_converges_near_root(self):
+        # Newton from near a closed-form root lands on it
+        cubic = [-0.7, 1.0, 0.0, 1.0]
+        assert abs(closedform._polish(cubic, 0.6, 50) - cardano_root(1.0, 0.7)) < 1e-14
+
+    def test_counts_the_steps_taken(self):
+        # iters bounds the Newton steps: none leaves x as it is, one is
+        # exactly x - f/f'
+        cubic = [-0.7, 1.0, 0.0, 1.0]
+        assert closedform._polish(cubic, 0.6, 0) == 0.6
+        assert closedform._polish(cubic, 0.6, 1) == 0.6 - (0.6**3 + 0.6 - 0.7) / (3 * 0.6**2 + 1)
+        # R'(0) = 0, with R(0) = 0 or not, stops it before its first step:
+        # no 0/0 or f/0 step
+        assert closedform._polish([0.0, 0.0, 1.0], 0.0) == 0.0
+        assert closedform._polish([-1.0, 0.0, 1.0], 0.0) == 0.0
+        # an overflowed value stops it as well: inf/inf would make x NaN
+        assert closedform._polish([-1.0, 1.0, 0.0, 1.0], 1e200) == 1e200
+        # one step from 0 lands on the root of 2x - 1, where f = 0 stops it
+        assert closedform._polish([-1.0, 2.0], 0.0) == 0.5
 
 
 def _reference_first_branch_point(d, direction):
