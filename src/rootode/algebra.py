@@ -238,15 +238,7 @@ class UPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self or not o:
-            return UPoly.zero(self.var)
-        out = [0] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return UPoly(self.var, out)
+        return UPoly(self.var, _mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 

@@ -54,7 +54,6 @@ from .numeric.tracking import (
 from .render import (
     abel_coeff_arrays,
     coeff_strings,
-    frac_str,
     latex_abel,
     latex_linear,
     linear_coeff_arrays,
@@ -359,7 +358,7 @@ def _h_series(cmd: Command) -> dict:
     spec = parse_polynomial(cmd.problem)
     order = cmd.order if cmd.order is not None else 10
     s = lagrange_series(spec, order)
-    out = {"order": order, "coeffs": [frac_str(c) for c in s]}
+    out = {"order": order, "coeffs": [str(c) for c in s]}
     ode = linear_ode(spec)
     try:
         residual = series_ode_residual(ode, s)

@@ -1,9 +1,10 @@
 """Closed-form root oracles.
 
 Radical and trigonometric solution formulas for quadratics, cubics and
-quartics.  These provide values independent of the differential
-equations, so agreement between the two routes is meaningful evidence of
-correctness.
+quartics; the w-form of x^4 + p x = q takes its auxiliary sextic's root
+from the cubic formula.  These provide values independent of the
+differential equations, so agreement between the two routes is
+meaningful evidence of correctness.
 """
 from __future__ import annotations
 
@@ -25,10 +26,6 @@ __all__ = [
     "depress_quartic",
     "depressed_cubic_real_roots",
 ]
-
-# continuation steps in q of quartic_w_root
-W_SUBSTEPS = 32
-
 
 def _cbrt(t: float) -> float:
     """Real cube root."""
@@ -194,29 +191,23 @@ def depress_quartic(r: UPoly) -> tuple[float, float, float, float]:
 def quartic_w_root(p: float, q: float) -> float:
     """Branch root of x^4 + p x = q via the auxiliary sextic in w.
 
-    Follows the real branch of -p^2 w^6 + 4 q w^4 + 1 = 0 with
-    w(0) = p^(-1/3) by continuation in q (Newton on v = w^2), then applies
-    x = (sqrt(2 p w^3 - 1) - 1) / (2 w).
+    u = 1/w^2 on the real branch of -p^2 w^6 + 4 q w^4 + 1 = 0 is the one
+    positive root of u^3 + 4 q u - p^2 = 0, from the cubic formula; then
+    x = (sqrt(2 p w^3 - 1) - 1) / (2 w).  All of it runs on the exact
+    rescaling x = 2^k y, y^4 + pk y = qk, with 1/2 <= |pk| < 4.
     """
-    if p == 0:
-        raise DomainError("needs p != 0")
-    v = abs(p) ** (-2.0 / 3.0)
-    for i in range(1, W_SUBSTEPS + 1):
-        qi = q * i / W_SUBSTEPS
-        for _ in range(40):
-            f = -p * p * v**3 + 4.0 * qi * v * v + 1.0
-            fp = -3.0 * p * p * v * v + 8.0 * qi * v
-            if fp == 0.0:
-                break
-            step = f / fp
-            v -= step
-            if abs(step) <= 1e-15 * abs(v):
-                break
-        if v <= 0:
-            raise DomainError("w-branch left the real domain")
-    w = math.copysign(math.sqrt(v), p)
-    rad = 2.0 * p * w**3 - 1.0
+    if p == 0 or not math.isfinite(p):
+        raise DomainError("needs a finite p != 0")
+    k = math.frexp(p)[1] // 3
+    if q and not -1021 <= math.frexp(q)[1] - 4 * k <= 338:  # qk normal, (4 qk)^3 finite
+        raise DomainError("q lies beyond the float range of the w-form")
+    pk, qk = math.ldexp(p, -3 * k), math.ldexp(q, -4 * k)
+    u = max(depressed_cubic_real_roots(4.0 * qk, -pk * pk))
+    if not u > 0:
+        raise DomainError("w-branch left the real domain")
+    w = math.copysign(1.0 / math.sqrt(u), p)
+    rad = 2.0 * pk * w**3 - 1.0
     if rad < 0:
         raise DomainError("x-formula radicand went negative")
-    x = (math.sqrt(rad) - 1.0) / (2.0 * w)
-    return _polish([-q, p, 0.0, 0.0, 1.0], x)
+    y = (math.sqrt(rad) - 1.0) / (2.0 * w)
+    return math.ldexp(_polish([-qk, pk, 0.0, 0.0, 1.0], y), k)

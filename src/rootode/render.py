@@ -15,7 +15,6 @@ from .algebra import UPoly
 from .derive import AbelODE, LinearODE
 
 __all__ = [
-    "frac_str",
     "coeff_strings",
     "poly_latex",
     "latex_linear",
@@ -27,23 +26,16 @@ __all__ = [
 ]
 
 
-def frac_str(c: Fraction) -> str:
-    if type(c) is int:
-        return str(c)
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def coeff_strings(p: UPoly) -> list[str]:
     """Ascending-power rational strings; the zero polynomial gives ["0"]."""
     if not p:
         return ["0"]
-    return [frac_str(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def _latex_term(c: Fraction, var: str, k: int) -> str:
     if k == 0:
-        return frac_str(abs(c))
+        return str(abs(c))
     pw = var if k == 1 else f"{var}^{{{k}}}"
     a = abs(c)
     if a == 1:
@@ -92,7 +84,7 @@ def latex_linear(ode: LinearODE) -> str:
             continue
         if b.is_const():
             c = b.coefficient(0)
-            coeff = "" if c == 1 else ("-" if c == -1 else frac_str(c))
+            coeff = "" if c == 1 else ("-" if c == -1 else str(c))
         elif _term_count(b) > 1:
             coeff = f"({poly_latex(b)})"
         else:
@@ -126,7 +118,7 @@ def text_linear(ode: LinearODE) -> str:
             continue
         if b.is_const():
             c = b.coefficient(0)
-            coeff = "" if c == 1 else ("-" if c == -1 else frac_str(c) + "*")
+            coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
         elif _term_count(b) > 1:
             coeff = f"({b})*"
         else:

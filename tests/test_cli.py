@@ -689,9 +689,19 @@ def test_series_output_pinned(text, order, digest):
     # D(0) = 0
     ("theorem1", "x^3+2x^2+x", "0.01", "1",
      "ebcac73f7a5d11c4609436cf35a9e74bf961d48c850c3fc78edc9d4ddf8c9681"),
-    # the betti demo's checks
+    # every demo's checks
+    ("demo", "babylonian", None, None,
+     "3478199160243e5be7f053fe6a017a9fd6c3c8caf389231205734881579b73b9"),
+    ("demo", "cardano", None, None,
+     "6758f64d0ad4760dfe6722fd426ce1c723d8ff9425b246559c8fc14c647feee5"),
+    ("demo", "quartic23", None, None,
+     "8713affbbd8305b43d947ba18e6abcf13e90bcc350ba7218dcd0945b73e91fe2"),
     ("demo", "betti", None, None,
      "0c6386c06e830e93abf1bcfaa58c7774c0a1a33fd67eed7622bba52619e5c46c"),
+    ("demo", "hypergeom", None, None,
+     "83901ad98d091e1646db8162d3f9d06b888d555a52e976e1c3bcda2af13d5013"),
+    ("demo", "remark5", None, None,
+     "6ce0224eede5e2c93b4530330f07ec0aaffcf0877679c5952c72ddba4d3d0a58"),
 ])
 def test_check_output_pinned(kind, problem, q, weight, digest):
     # sha256 of the --no-timing JSON: a change in the last bit of x, of

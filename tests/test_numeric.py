@@ -233,6 +233,52 @@ class TestClosedForms:
         roots = ferrari_real_roots(0.0, p, -q)
         assert min(abs(x - r) for r in roots) < 1e-10
 
+    @pytest.mark.parametrize("p,q,want", [
+        (1.0, 10.0, 1.6974718808441553),
+        (-2.0, 1000.0, -5.607579635419537),
+    ])
+    def test_quartic_w_answers_on_the_side_without_a_branch_point(self, p, q, want):
+        # no branch point lies on this side: u = 1/w^2 > 0 is a root of the
+        # cubic u^3 + 4qu - p^2 for every real q
+        assert quartic_w_root(p, q) == bisect_branch_root(trinomial(4, p).R, q) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, -1]), st.floats(-3, 3), st.sampled_from([1, -1]), st.floats(-8, 8))
+    def test_quartic_w_matches_bisection(self, sp, ep, sq, eq):
+        p = sp * 10**ep
+        q = sq * 10**eq * abs(p) ** (4 / 3)
+        # R(x_c) of the critical point x_c = -(p/4)^(1/3); q > q* is inside
+        q_star = 0.75 * p * -math.copysign(abs(p / 4) ** (1 / 3), p)
+        if abs(q / q_star - 1) < 1e-6:
+            reject()  # at the double root any float route loses half its digits
+        if q < q_star:
+            with pytest.raises(DomainError):
+                quartic_w_root(p, q)
+            return
+        ref = bisect_branch_root(UPoly("x", (0, Fraction(p), 0, 0, 1)), q)
+        assert abs(quartic_w_root(p, q) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("p,q", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf), (math.inf, 1.0),
+        (-math.inf, 1.0), (math.nan, 1.0), (1.0, 1e308),
+        (1e300, 1.0), (1e-150, 1.0),  # q / |p|^(4/3) beyond the float range
+    ])
+    def test_quartic_w_refuses_non_finite_and_out_of_range(self, p, q):
+        with pytest.raises(DomainError):
+            quartic_w_root(p, q)
+
+    @pytest.mark.parametrize("p,q", [
+        (2.0079478653585354e-98, 3.007861847174045e-270),
+        (-1.3412031151111425e-159, 3.3685653124428136e-249),
+        (1.2e268, -1e300),
+        (7e-200, 1e-300),
+    ])
+    def test_quartic_w_rescales_extreme_p(self, p, q):
+        # unscaled, p^2 would underflow in the cubic (or p x overflow in
+        # the polish) and put the formula far from the root
+        ref = bisect_branch_root(UPoly("x", (0, Fraction(p), 0, 0, 1)), q)
+        assert abs(quartic_w_root(p, q) - ref) <= 1e-12 * abs(ref)
+
     def test_bisect_branch_root(self):
         r3 = mono_trinomial(3, 1)
         for q in (0.5, -0.5, 2.0):
