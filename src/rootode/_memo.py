@@ -1,12 +1,13 @@
 """One bounded, process-wide memo for the work that depends on R alone.
 
-The discriminant, the first-order and linear equations, the first
-branch point and the near-poles of D are fixed by R, while a caller such
-as a sweep over targets asks for them again at every q.  ``memoized``
-gives a function a result cache in the one shared LRU table below, keyed
-by the function and its arguments (frozen ``ProblemSpec``s, immutable
-``UPoly``s, ints).  Results are frozen dataclasses, ``UPoly``s, floats or
-tuples of floats, so sharing them is safe.  An
+The parsed R and weight, the discriminant, the first-order and linear
+equations, the first branch point and the near-poles of D are fixed by
+the text of R (or of the weight), while a caller such as a sweep over
+targets asks for them again at every q.  ``memoized`` gives a function a
+result cache in the one shared LRU table below, keyed by the function and
+its arguments (strings, frozen ``ProblemSpec``s, immutable ``UPoly``s,
+ints).  Results are frozen dataclasses, ``UPoly``s, floats or tuples of
+floats, so sharing them is safe.  An
 exception propagates and is not stored, so a certificate that fails raises
 again on the next call.
 """
@@ -14,15 +15,17 @@ from __future__ import annotations
 
 from functools import lru_cache, wraps
 
-# A sweep cycle works on about 24 polynomials.  Each holds at most three
-# exact derivations (factorize, abel_ode, linear_ode) and six Sturm
-# isolations (D and R' on either side of 0, and the near-pole table of D'
-# for check on either side); an entry is a few small polynomials or floats
-# (a factorize result also keeps, for abel_ode, two integer lists of its
-# frame).  The polynomials of the sweep's named ops recur in every cycle at
-# shuffled places, so their entries outlive an LRU table only if it holds
-# about two cycles' keys: a seed-1 sweep run of two cycles uses 263.
-SIZE = 288
+# A sweep cycle works on about 24 polynomials.  Each holds its parsed text,
+# at most three exact derivations (factorize, abel_ode, linear_ode) and six
+# Sturm isolations (D and R' on either side of 0, and the near-pole table of
+# D' for check on either side), and the cycle's weight texts one parsed
+# weight each; an entry is a few small polynomials or floats (a factorize
+# result also keeps, for abel_ode, two integer lists of its frame).  The
+# polynomials of the sweep's named ops recur in every cycle at shuffled
+# places, so their entries outlive an LRU table only if it holds about two
+# cycles' keys: two sweep cycles use 283-312 on seeds 1-3 and 290-311 on
+# seeds 1000-1009, and the benchmark's warm-up ops 7 more.
+SIZE = 352
 
 
 @lru_cache(maxsize=SIZE)

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from ._memo import memoized
 from .algebra import MAX_DEGREE, UPoly, _horner, _ratio
 from .demos import DEMOS
 from .derive import (
@@ -168,10 +169,12 @@ def _poly_from_powers(powers: dict[int, int | Fraction], var: str) -> UPoly:
     return UPoly(var, [powers.get(k, 0) for k in range(deg + 1)])
 
 
+@memoized
 def parse_polynomial(text: str) -> ProblemSpec:
     """Parse R from text such as "x^3+x" or "x^4-2x^3+2x^2-x".
 
-    Enforces R(0) = 0 and degree >= 2.
+    Enforces R(0) = 0 and degree >= 2.  The result depends on the text
+    alone, so it is memoized; a text that fails to parse raises again.
     """
     poly = _poly_from_powers(_parse_terms(text, "x"), "x")
     if poly.coefficient(0) != 0:
@@ -181,8 +184,10 @@ def parse_polynomial(text: str) -> ProblemSpec:
     return ProblemSpec(poly)
 
 
+@memoized
 def parse_weight(text: str) -> UPoly:
-    """Parse a weight polynomial; the variable may be written x or q."""
+    """Parse a weight polynomial; the variable may be written x or q.
+    Memoized, like ``parse_polynomial``."""
     var = next((ch for ch in text if ch.isalpha()), None)
     if var is None:
         return _poly_from_powers(_parse_terms(text, "q"), "q")
@@ -298,7 +303,7 @@ def _h_solve(cmd: Command) -> dict:
     if cmd.q is None:
         raise ValueError("solve requires --q")
     qv = parse_q_value(cmd.q)
-    if spec.rprime().coefficient(0) == 0:
+    if spec.R.coefficient(1) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
     if not qv:
         # x(0) = 0 needs no floats of R, which may lie beyond their range

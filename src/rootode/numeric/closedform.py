@@ -98,8 +98,18 @@ def vieta_hyp_root(p: float, q: float) -> float:
 
 
 def depressed_cubic_real_roots(p: float, q: float) -> list[float]:
-    """All real roots of t^3 + p t + q = 0, ascending."""
-    rad = q * q / 4.0 + p**3 / 27.0
+    """All real roots of t^3 + p t + q = 0, ascending.
+
+    A radicand q^2/4 + p^3/27 that is not finite (an input that is not, or
+    an overflow) raises DomainError, and so does one left at 0 by underflow
+    where the three-root formula would need p < 0 (or divide by p).
+    """
+    try:
+        rad = q * q / 4.0 + p**3 / 27.0
+    except OverflowError:
+        rad = math.inf
+    if not math.isfinite(rad):
+        raise DomainError("the radicand q^2/4 + p^3/27 is not a finite float")
     if rad > 0:
         c = _cbrt(-q / 2.0 + math.sqrt(rad))
         d = _cbrt(-q / 2.0 - math.sqrt(rad))
@@ -107,7 +117,9 @@ def depressed_cubic_real_roots(p: float, q: float) -> list[float]:
     elif p == 0 and q == 0:
         roots = [0.0]
     else:
-        m = 2.0 * math.sqrt(-p / 3.0)
+        m = 2.0 * math.sqrt(-p / 3.0) if p < 0 else 0.0
+        if not p * m:
+            raise DomainError("the radicand q^2/4 + p^3/27 underflows")
         theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
         roots = sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3))
     return [_polish([q, p, 0.0, 1.0], r) for r in roots]

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode import bisect_branch_root
+from rootode import _memo, bisect_branch_root
 from rootode.algebra import MAX_DEGREE, UPoly
 from rootode.cli import (
     DEMO_NAMES,
@@ -31,6 +31,17 @@ class TestParsing:
     def test_trinomial_text(self):
         spec = parse_polynomial("x^3+x")
         assert spec.R == UPoly("x", (0, 1, 0, 1))
+
+    def test_parsed_text_is_memoized(self):
+        # the parse depends on the text alone; a failed parse is not stored
+        assert parse_polynomial("x^3+3x^2-2x") is parse_polynomial("x^3+3x^2-2x")
+        assert parse_weight("2-q") is parse_weight("2-q")
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                parse_polynomial("x^3+1")
+        first = parse_polynomial("x^3+3x^2-2x")
+        _memo.clear()
+        assert parse_polynomial("x^3+3x^2-2x") is not first
 
     def test_full_quartic_spellings(self):
         expect = UPoly("x", (0, -1, 2, -2, 1))
@@ -641,23 +652,23 @@ def test_series_output_pinned(text, order, digest):
     ("theorem1", "x^3+3x^2-2x", "-0.173396", "2-q",
      "695eec1ceb20dc7ef78bef4d5c5cab0df76119e7cd829e171e6ff4b045763dc2"),
     ("corollary2", "x^3+3x^2-2x", "-0.173396", "2-q",
-     "dc3fce3147679056103d5bd96c0900bda25cd022fe6f55e3a52d8250ff87928a"),
+     "22dcc5a07b9d38f13839e63a97c8ad59113863a304e7bfc69ecbcb60763eb5c4"),
     ("theorem1", "x^3+3x^2+2x", "-0.297301", "2+q",
      "76c64fa30fc880ae9eabd9f4a00b57216a13fe8850d3dda785e773ecd5da87b6"),
     ("corollary2", "x^3+3x^2+2x", "-0.297301", "3-q",
-     "868b4cb79274c2a9aa12140cd75ff12569e67bebe2549d97b0cc4d7a035d30bc"),
+     "603c0e5d88d4f3276eb94387051b904efc2993acbdea9ac73a0858c566849fd5"),
     ("theorem1", "x^3+x^2-3x", "2.79931", "3",
-     "d0c056292fedba62f3c28b04551dc6f26e8bfd37540d5923b6e4ae3cad424657"),
+     "ed3705ba0279349e5004f5d396da5da3bf3f6da45029425bc6078da5c3913ecb"),
     ("corollary2", "x^3+x^2-3x", "2.79931", "3-q",
      "5b620352c8f036d998eb12daa3c7d99bd3e67d05f9fdf57e26a4e1f37c7cd9bd"),
     ("theorem1", "x^3+x^2-x", "0.383107", "1",
      "fd9d97e65c4375a65f2c0f7516532f4f84319145db56183a946e043b0fbf55ff"),
     ("corollary2", "x^3+x^2-x", "0.383107", "1-q",
-     "2a965533e1e9ab15c2b4692496d9728e7fa614b143c9f6a54a828c5c313d8cb0"),
+     "054a8b1d10a2ebf69b6104c0f8ce15cb810688fd00b47ac907be99ca90ff80d5"),
     ("theorem1", "x^4-3x^3-3x^2-2x", "1.37682", "1+q",
-     "1b91ed4f5c141d49d84682ac0f008b025ada4d03c657195665848eac11b20c4f"),
+     "8b26f85dbbdcbcb18549caa5b1c7d13930ef9bd4a58c3a512dd0d4ffc53651a0"),
     ("corollary2", "x^4-3x^3-3x^2-2x", "1.37682", "3",
-     "c81b9745a927f43c08dc123e543db2342cd34aaca2103f2b7b402869a43c482d"),
+     "78b051ae6157927bfaf84ad03fc2fb7366e1eae957dd9ac8571e9b35c1cd6200"),
     ("theorem1", "x^4-2x^3-3x", "-3.00222", "1+q",
      "1ca2d033dea3926b85c4bbd7ee17f32cc16d48e7be6391bfe6e7123f4c50d82b"),
     ("corollary2", "x^4-2x^3-3x", "-3.00222", "2",
@@ -665,37 +676,37 @@ def test_series_output_pinned(text, order, digest):
     ("theorem1", "x^4+3x^3-3x^2-3x", "-1.3277", "1-q",
      "34a3a277527de55deb5a376f5c7bc17e780631028a9730a7d9bbc060624ea76f"),
     ("corollary2", "x^4+3x^3-3x^2-3x", "-1.3277", "2",
-     "f33114d0bd4ab8ca347dd97b10a4e8b9f56f2d3c6353132daae3bb16eabdc421"),
+     "71ec9f43a9700edab762c9e0afaabe17cd0ace4765bc88e55f4b9b031da2c134"),
     ("theorem1", "x^5-x^4+2x^3+x^2-3x", "-0.804108", "2-2q",
-     "15dbbe022b45dbe4df50674c87084a49c7561b5ad0d15c6b247aace94dcfc1da"),
+     "f203b66c204447b4655cbd9cfcc633434fc7546171f2e09d3664891bf90fc3d7"),
     ("corollary2", "x^5-x^4+2x^3+x^2-3x", "-0.804108", "1+2q",
-     "104883c86975b2ba21851b02bed747c076a1d03e381524b96ecd80aac6acbdd7"),
+     "130cee2259fd0c7e763c20b6326aa3685ecf7cdf6722b4d125eb566f52377d6e"),
     ("theorem1", "x^5+3x^4-x^3+2x", "9.66179", "1",
-     "061dd54436fbd9f0c903c3ba40918ab1f82003c9cea73d27294408de8c074231"),
+     "004c3d79067ad2723102579b2ebfa3030983117e3ed88035f61c0e4a7c52e17d"),
     ("corollary2", "x^5+3x^4-x^3+2x", "9.66179", "3-2q",
-     "249eb3d2f57537cb7ec389cb0b4cd3d2fb4afd1ccd38050508239cd404012a97"),
+     "ed49680b690b30f78e93e9c0bbcb52c30c6e1be2f25784d6ca37a77e3aa8e914"),
     ("theorem1", "x^5-3x^4-x^3-2x^2+3x", "-32.8047", "3+q",
-     "de5630cdd9fe56d360a601f6eecc450d02ff72df800b95f76760e5eb14dd4e18"),
+     "2df70965e4850b211511e0ea57fbd296de367b71c04013ffa83dfb502abcf0e2"),
     ("corollary2", "x^5-3x^4-x^3-2x^2+3x", "-32.8047", "3+q",
-     "6ebc250bb6e202f1ab96a4ed10cbf327f9e8212784cdc1367512c3521dbd0cdf"),
+     "21f162beb8a86597055103fe5b1d0546600546551cb5153d22c7aa6746dd5445"),
     # the near-pole split of the known sweep op
     ("theorem1", "x^5-3x^4+2x^2-x", "-7.55021", "3-q",
      "b051e7b3545502ed69f1b354cc15ddf0f4b991f1eb0bf102a234de64ed5b3712"),
     ("corollary2", "x^5-3x^4+2x^2-x", "-7.55021", "1+2q",
-     "de2ff207b307b3bb0411ac69f44aa18763600343baffddc4a8841aed29576686"),
+     "d27d7cfe8a7582899d2499b8ccf7c9ff65df167292e2de8a0170335ba25f3f77"),
     # w(0) = 0: the Remark 2 sign rule
     ("theorem1", "x^3+x^2-x", "0.383107", "q",
-     "b28b626bfc23630da9b00b4eda22075170c770e83620a70de957477f5d4fe72f"),
+     "319eb443ad4d613719da21521af1c70587bc4c57ee18b457cef51f9fecf8214f"),
     # D(0) = 0
     ("theorem1", "x^3+2x^2+x", "0.01", "1",
      "ebcac73f7a5d11c4609436cf35a9e74bf961d48c850c3fc78edc9d4ddf8c9681"),
     # every demo's checks
     ("demo", "babylonian", None, None,
-     "3478199160243e5be7f053fe6a017a9fd6c3c8caf389231205734881579b73b9"),
+     "9f624ed865695fb6bdad91df3d0a9deda280523d5e3a19980e94eed3aad23372"),
     ("demo", "cardano", None, None,
      "6758f64d0ad4760dfe6722fd426ce1c723d8ff9425b246559c8fc14c647feee5"),
     ("demo", "quartic23", None, None,
-     "8713affbbd8305b43d947ba18e6abcf13e90bcc350ba7218dcd0945b73e91fe2"),
+     "2857e16c57f2a412ebef59ee25684bd4b5e3539f0c5e6aeb065e034447074317"),
     ("demo", "betti", None, None,
      "0c6386c06e830e93abf1bcfaa58c7774c0a1a33fd67eed7622bba52619e5c46c"),
     ("demo", "hypergeom", None, None,
