@@ -21,8 +21,8 @@ or the error left after it is, as estimated from the last two changes
 (each level squares the error; Bailey, Jeyabalan and Li 2005).  From
 level 2 on it evaluates only the nodes out to where the terms of its
 first two levels stopped mattering, as Boost's ``tanh_sinh`` keeps the
-range its first levels found.  The integral of 1/sqrt(1 + 4t) over
-[0, 2] takes 56 evaluations, where running a level past convergence over
+range its first levels found.  The integral of 1/sqrt(1 + t) over
+[0, 3] takes 56 evaluations, where running a level past convergence over
 every node took 123.
 
 Tanh-sinh converges at a rate set by how near the nearest singularity of
@@ -110,9 +110,11 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
     sum is at most QUAD_TOL times the same sum over |f|, or until the
     error left after it, about d_L^2 / d_(L-1) as each level squares the
     error, is at most a hundredth of that.  The estimate is used only once
-    d_(L-1) is at most 2e-4 times that sum: before, a change can be small
+    d_(L-1) is at most 3e-5 times that sum: before, a change can be small
     by chance, where the level's error changes sign, and the estimate
-    then falls short of the error by orders of magnitude.  Both tests are
+    then falls short of the error by orders of magnitude.  A looser guard
+    stops more integrals a level early, in other last bits than one more
+    level gives.  Both tests are
     free of the scale of f and of [a, b]; no convergence by
     h = 2^-MAX_LEVEL raises QuadratureError.  So do terms at |t| = T_MAX
     that are not negligible beside that sum: no node comes within
@@ -179,7 +181,7 @@ def quad(f: Callable[[float], float], a: float, b: float) -> float:
         last, change = change, abs(est - prev)
         scale = QUAD_TOL * h * l1
         # the error estimate holds once the previous change was small too
-        if change <= scale or (last <= 2e-4 * h * l1
+        if change <= scale or (last <= 3e-5 * h * l1
                                and change * change <= 1e-2 * scale * last):
             if evaluated and not l1:
                 raise QuadratureError("every term of the sum underflowed to 0")
