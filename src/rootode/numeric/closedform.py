@@ -4,7 +4,11 @@ Radical and trigonometric solution formulas for quadratics, cubics and
 quartics; the w-form of x^4 + p x = q takes its auxiliary sextic's root
 from the cubic formula.  These provide values independent of the
 differential equations, so agreement between the two routes is
-meaningful evidence of correctness.
+meaningful evidence of correctness.  Each runs on an exact power-of-two
+rescaling of its variable (``_rescaled``) and takes a quadratic's smaller
+root as c / t from the larger t (``_quadratic``), so nothing overflows or
+cancels (Kahan 1986; Flocke, ACM TOMS 41, 2015); what the floats cannot
+resolve raises DomainError.
 """
 from __future__ import annotations
 
@@ -19,13 +23,12 @@ __all__ = [
     "cardano_root",
     "vieta_trig_root",
     "vieta_hyp_root",
-    "ferrari_real_roots",
-    "biquadratic_real_roots",
     "quartic_real_roots",
     "quartic_w_root",
     "depress_quartic",
     "depressed_cubic_real_roots",
 ]
+
 
 def _cbrt(t: float) -> float:
     """Real cube root."""
@@ -45,14 +48,41 @@ def _polish(coeffs: list[float], x: float, iters: int = 3) -> float:
     return x
 
 
+def _rescaled(*coeffs: float) -> tuple[int, list[float]]:
+    """The exact rescaling y = 2^k z of a monic polynomial in y whose other
+    coefficients are coeffs, from the next-to-leading one down: the one of
+    weight w (on y^(n-w)) becomes a / 2^(w k).  k is the largest
+    frexp(a)[1] // w over the nonzero a, so every scaled coefficient lies
+    below 2^(w-1) in size and one at 1/2 or above, and every root z below
+    4.  Coefficients that are not finite raise DomainError."""
+    if not all(map(math.isfinite, coeffs)):
+        raise DomainError("needs finite coefficients")
+    k = max((math.frexp(a)[1] // w for w, a in enumerate(coeffs, 1) if a), default=0)
+    return k, [math.ldexp(a, -w * k) for w, a in enumerate(coeffs, 1)]
+
+
+def _quadratic(b: float, c: float) -> list[float]:
+    """The real roots of t^2 + b t + c, [] where b^2 < 4c: first
+    t = -(b + sign(b) sqrt(b^2 - 4c)) / 2, the larger in size, then c / t,
+    so that neither cancels."""
+    disc = b * b - 4.0 * c
+    if disc < 0:
+        return []
+    t = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+    return [t, c / t] if t else [0.0, 0.0]
+
+
 def babylonian_root(p: float, q: float) -> float:
-    """Branch root of x^2 + p x = q: (-p + sign(p) sqrt(p^2 + 4q)) / 2."""
+    """Branch root of x^2 + p x = q: 2q / (p + sign(p) sqrt(p^2 + 4q)), the
+    root c / t of ``_quadratic`` on the rescaling x = 2^k y."""
     if p == 0:
         raise DomainError("needs p != 0")
-    rad = p * p + 4.0 * q
-    if rad < 0:
+    k, (b, c) = _rescaled(p, -q)
+    roots = _quadratic(b, c)
+    if not roots:
         raise DomainError("no real root: p^2 + 4q < 0")
-    return (-p + math.copysign(1.0, p) * math.sqrt(rad)) / 2.0
+    # c / t with -q scaled by 2^-k, not 2^-2k: it underflows only where the root does
+    return math.ldexp(-q, -k) / roots[0]
 
 
 def cardano_root(p: float, q: float) -> float:
@@ -61,14 +91,15 @@ def cardano_root(p: float, q: float) -> float:
     Real only while q^2/4 + p^3/27 >= 0; otherwise (p < 0, all three
     roots real) use the trigonometric form instead.
     """
+    k, (_, p, q) = _rescaled(0.0, p, q)
     rad = q * q / 4.0 + p**3 / 27.0
     if rad < 0:
         raise DomainError("negative radicand; use vieta_trig")
-    c = _cbrt(q / 2.0 + math.sqrt(rad))
-    if c == 0.0:
+    c = _cbrt(q / 2.0 + math.copysign(math.sqrt(rad), q))
+    if c == 0.0:  # p = q = 0
         return 0.0
     x = c - p / (3.0 * c)
-    return _polish([-q, p, 0.0, 1.0], x)
+    return math.ldexp(_polish([-q, p, 0.0, 1.0], x), k)
 
 
 def vieta_trig_root(p: float, q: float) -> float:
@@ -79,106 +110,73 @@ def vieta_trig_root(p: float, q: float) -> float:
     """
     if p >= 0:
         raise DomainError("needs p < 0")
+    k, (_, p, q) = _rescaled(0.0, p, q)
     s = math.sqrt(-p)
-    arg = 1.5 * math.sqrt(3.0) * q / (p * s)
-    if abs(arg) > 1.0:
+    num, den = 1.5 * math.sqrt(3.0) * q, p * s
+    if abs(num) > -den:
         raise DomainError("outside the all-real-roots window")
-    x = 2.0 * s / math.sqrt(3.0) * math.sin(math.asin(arg) / 3.0)
-    return _polish([-q, p, 0.0, 1.0], x)
+    x = 2.0 * s / math.sqrt(3.0) * math.sin(math.asin(num / den) / 3.0)
+    return math.ldexp(_polish([-q, p, 0.0, 1.0], x), k)
 
 
 def vieta_hyp_root(p: float, q: float) -> float:
     """Branch root of x^3 + p x = q, p > 0, by the sinh triplication identity."""
     if p <= 0:
         raise DomainError("needs p > 0")
+    k, (_, p, q) = _rescaled(0.0, p, q)
     s = math.sqrt(p)
-    arg = 1.5 * math.sqrt(3.0) * q / (p * s)
-    x = 2.0 * s / math.sqrt(3.0) * math.sinh(math.asinh(arg) / 3.0)
-    return _polish([-q, p, 0.0, 1.0], x)
+    num, den = 1.5 * math.sqrt(3.0) * q, p * s
+    if not abs(num) < den * 2.0**1020:  # so num / den is finite
+        raise DomainError("p^(3/2) underflows against q")
+    x = 2.0 * s / math.sqrt(3.0) * math.sinh(math.asinh(num / den) / 3.0)
+    return math.ldexp(_polish([-q, p, 0.0, 1.0], x), k)
 
 
 def depressed_cubic_real_roots(p: float, q: float) -> list[float]:
-    """All real roots of t^3 + p t + q = 0, ascending.
-
-    A radicand q^2/4 + p^3/27 that is not finite (an input that is not, or
-    an overflow) raises DomainError, and so does one left at 0 by underflow
-    where the three-root formula would need p < 0 (or divide by p).
-    """
-    try:
-        rad = q * q / 4.0 + p**3 / 27.0
-    except OverflowError:
-        rad = math.inf
-    if not math.isfinite(rad):
-        raise DomainError("the radicand q^2/4 + p^3/27 is not a finite float")
+    """All real roots of t^3 + p t + q = 0, ascending, by the radical formula
+    where one is real and the trigonometric one where three are, on the
+    rescaling t = 2^k s."""
+    k, (_, p, q) = _rescaled(0.0, p, q)
+    rad = q * q / 4.0 + p**3 / 27.0
     if rad > 0:
         c = _cbrt(-q / 2.0 + math.sqrt(rad))
         d = _cbrt(-q / 2.0 - math.sqrt(rad))
         roots = [c + d]
-    elif p == 0 and q == 0:
+    elif p == 0:  # and so q == 0
         roots = [0.0]
     else:
-        m = 2.0 * math.sqrt(-p / 3.0) if p < 0 else 0.0
-        if not p * m:
-            raise DomainError("the radicand q^2/4 + p^3/27 underflows")
+        m = 2.0 * math.sqrt(-p / 3.0)
         theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
-        roots = sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) for k in range(3))
-    return [_polish([q, p, 0.0, 1.0], r) for r in roots]
-
-
-def biquadratic_real_roots(c: float, e: float) -> list[float]:
-    """Real roots of y^4 + c y^2 + e = 0, ascending."""
-    disc = c * c - 4.0 * e
-    if disc < 0:
-        return []
-    roots = []
-    for z in ((-c - math.sqrt(disc)) / 2.0, (-c + math.sqrt(disc)) / 2.0):
-        if z >= 0:
-            r = math.sqrt(z)
-            roots += [-r, r] if r else [0.0]
-    return sorted(set(roots))
-
-
-def ferrari_real_roots(c: float, d: float, e: float) -> list[float]:
-    """Real roots of the depressed quartic y^4 + c y^2 + d y + e = 0, d != 0.
-
-    Solves the resolvent u^6 + 2c u^4 + (c^2 - 4e) u^2 - d^2 = 0 for a real
-    u (always possible: the cubic in u^2 is negative at 0), then splits the
-    quartic into two quadratics whose roots are
-
-        (u/2) (1 +- sqrt(-2d/u^3 - 2c/u^2 - 1)),
-       -(u/2) (1 +- sqrt( 2d/u^3 - 2c/u^2 - 1)).
-    """
-    if d == 0:
-        raise DomainError("d = 0 is the biquadratic case; use biquadratic_real_roots")
-    # cubic in v = u^2: v^3 + 2c v^2 + (c^2 - 4e) v - d^2 = 0, take v > 0
-    b2, b1, b0 = 2.0 * c, c * c - 4.0 * e, -d * d
-    pp = b1 - b2 * b2 / 3.0
-    qq = b0 - b1 * b2 / 3.0 + 2.0 * b2**3 / 27.0
-    vs = [t - b2 / 3.0 for t in depressed_cubic_real_roots(pp, qq)]
-    v = max(vs)
-    if v <= 0:
-        raise DomainError("resolvent produced no positive root")
-    u = math.sqrt(v)
-    roots = []
-    for sign_u in (1.0, -1.0):
-        uu = sign_u * u
-        rad = -2.0 * d / uu**3 - 2.0 * c / uu**2 - 1.0
-        if rad >= 0:
-            for pm in (1.0, -1.0):
-                roots.append(uu / 2.0 * (1.0 + pm * math.sqrt(rad)))
-    out = sorted({_polish([e, d, c, 0.0, 1.0], r, 6) for r in roots})
-    dedup: list[float] = []
-    for r in out:
-        if not dedup or abs(r - dedup[-1]) > 1e-9 * (1.0 + abs(r)):
-            dedup.append(r)
-    return dedup
+        roots = sorted(m * math.cos(theta - 2.0 * math.pi * j / 3.0) for j in range(3))
+    return [math.ldexp(_polish([q, p, 0.0, 1.0], r), k) for r in roots]
 
 
 def quartic_real_roots(c: float, d: float, e: float) -> list[float]:
-    """Real roots of a depressed quartic, via Ferrari or the biquadratic split."""
-    if abs(d) < 1e-14 * (1.0 + abs(c) + abs(e)):
-        return biquadratic_real_roots(c, e)
-    return ferrari_real_roots(c, d, e)
+    """The distinct real roots of y^4 + c y^2 + d y + e = 0, ascending, on
+    the rescaling y = 2^k z, each polished on the quartic.
+
+    For d = 0 they are +-sqrt(z) at the roots z >= 0 of z^2 + c z + e.
+    Otherwise the largest root v of Ferrari's resolvent v^3 + 2c v^2 +
+    (c^2 - 4e) v - d^2, positive as the resolvent is -d^2 at 0, is polished
+    on those coefficients and splits the quartic, with u = sqrt(v), into
+    y^2 + u y + a and y^2 - u y + b, a, b = (c + v -+ d/u) / 2; the one
+    smaller in size is taken as e over the other (a b = e), not cancelled.
+    """
+    k, (_, c, d, e) = _rescaled(0.0, c, d, e)
+    if d == 0:
+        roots = [s * math.sqrt(z) for z in _quadratic(c, e) if z >= 0 for s in (-1.0, 1.0)]
+    else:
+        b2, b1 = 2.0 * c, c * c - 4.0 * e
+        ts = depressed_cubic_real_roots(b1 - b2 * b2 / 3.0,
+                                        -d * d - b1 * b2 / 3.0 + 2.0 * b2**3 / 27.0)
+        v = _polish([-d * d, b1, b2, 1.0], max(ts) - b2 / 3.0)
+        if not v > 0:
+            raise DomainError("the resolvent's positive root is lost to rounding")
+        u = math.sqrt(v)
+        a, b = (c + v - d / u) / 2.0, (c + v + d / u) / 2.0
+        a, b = (e / b, b) if abs(a) < abs(b) else (a, e / a)
+        roots = _quadratic(u, a) + _quadratic(-u, b)
+    return sorted({math.ldexp(_polish([e, d, c, 0.0, 1.0], y), k) for y in roots})
 
 
 def depress_quartic(r: UPoly) -> tuple[float, float, float, float]:

@@ -702,7 +702,7 @@ def test_series_output_pinned(text, order, digest):
      "ebcac73f7a5d11c4609436cf35a9e74bf961d48c850c3fc78edc9d4ddf8c9681"),
     # every demo's checks
     ("demo", "babylonian", None, None,
-     "3478199160243e5be7f053fe6a017a9fd6c3c8caf389231205734881579b73b9"),
+     "9d23bd48e73a35243e250997483a6badc498b7d047ed0f3ba96582ffbdfdee92"),
     ("demo", "cardano", None, None,
      "6758f64d0ad4760dfe6722fd426ce1c723d8ff9425b246559c8fc14c647feee5"),
     ("demo", "quartic23", None, None,

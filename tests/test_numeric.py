@@ -33,16 +33,26 @@ from rootode.errors import DomainError, QuadratureError, SingularIntegrandError
 from rootode.cli import Command, parse_polynomial, run
 from rootode.numeric import closedform, quadrature, tracking
 from rootode.numeric.tracking import _at
-from rootode.numeric.closedform import (
-    biquadratic_real_roots,
-    depress_quartic,
-    depressed_cubic_real_roots,
-    ferrari_real_roots,
-)
+from rootode.numeric.closedform import depress_quartic, depressed_cubic_real_roots
 from rootode.numeric.quadrature import rhs_integrand
 
 from exact_sign import exactly_bracketed, nearest_to_a_root
 from q_division import qexact_div, rational_euclid
+
+
+def exact_real_roots(coeffs):
+    """The distinct real roots of the polynomial with float coefficients
+    coeffs (ascending), taken as rationals, each the float nearest it: the
+    exact isolation of ``tracking._roots``, with a root at 0 added back."""
+    p = UPoly("x", [Fraction(c) for c in coeffs])
+    zero = [0.0] if coeffs[0] == 0 else []
+    return sorted([*tracking._roots(p, -1), *zero, *tracking._roots(p, 1)])
+
+
+def signed_powers(lo, hi):
+    """Floats +-10^u with u uniform in [lo, hi]."""
+    return st.tuples(st.sampled_from([1.0, -1.0]), st.floats(lo, hi)).map(
+        lambda t: t[0] * 10 ** t[1])
 
 
 def mono_trinomial(n, p):
@@ -187,6 +197,21 @@ class TestClosedForms:
         # branch through the origin
         assert abs(babylonian_root(2, 1e-8) - 5e-9) < 1e-16
 
+    @pytest.mark.parametrize("p,q", [(1.0, 1e-17), (1e8, 1.0), (1e200, 1.0), (-3.0, 1e-300)])
+    def test_babylonian_does_not_cancel(self, p, q):
+        # -p + sign(p) sqrt(p^2 + 4q) once cancelled to 0.0 at (1, 1e-17) and
+        # to 7.45e-9 at (1e8, 1), and p^2 overflowed to inf at (1e200, 1)
+        ref = bisect_branch_root(UPoly("x", (0, Fraction(p), 1)), q)
+        assert abs(babylonian_root(p, q) - ref) <= 1e-15 * abs(ref)
+
+    @pytest.mark.parametrize("p,q,want", [
+        (0.0, -1.0, -1.0), (1e-10, -8.0, -1.9999999999833333), (1e103, 1.0, 1e-103),
+    ])
+    def test_cardano_does_not_cancel_or_overflow(self, p, q, want):
+        # q/2 + sqrt(rad) once cancelled to 0 for q < 0, answering 0.0, and
+        # p^3 overflowed at p = 1e103
+        assert cardano_root(p, q) == want
+
     def test_cardano_and_hyperbolic_agree(self):
         for p, q in ((2, 1), (3, -0.7), (0.5, 0.1)):
             xc = cardano_root(p, q)
@@ -221,29 +246,101 @@ class TestClosedForms:
             assert abs(r**3 - 3 * r + 0.5) < 1e-10
         assert len(depressed_cubic_real_roots(3.0, 0.5)) == 1
 
-    def test_depressed_cubic_refuses_radicands_beyond_the_float_range(self):
-        # q^2/4 + p^3/27 underflows to 0 with p >= 0, or p^3 overflows: each
-        # is a DomainError, not a ValueError, ZeroDivisionError or
-        # OverflowError from inside the formulas
-        for p, q in ((4e-300, -0.0), (1e-110, -1e-200), (0.0, -1e-200), (1e103, 1.0)):
-            with pytest.raises(DomainError):
-                depressed_cubic_real_roots(p, q)
+    def test_depressed_cubic_rescales_radicands_beyond_the_float_range(self):
+        # unscaled, q^2/4 + p^3/27 underflows to 0 with p >= 0, or p^3
+        # overflows; on the rescaling t = 2^k s each is answered, and is the
+        # float nearest the one real root
+        cases = [((4e-300, -0.0), [0.0]), ((1e-110, -1e-200), [1e-90]),
+                 ((0.0, -1e-200), [2.1544346900318838e-67]), ((1e103, 1.0), [-1e-103])]
+        for (p, q), want in cases:
+            assert depressed_cubic_real_roots(p, q) == want == exact_real_roots([q, p, 0.0, 1.0])
+
+    def test_depressed_cubic_radicand_underflowing_with_p_negative(self):
+        # q^2/4 and p^3/27 both underflowed to 0 here, and the three-root
+        # formula answered [-1.48e29, -1.02e45, -1.02e45]
+        assert depressed_cubic_real_roots(-1e-200, 1e-170) == [-2.1544346900318837e-57]
+
+    @pytest.mark.parametrize("c,d,e,want", [
+        (-934.876, 0.011865, -52.305, [-30.57666321341011, 30.576650523406187]),
+        (455.383, -0.012205, -0.13354, [-0.017111074459940517, 0.017137876040765863]),
+    ])
+    def test_quartic_count_and_values(self, c, d, e, want):
+        # the Ferrari split once answered four roots for the first and none
+        # for the second
+        assert quartic_real_roots(c, d, e) == want == exact_real_roots([e, d, c, 0.0, 1.0])
+
+    def test_quartic_small_d_against_large_c(self):
+        # |d| < 1e-14 (1 + |c| + |e|) once dropped d and answered [0.0] for
+        # y^4 + 1e120 y^2 + y - 1, whose real roots lie near +-1e-60
+        try:
+            roots = quartic_real_roots(1e120, 1.0, -1.0)
+        except DomainError:
+            return
+        assert roots == [-1e-60, 1e-60]
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_powers(-3, 3), st.one_of(st.just(0.0), signed_powers(-3, 3)),
+           signed_powers(-3, 3))
+    def test_quartic_matches_exact_isolation(self, c, d, e):
+        try:
+            roots = quartic_real_roots(c, d, e)
+        except DomainError:
+            return
+        ref = exact_real_roots([e, d, c, 0.0, 1.0])
+        assert len(roots) == len(ref)
+        assert all(abs(y - r) <= 1e-12 * abs(r) for y, r in zip(roots, ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_powers(-3, 3), signed_powers(-3, 3))
+    def test_depressed_cubic_matches_exact_isolation(self, p, q):
+        try:
+            roots = depressed_cubic_real_roots(p, q)
+        except DomainError:
+            return
+        ref = exact_real_roots([q, p, 0.0, 1.0])
+        assert len(roots) == len(ref)
+        assert all(abs(t - r) <= 1e-12 * abs(r) for t, r in zip(roots, ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([babylonian_root, cardano_root, vieta_trig_root, vieta_hyp_root,
+                            depressed_cubic_real_roots, quartic_real_roots]),
+           st.lists(st.one_of(st.sampled_from([0.0, 5e-324, -5e-324, sys.float_info.max,
+                                               -sys.float_info.max]),
+                              signed_powers(-300, 300)), min_size=3, max_size=3))
+    def test_closed_forms_answer_finite_or_refuse(self, fn, args):
+        # across the float range each answers finite floats or raises
+        # DomainError, never OverflowError, ZeroDivisionError or ValueError
+        try:
+            out = fn(*args[:3 if fn is quartic_real_roots else 2])
+        except DomainError:
+            return
+        assert all(math.isfinite(x) for x in (out if isinstance(out, list) else [out]))
+
+    def test_closed_forms_refuse_non_finite_input(self):
+        for fn in (babylonian_root, cardano_root, vieta_trig_root, vieta_hyp_root,
+                   depressed_cubic_real_roots):
+            for args in ((1.0, math.nan), (-1.0, math.inf), (math.nan, 1.0)):
+                with pytest.raises(DomainError):
+                    fn(*args)
+        with pytest.raises(DomainError):
+            quartic_real_roots(1.0, math.inf, 0.0)
 
     def test_biquadratic(self):
         # y^4 - 5y^2 + 4 = (y^2-1)(y^2-4)
-        roots = biquadratic_real_roots(-5.0, 4.0)
+        roots = quartic_real_roots(-5.0, 0.0, 4.0)
         assert np.allclose(roots, [-2, -1, 1, 2], atol=1e-12)
-        assert biquadratic_real_roots(1.0, 1.0) == []
+        assert quartic_real_roots(1.0, 0.0, 1.0) == []
 
     def test_ferrari_vs_companion(self):
         for c, d, e in ((0.0, 1.0, -0.3), (1.0, -2.0, 0.5), (-3.0, 0.7, 1.0)):
-            mine = ferrari_real_roots(c, d, e)
+            mine = quartic_real_roots(c, d, e)
             raw = np.roots([1, 0, c, d, e])
             ref = sorted(r.real for r in raw if abs(r.imag) < 1e-9)
             assert len(mine) == len(ref)
             assert np.allclose(mine, ref, atol=1e-8)
 
     def test_quartic_dispatch_on_small_d(self):
+        # d = 0 takes the biquadratic split z^2 + c z + e, z = y^2
         roots = quartic_real_roots(-5.0, 0.0, 4.0)
         assert np.allclose(roots, [-2, -1, 1, 2], atol=1e-12)
 
@@ -263,7 +360,7 @@ class TestClosedForms:
     def test_quartic_w_matches_ferrari_branch(self):
         p, q = 1.0, 0.25
         x = quartic_w_root(p, q)
-        roots = ferrari_real_roots(0.0, p, -q)
+        roots = quartic_real_roots(0.0, p, -q)
         assert min(abs(x - r) for r in roots) < 1e-10
 
     @pytest.mark.parametrize("p,q,want", [
