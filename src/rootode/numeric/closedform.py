@@ -5,14 +5,15 @@ quartics; the w-form of x^4 + p x = q takes its auxiliary sextic's root
 from the cubic formula.  These provide values independent of the
 differential equations, so agreement between the two routes is
 meaningful evidence of correctness.  Each runs on an exact power-of-two
-rescaling of its variable (``_rescaled``) and takes a quadratic's smaller
-root as c / t from the larger t (``_quadratic``), so nothing overflows or
-cancels (Kahan 1986; Flocke, ACM TOMS 41, 2015); what the floats cannot
-resolve raises DomainError.
+rescaling of its variable (``_rescaled``) and takes a small root as a
+quotient by the large one (c / t of ``_quadratic``, the cubic's -p / (3c)),
+so nothing overflows or cancels (Kahan 1986; Flocke, ACM TOMS 41, 2015);
+what the floats cannot resolve raises DomainError.
 """
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from ..algebra import UPoly, _horner
@@ -48,17 +49,21 @@ def _polish(coeffs: list[float], x: float, iters: int = 3) -> float:
     return x
 
 
-def _rescaled(*coeffs: float) -> tuple[int, list[float]]:
+def _rescaled(*coeffs: float, floor: bool = True) -> tuple[int, list[float]]:
     """The exact rescaling y = 2^k z of a monic polynomial in y whose other
     coefficients are coeffs, from the next-to-leading one down: the one of
     weight w (on y^(n-w)) becomes a / 2^(w k).  k is the largest
     frexp(a)[1] // w over the nonzero a, so every scaled coefficient lies
     below 2^(w-1) in size and one at 1/2 or above, and every root z below
-    4.  Coefficients that are not finite raise DomainError."""
+    4.  Coefficients that are not finite raise DomainError, and with floor
+    so does a nonzero one that scales below the normal range and loses digits."""
     if not all(map(math.isfinite, coeffs)):
         raise DomainError("needs finite coefficients")
     k = max((math.frexp(a)[1] // w for w, a in enumerate(coeffs, 1) if a), default=0)
-    return k, [math.ldexp(a, -w * k) for w, a in enumerate(coeffs, 1)]
+    scaled = [math.ldexp(a, -w * k) for w, a in enumerate(coeffs, 1)]
+    if floor and any(a and abs(b) < sys.float_info.min for a, b in zip(coeffs, scaled)):
+        raise DomainError("the coefficients span more than the float range")
+    return k, scaled
 
 
 def _quadratic(b: float, c: float) -> list[float]:
@@ -77,29 +82,26 @@ def babylonian_root(p: float, q: float) -> float:
     root c / t of ``_quadratic`` on the rescaling x = 2^k y."""
     if p == 0:
         raise DomainError("needs p != 0")
-    k, (b, c) = _rescaled(p, -q)
+    k, (b, c) = _rescaled(p, -q, floor=False)
     roots = _quadratic(b, c)
     if not roots:
         raise DomainError("no real root: p^2 + 4q < 0")
-    # c / t with -q scaled by 2^-k, not 2^-2k: it underflows only where the root does
+    # -q / t, with -q scaled by 2^-k, underflows only where the root does; t
+    # is exact to a rounding even where c below the normal range loses digits
     return math.ldexp(-q, -k) / roots[0]
 
 
 def cardano_root(p: float, q: float) -> float:
-    """Branch root of x^3 + p x = q by the radical formula.
+    """Branch root of x^3 + p x = q by the radical formula, the one real
+    root of ``depressed_cubic_real_roots``.
 
-    Real only while q^2/4 + p^3/27 >= 0; otherwise (p < 0, all three
+    Real only while q^2/4 + p^3/27 > 0; otherwise (p < 0, all three
     roots real) use the trigonometric form instead.
     """
-    k, (_, p, q) = _rescaled(0.0, p, q)
-    rad = q * q / 4.0 + p**3 / 27.0
-    if rad < 0:
-        raise DomainError("negative radicand; use vieta_trig")
-    c = _cbrt(q / 2.0 + math.copysign(math.sqrt(rad), q))
-    if c == 0.0:  # p = q = 0
-        return 0.0
-    x = c - p / (3.0 * c)
-    return math.ldexp(_polish([-q, p, 0.0, 1.0], x), k)
+    roots = depressed_cubic_real_roots(p, -q)
+    if len(roots) > 1:
+        raise DomainError("three real roots; use vieta_trig")
+    return roots[0]
 
 
 def vieta_trig_root(p: float, q: float) -> float:
@@ -133,15 +135,14 @@ def vieta_hyp_root(p: float, q: float) -> float:
 
 
 def depressed_cubic_real_roots(p: float, q: float) -> list[float]:
-    """All real roots of t^3 + p t + q = 0, ascending, by the radical formula
-    where one is real and the trigonometric one where three are, on the
-    rescaling t = 2^k s."""
+    """All real roots of t^3 + p t + q = 0, ascending, on the rescaling
+    t = 2^k s: the one real root is c - p / (3c), c = cbrt(-q/2 - sign(q)
+    sqrt(q^2/4 + p^3/27)); three come from the trigonometric formula."""
     k, (_, p, q) = _rescaled(0.0, p, q)
     rad = q * q / 4.0 + p**3 / 27.0
     if rad > 0:
-        c = _cbrt(-q / 2.0 + math.sqrt(rad))
-        d = _cbrt(-q / 2.0 - math.sqrt(rad))
-        roots = [c + d]
+        c = _cbrt(-q / 2.0 - math.copysign(math.sqrt(rad), q))
+        roots = [c - p / (3.0 * c)]
     elif p == 0:  # and so q == 0
         roots = [0.0]
     else:

@@ -255,6 +255,23 @@ class TestClosedForms:
         for (p, q), want in cases:
             assert depressed_cubic_real_roots(p, q) == want == exact_real_roots([q, p, 0.0, 1.0])
 
+    @pytest.mark.parametrize("fn,args,coeffs", [
+        (depressed_cubic_real_roots, (1e250, 1.0), [1.0, 1e250, 0.0, 1.0]),
+        (depressed_cubic_real_roots, (1e215, 1.1), [1.1, 1e215, 0.0, 1.0]),
+        (lambda p, q: [cardano_root(p, q)], (1e250, 1.0), [-1.0, 1e250, 0.0, 1.0]),
+        (lambda p, q: [cardano_root(p, q)], (1e215, 1.1), [-1.1, 1e215, 0.0, 1.0]),
+        (quartic_real_roots, (1e300, 0.0, -1.0), [-1.0, 0.0, 1e300, 0.0, 1.0]),
+    ], ids=["cubic-1e250", "cubic-1e215", "cardano-1e250", "cardano-1e215", "quartic-1e300"])
+    def test_coefficients_spanning_more_than_the_float_range(self, fn, args, coeffs):
+        # on the rescaling the small coefficient fell to 0 or a subnormal,
+        # and [0.0] (or a root 2% off) came back for roots near 1e-250,
+        # 1.1e-215 and +-1e-150
+        try:
+            roots = fn(*args)
+        except DomainError:
+            return
+        assert roots == exact_real_roots(coeffs)
+
     def test_depressed_cubic_radicand_underflowing_with_p_negative(self):
         # q^2/4 and p^3/27 both underflowed to 0 here, and the three-root
         # formula answered [-1.48e29, -1.02e45, -1.02e45]
@@ -300,6 +317,21 @@ class TestClosedForms:
         ref = exact_real_roots([q, p, 0.0, 1.0])
         assert len(roots) == len(ref)
         assert all(abs(t - r) <= 1e-12 * abs(r) for t, r in zip(roots, ref))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_powers(-300, 300), signed_powers(-300, 300))
+    def test_cubic_matches_exact_isolation_across_the_float_range(self, p, q):
+        # answers right in count and value, or DomainError; a scaled
+        # coefficient below the normal range once answered silently wrong
+        for roots, coeffs in ((lambda: depressed_cubic_real_roots(p, q), [q, p, 0.0, 1.0]),
+                              (lambda: [cardano_root(p, q)], [-q, p, 0.0, 1.0])):
+            try:
+                got = roots()
+            except DomainError:
+                continue
+            ref = exact_real_roots(coeffs)
+            assert len(got) == len(ref)
+            assert all(abs(t - r) <= 1e-12 * abs(r) for t, r in zip(got, ref))
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from([babylonian_root, cardano_root, vieta_trig_root, vieta_hyp_root,
