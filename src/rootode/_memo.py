@@ -3,11 +3,13 @@
 The parsed R and weight, the discriminant, the first-order and linear
 equations, the first branch point and the near-poles of D are fixed by
 the text of R (or of the weight), while a caller such as a sweep over
-targets asks for them again at every q.  ``memoized`` gives a function a
-result cache in the one shared LRU table below, keyed by the function and
-its arguments (strings, frozen ``ProblemSpec``s, immutable ``UPoly``s,
-ints).  Results are frozen dataclasses, ``UPoly``s, floats or tuples of
-floats, so sharing them is safe.  An
+targets asks for them again at every q; the certified branch root is
+fixed by R and q, which ``solve`` and both ``check`` kinds ask for alike.
+``memoized`` gives a function a result cache in the one shared LRU table
+below, keyed by the function and its arguments (strings, frozen
+``ProblemSpec``s, immutable ``UPoly``s, ints, floats).  Results are frozen
+dataclasses, ``UPoly``s, floats or tuples of floats, so sharing them is
+safe.  An
 exception propagates and is not stored, so a certificate that fails raises
 again on the next call.
 """
@@ -20,11 +22,13 @@ from functools import lru_cache, wraps
 # Sturm isolations (D and R' on either side of 0, and the near-pole table of
 # D' for check on either side), and the cycle's weight texts one parsed
 # weight each; an entry is a few small polynomials or floats (a factorize
-# result also keeps, for abel_ode, two integer lists of its frame).  The
-# polynomials of the sweep's named ops recur in every cycle at shuffled
-# places, so their entries outlive an LRU table only if it holds about two
-# cycles' keys: two sweep cycles use 283-312 on seeds 1-3 and 290-311 on
-# seeds 1000-1009, and the benchmark's warm-up ops 7 more.
+# result also keeps, for abel_ode, two integer lists of its frame).  Every
+# target adds its certified root, a float.  Two sweep cycles use 587-616
+# keys on seeds 1, 2, 3 and 1000, about half of them roots, each asked by
+# solve and both check kinds within one cycle.  At 352 the entries of the
+# named ops' polynomials, which recur in every cycle at shuffled places,
+# are evicted and derived again, 21-30 misses more than a table of two
+# cycles, which reads no faster; 1024 raised derive's peak RSS by 1.3 MB.
 SIZE = 352
 
 

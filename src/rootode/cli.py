@@ -239,6 +239,9 @@ class Report:
     timing_ms: float | None = None
 
     def to_json(self) -> str:
+        """The bytes of ``json.dumps(d, indent=2)`` for the report's dict,
+        written by ``_json_text`` rather than json's pure-Python indent
+        encoder."""
         d = {
             "verb": self.verb,
             "input": self.input,
@@ -248,7 +251,31 @@ class Report:
         }
         if self.timing_ms is not None:
             d["timing_ms"] = self.timing_ms
-        return json.dumps(d, indent=2)
+        return _json_text(d, "\n")
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(v, newline: str) -> str:
+    """v as ``json.dumps(v, indent=2)`` writes it, nested where each line
+    starts with ``newline``; string keys only."""
+    if isinstance(v, str):
+        return _quote(v)
+    if v is None or v is True or v is False:
+        return "null" if v is None else "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float) and math.isfinite(v):
+        return float.__repr__(v)
+    inner = newline + "  "
+    if isinstance(v, dict):
+        items = [_quote(k) + ": " + _json_text(e, inner) for k, e in v.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if items else "{}"
+    if isinstance(v, (list, tuple)):
+        items = [_json_text(e, inner) for e in v]
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if items else "[]"
+    return json.dumps(v)
 
 
 # ---------------------------------------------------------------------------

@@ -231,10 +231,12 @@ def _certified(r: UPoly, coeffs, dcoeffs, q: float, x: float, end: float) -> flo
     return _next_to_root(r, q, x, end)
 
 
+@memoized
 def bisect_branch_root(r: UPoly, q: float) -> float:
     """The float next to the root of R(x) = q on the monotone stretch of R
     from 0: the branch x(q), x(0) = 0, at q, which ``solve`` and ``check``
-    report.
+    report.  Memoized per (R, q), so ``solve`` and both ``check`` kinds at
+    one target certify it once.
 
     The branch leaves 0 where the lowest nonzero term c_k x^k of R - R(0)
     has the sign of q - R(0); for even k both sides are tried, positive

@@ -1,6 +1,7 @@
 """Command-line surface: parsing, report schema, exit codes, demos."""
 import hashlib
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -432,6 +433,25 @@ class TestDemos:
         assert code == 1
 
 
+_JSON_CHARS = st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t \ud800é€😀'),
+                        st.characters())
+_JSON_VALUES = st.recursive(
+    st.one_of(st.text(_JSON_CHARS), st.booleans(), st.none(), st.integers(),
+              st.sampled_from([10 ** 400, -2 ** 1000]), st.floats(),
+              st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e308])),
+    lambda values: st.one_of(st.lists(values), st.lists(values).map(tuple),
+                             st.dictionaries(st.text(_JSON_CHARS), values)),
+    max_leaves=30)
+
+
+def _report_dict(report):
+    d = {"verb": report.verb, "input": report.input, "result": report.result,
+         "status": report.status, "errors": report.errors}
+    if report.timing_ms is not None:
+        d["timing_ms"] = report.timing_ms
+    return d
+
+
 class TestReportFormats:
     def test_json_round_trip(self):
         report, _ = run(Command("derive-linear", problem="x^3+x"))
@@ -441,6 +461,28 @@ class TestReportFormats:
     def test_json_is_strict(self):
         report, _ = run(Command("solve", problem="x^3-x", q="1"))
         json.loads(report.to_json())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(_JSON_CHARS), _JSON_VALUES, _JSON_VALUES,
+           st.one_of(st.none(), st.floats()))
+    def test_json_is_json_dumps_indent_2(self, text, result, errors, timing_ms):
+        # to_json writes the report without json's pure-Python indent
+        # encoder; its bytes are that encoder's all the same
+        report = Report(text, text[::-1], result, text.upper(), errors, timing_ms)
+        assert report.to_json() == json.dumps(_report_dict(report), indent=2)
+
+    @pytest.mark.parametrize("cmd,status", [
+        *((Command("demo", demo=name), "ok") for name in DEMO_NAMES),
+        (Command("solve", problem="x^3-x", q="0.1"), "ok"),
+        (Command("solve", problem="x^3-x", q="nan"), "usage_error"),
+        (Command("solve", problem="x^5+5x^3", q="1"), "domain_error"),
+        (Command("solve", problem="x^3+3x^2-2x", q="100"), "hit_branch_point"),
+        (Command("check", problem="x^2+x", q="1e30", tol_rel=1e-16), "identity_mismatch"),
+    ], ids=lambda v: v if isinstance(v, str) else v.demo or v.verb)
+    def test_json_of_reports_is_json_dumps_indent_2(self, cmd, status):
+        report, _ = run(cmd)
+        assert report.status == status
+        assert report.to_json() == json.dumps(_report_dict(report), indent=2)
 
     def test_latex_format_uses_display(self):
         report, _ = run(Command("derive-linear", problem="x^3+x", fmt="latex"))

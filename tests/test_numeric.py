@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from rootode.algebra import UPoly, _horner, discriminant
 from rootode.derive import ProblemSpec, abel_ode, build_integrands, factorize, trinomial
 from rootode import (
+    _memo,
     babylonian_root,
     bisect_branch_root,
     cardano_root,
@@ -724,6 +725,7 @@ class TestTracking:
     def test_certificate_near_a_branch_point(self, monkeypatch):
         # R is so flat here that Newton's float x lands 3e7 ulps from the
         # root; the search doubles its steps, so the ulp walk stays short
+        _memo.clear()  # else an earlier certification of this root is reused
         spec = ProblemSpec(UPoly("x", (0, -2, 3, 1)))
         q = first_branch_point(factorize(spec).D, 1) * (1 - 3e-12)
         calls = []
@@ -1121,6 +1123,7 @@ def test_bisect_branch_root_pinned_bit_for_bit(coeffs, q, want):
 def test_bisect_branch_root_evaluations_bounded(monkeypatch, problem, q, floats, exacts):
     r = parse_polynomial(problem).R
     x = bisect_branch_root(r, q)  # isolates x_c once, memoized
+    # the root itself is memoized too: count a fresh certification
     counts = {"float": 0, "exact": 0}
 
     def counted(name, fn):
@@ -1131,7 +1134,7 @@ def test_bisect_branch_root_evaluations_bounded(monkeypatch, problem, q, floats,
 
     monkeypatch.setattr(tracking, "_horner", counted("float", tracking._horner))
     monkeypatch.setattr(tracking, "_at", counted("exact", tracking._at))
-    assert bisect_branch_root(r, q) == x
+    assert bisect_branch_root.__wrapped__(r, q) == x
     assert exactly_bracketed(r, q, x)
     assert counts["float"] <= floats and counts["exact"] <= exacts, counts
 
@@ -1165,6 +1168,37 @@ def test_certified_float_does_not_depend_on_the_start(target):
     xs = {tracking._certified(r, coeffs, dcoeffs, q, x, end) for x in starts}
     assert xs == {bisect_branch_root(r, q)}
     assert exactly_bracketed(r, q, xs.pop())
+
+
+@settings(max_examples=150, deadline=None)
+@given(_branch_targets())
+def test_memoized_root_is_the_fresh_one(target):
+    r, q = target
+    fresh = struct.pack("<d", bisect_branch_root.__wrapped__(r, q))
+    for _ in range(2):  # a miss or a hit, then a hit
+        assert struct.pack("<d", bisect_branch_root(r, q)) == fresh
+
+
+def test_unreached_target_is_refused_again():
+    # R = x - x^3 rises to 0.3849 at its first critical point 1/sqrt(3); a
+    # refusal is not stored, so the second call certifies afresh and refuses
+    r = UPoly("x", (0, 1, 0, -1))
+    for _ in range(2):
+        with pytest.raises(DomainError, match="does not reach q"):
+            bisect_branch_root(r, 0.5)
+
+
+def test_solve_and_both_checks_certify_one_root(monkeypatch):
+    _memo.clear()
+    calls = []
+    monkeypatch.setattr(tracking, "_certified",
+                        lambda *a, f=tracking._certified: calls.append(a) or f(*a))
+    xs = {run(Command(verb, problem="x^3+3x^2-2x", q="-0.173396", kind=kind,
+                      timing=False))[0].result["x"]
+          for verb, kind in (("solve", "theorem1"), ("check", "theorem1"),
+                             ("check", "corollary2"))}
+    assert xs == {0.10323397606332392}
+    assert len(calls) == 1
 
 
 @settings(max_examples=300, deadline=None)
