@@ -260,11 +260,13 @@ class UPoly:
         return UPoly(self.var, tuple(i * c for i, c in enumerate(self.coeffs) if i))
 
     def compose(self, inner: "UPoly") -> "UPoly":
-        """Substitute ``inner`` for the variable; result is in ``inner.var``."""
-        acc = UPoly.zero(inner.var)
+        """Substitute ``inner`` for the variable; result is in ``inner.var``.
+        Horner's rule on the coefficient lists, canonicalized once."""
+        acc, b = [], inner.coeffs
         for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly.const(inner.var, c)
-        return acc
+            acc = _mul(acc, b) or [0]
+            acc[0] += c
+        return UPoly(inner.var, acc)
 
     def retag(self, var: str) -> "UPoly":
         """Same coefficients under a different variable tag."""

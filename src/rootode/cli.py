@@ -197,7 +197,18 @@ def parse_weight(text: str) -> UPoly:
 
 
 def parse_q_value(text: str) -> float:
-    """A finite q target given as a rational string or a float literal."""
+    """A finite q target given as a rational string or a float literal.
+
+    A text that ``float`` reads as a nonzero finite value is taken as it
+    reads: both roundings are correct, so it is float(Fraction(text)).
+    Zero takes the rational path, which gives "-0" the value +0.0."""
+    try:
+        value = float(text)
+    except ValueError:
+        pass
+    else:
+        if value and math.isfinite(value):
+            return value
     try:
         return float(Fraction(text))
     except (ValueError, ZeroDivisionError, OverflowError):

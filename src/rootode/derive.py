@@ -213,6 +213,13 @@ def build_integrands(
     polynomial of the triples (see ``IntegrandSpec``).  A theorem1 pair
     whose q-side integral diverges at 0, ord_0 D >= 2 + 2 ord_0 w, raises
     DomainError, as does a corollary2 pair with D(0) = 0.
+
+    The q-side square w^2 / script_d is reduced first.  When that keeps
+    deg D, gcd(w, D) = 1, and then gcd(w(R), U) = 1 as well: by the
+    certified D(R(s)) = R'(s)^2 U(s), a common root s of w(R) and U would
+    make R(s) a common root of w and D.  The x-side square is then only
+    cleared of its content and sign, with no polynomial gcd; otherwise it
+    is reduced in full like the q side.
     """
     if kind not in ("theorem1", "corollary2"):
         raise ValueError(f"unknown integrand kind {kind!r}")
@@ -228,25 +235,42 @@ def build_integrands(
     wr = compose_q(weight, spec.R)
     if kind == "corollary2":
         return IntegrandSpec(kind, spec, weight, False,
-                             (wr, spec.rprime() * fact.U, None), (weight, fact.D, None), fact.D)
+                             (wr, UPoly("x", _mul(spec.rprime().coeffs, fact.U.coeffs)), None),
+                             (weight, fact.D, None), fact.D)
     # the q-side integrand w/sqrt(D) behaves like t^(ord w - ord D/2) at 0
     ord_w, ord_d = (next(k for k, c in enumerate(p.coeffs) if c) for p in (weight, fact.D))
     if ord_d >= 2 + 2 * ord_w:
         raise DomainError(f"the q-side integrand w/sqrt(D) ~ t^({ord_w} - {ord_d}/2)"
                           " is not integrable at t = 0")
     remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
-    sign = wr * spec.rprime() if remark2 else wr * fact.sign_rp0
+    if remark2:
+        sign = UPoly("x", _mul(wr.coeffs, spec.rprime().coeffs))
+    else:
+        sign = wr if fact.sign_rp0 > 0 else -wr
+    rnum, rden = _normalize_vector(_split([_square(weight, surd), fact.script_d.coeffs])[1],
+                                   anchor=1)
+    num, den = _split([_square(wr, surd), fact.script_u.coeffs])[1]
+    if len(rden) < len(fact.D.coeffs):
+        num, den = _normalize_vector([num, den], anchor=1)
+    elif den[-1] < 0:
+        # gcd(w^2, D) = 1, so gcd(w(R)^2, U) = 1: only the sign is left
+        num, den = [-c for c in num], [-c for c in den]
     return IntegrandSpec(kind, spec, weight, remark2,
-                         (*_reduced(wr * wr * surd, fact.script_u), sign),
-                         (*_reduced(weight * weight * surd, fact.script_d), weight), fact.D)
+                         (UPoly("x", num), UPoly("x", den), sign),
+                         (UPoly("q", rnum), UPoly("q", rden), weight), fact.D)
+
+
+def _square(p: UPoly, surd: int) -> list:
+    """The coefficients of surd p^2."""
+    return [surd * c for c in _mul(p.coeffs, p.coeffs)]
 
 
 def _split(polys) -> tuple[Fraction, list[list[int]]]:
-    """(s, ints) with polys[i] = s ints[i]: the rational polynomials
+    """(s, ints) with polys[i] = s ints[i]: the rational coefficient lists
     ``polys``, not all zero, over one common denominator and with their
     joint integer content divided out, so the ints are primitive together."""
-    den = _int_lcm(*(c.denominator for p in polys for c in p.coeffs))
-    ints = [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    den = _int_lcm(*(c.denominator for p in polys for c in p))
+    ints = [[c.numerator * (den // c.denominator) for c in p] for p in polys]
     g = _int_gcd(*(c for p in ints for c in p))
     return Fraction(g, den), [[c // g for c in p] for p in ints] if g != 1 else ints
 
@@ -255,7 +279,7 @@ def _reduced(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
     """num / den, den nonzero, in lowest terms: coprime integer polynomials
     of joint content 1 with a positive leading coefficient of den, a form
     unique for the quotient; (0, 1) when num is zero."""
-    p, q = _normalize_vector(_split([num, den])[1], anchor=1)
+    p, q = _normalize_vector(_split([num.coeffs, den.coeffs])[1], anchor=1)
     return UPoly(num.var, p), UPoly(den.var, q)
 
 
@@ -338,7 +362,7 @@ def _tower(spec: ProblemSpec) -> tuple[Fraction, list[int], list[Fraction], list
     stays over Z; the row's content is divided out last."""
     n = spec.n
     ode = abel_ode(spec)
-    (sd, (dh,)), (sw, wh) = _split([ode.D]), _split(ode.W)
+    (sd, (dh,)), (sw, wh) = _split([ode.D.coeffs]), _split([w.coeffs for w in ode.W])
     d, rz = _integer_coeffs(spec.R.coeffs)
     a, b = (sw / sd).as_integer_ratio()
     aw, bd = [[a * c for c in w] for w in wh], [b * c for c in dh]

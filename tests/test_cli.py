@@ -120,6 +120,33 @@ class TestParsing:
         for text in ("nan", "inf", "-inf", "1e999"):
             with pytest.raises(ParseError):
                 parse_q_value(text)
+        # a zero keeps the sign of the rational it rounds from, so "-0" is +0.0
+        for text, sign in (("-0", 1.0), ("-0.0", 1.0), ("-1e-400", -1.0), ("-2e-324", -1.0)):
+            value = parse_q_value(text)
+            assert value == 0.0 and math.copysign(1.0, value) == sign, text
+        assert parse_q_value("5e-324") == 5e-324
+        assert parse_q_value("1/3") == 1 / 3
+        assert parse_q_value(" 1.5 ") == 1.5
+        assert parse_q_value("1_000") == 1000.0
+        with pytest.raises(ParseError, match="not a rational or float"):
+            parse_q_value("1/0")
+        for text in ("1.7976931348623159e308", "nan"):
+            with pytest.raises(ParseError, match="q must be finite"):
+                parse_q_value(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.from_regex(r"\A[+-]?(\d{1,30}|\d{0,30}\.\d{1,30})([eE][+-]?\d{1,3})?\Z"))
+    def test_q_value_is_the_rounded_rational(self, text):
+        # float's reading of a nonzero decimal is float(Fraction(text)), and
+        # a zero takes the rational's sign
+        try:
+            want = float(Fraction(text))
+        except OverflowError:
+            with pytest.raises(ParseError, match="q must be finite"):
+                parse_q_value(text)
+            return
+        got = parse_q_value(text)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
 class TestVerbs:
@@ -742,6 +769,11 @@ def test_series_output_pinned(text, order, digest):
     # D(0) = 0
     ("theorem1", "x^3+2x^2+x", "0.01", "1",
      "ebcac73f7a5d11c4609436cf35a9e74bf961d48c850c3fc78edc9d4ddf8c9681"),
+    # w shares the root 2 with D: the x side keeps its own gcd
+    ("theorem1", "x^3-3x", "1", "q-2",
+     "98de83a8d9da18b675adc09d1f1ae2e58fe2c790959ed3113aae7a9f6f5b7f6e"),
+    ("theorem1", "x^3-3x", "-1.5", "q-2",
+     "b75629f715e547dd8e09b9f5a9bb98afc7e976bab51858515dee460385fb4053"),
     # every demo's checks
     ("demo", "babylonian", None, None,
      "9d23bd48e73a35243e250997483a6badc498b7d047ed0f3ba96582ffbdfdee92"),

@@ -53,7 +53,8 @@ def abel_numerators(ode):
 
 def normal_form(polys, anchor):
     """``derive._normalize_vector`` of rational polynomials in q."""
-    return [UPoly("q", p) for p in derive._normalize_vector(derive._split(polys)[1], anchor)]
+    ints = derive._split([p.coeffs for p in polys])[1]
+    return [UPoly("q", p) for p in derive._normalize_vector(ints, anchor)]
 
 
 def at_q_over(p, c):
@@ -232,6 +233,53 @@ class TestFactorize:
             assert fact.script_d.trailing() > 0
 
 
+_integrand_coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def integrand_inputs(draw):
+    """(fact, weight) for ``build_integrands``: R of degree 2..6 with
+    rational, non-monic coefficients, R'(0) = 0 and D(0) = 0 among them,
+    and a weight of degree 0..2, w(0) = 0 among them.  Half the R are
+    built as the integral of (x - b) T, so that D has the rational root
+    R(b); half of those weights carry the factor q - R(b)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lead = _integrand_coeffs.filter(bool)
+    if draw(st.booleans()):
+        cs = [0, *draw(st.lists(_integrand_coeffs, min_size=n - 1, max_size=n - 1)), draw(lead)]
+        r, root = x_poly(*cs), None
+    else:
+        b = draw(_integrand_coeffs)
+        t = x_poly(*draw(st.lists(_integrand_coeffs, min_size=n - 2, max_size=n - 2)), draw(lead))
+        rp = t * x_poly(-b, 1)
+        r = x_poly(0, *(Fraction(c, k) for k, c in enumerate(rp.coeffs, 1)))
+        root = r(b)
+    fact = factorize(ProblemSpec(r))
+    shared = root is not None and draw(st.booleans())
+    size = 2 if shared else draw(st.integers(min_value=1, max_value=3))
+    weight = q_poly(*draw(st.lists(_integrand_coeffs, min_size=size - 1, max_size=size - 1)),
+                    draw(lead))
+    if shared:
+        assert fact.D(root) == 0
+        weight = weight * q_poly(-root, 1)
+    return fact, weight
+
+
+def reference_integrands(fact, weight, kind, surd):
+    """The (lhs, rhs) triples of ``build_integrands`` from UPoly arithmetic,
+    each square pair reduced through the gcd (``derive._reduced``)."""
+    r = fact.problem.R
+    wr = UPoly.zero("x")
+    for c in reversed(weight.coeffs):
+        wr = wr * r + c
+    if kind == "corollary2":
+        return (wr, r.derivative() * fact.U, None), (weight, fact.D, None)
+    remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
+    sign = wr * r.derivative() if remark2 else wr * fact.sign_rp0
+    return ((*derive._reduced(wr * wr * surd, fact.script_u), sign),
+            (*derive._reduced(weight * weight * surd, fact.script_d), weight))
+
+
 class TestIntegrands:
     def test_theorem1_squares_reduced(self):
         fact = factorize(trinomial(3, 1))
@@ -253,6 +301,29 @@ class TestIntegrands:
         rnum, rden = spec.rhs[:2]
         assert rnum == q_poly(1)
         assert rden == 25 * q_poly(108, 0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(integrand_inputs(), st.sampled_from([1, 2, 3, 5]),
+           st.sampled_from(["theorem1", "corollary2"]))
+    def test_matches_full_reduction(self, case, surd, kind):
+        # the x-side pair skips its gcd when the q side's is 1; the triples
+        # must be those of the full reduction either way
+        fact, weight = case
+        try:
+            spec = build_integrands(fact, weight, kind, surd=surd)
+        except DomainError:
+            return
+        assert (spec.lhs, spec.rhs) == reference_integrands(fact, weight, kind, surd)
+
+    def test_x_side_keeps_its_gcd(self):
+        # w = q - 2 divides D of x^3 - 3x (the critical value at x = -1),
+        # so the q-side gcd is q - 2 and the x side has its own, x - 2:
+        # w(R) = (x + 1)^2 (x - 2) and U is a multiple of (x - 2)(x + 2)
+        fact = factorize(ProblemSpec(x_poly(0, -3, 0, 1)))
+        spec = build_integrands(fact, q_poly(-2, 1))
+        assert spec.lhs[1] == x_poly(6, 3)
+        assert spec.rhs[1] == q_poly(54, 27)
+        assert (spec.lhs, spec.rhs) == reference_integrands(fact, q_poly(-2, 1), "theorem1", 1)
 
     def test_remark2_derived(self):
         # the relaxed sign rule holds for theorem1 exactly when w(0) = 0,

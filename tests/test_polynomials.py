@@ -346,6 +346,17 @@ class TestComposeInterpolate:
         inner = UPoly("x", (1, 1))
         assert compose_q(outer, inner) == UPoly("x", (2, 2, 1))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_coeff_lists, _coeff_lists, st.sampled_from(["x", "q"]))
+    def test_compose_is_upoly_horner(self, outer, inner, var):
+        # Horner on coefficient lists equals Horner in UPoly arithmetic
+        f, g = UPoly(var, outer), UPoly("x", inner)
+        want = UPoly.zero("x")
+        for c in reversed(f.coeffs):
+            want = want * g + c
+        got = f.compose(g)
+        assert got == want and _canonical(got)
+
     def test_compose_variable_checked(self):
         with pytest.raises(VariableMismatchError):
             compose_q(UPoly("x", (1, 1)), UPoly("x", (0, 1)))
