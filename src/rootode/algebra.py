@@ -228,12 +228,6 @@ class UPoly:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
-
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -276,22 +270,26 @@ class UPoly:
         return f"UPoly({self.var!r}, {list(self.coeffs)!r})"
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
+        return _written(self, str, "*", "^{}")
+
+
+def _written(p: UPoly, number, mark: str, caret: str) -> str:
+    """p's nonzero terms in descending powers, "0" if there are none; the
+    walk behind ``str`` and ``render.poly_latex``.  Each term is its sign
+    ("+" omitted on the first), then a constant's magnitude a as str(a),
+    else number(a) + mark (left out when a = 1) before the variable, which
+    carries caret.format(k) past the first power."""
+    parts = []
+    for k in range(p.degree, -1, -1):
+        if c := p.coeffs[k]:
+            a = abs(c)
             if k == 0:
-                body = str(abs(c))
+                term = str(a)
             else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                pw = self.var if k == 1 else f"{self.var}^{k}"
-                body = mag + pw
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts)
+                power = p.var if k == 1 else p.var + caret.format(k)
+                term = power if a == 1 else number(a) + mark + power
+            parts.append(("-" if c < 0 else "+" if parts else "") + term)
+    return "".join(parts) or "0"
 
 
 def compose_q(f: UPoly, r: UPoly) -> UPoly:

@@ -456,6 +456,8 @@ def run(cmd: Command) -> tuple[Report, int]:
         return Report(cmd.verb, label, {}, "usage_error",
                       [f"unknown verb {cmd.verb!r}"], stamp()), 1
     try:
+        if cmd.problem is None and cmd.verb != "demo":
+            raise ValueError(f"{cmd.verb} requires a polynomial")
         result = _DISPATCH[cmd.verb](cmd)
     except ParseError as exc:
         return Report(cmd.verb, label, {}, "usage_error",
@@ -470,57 +472,43 @@ def run(cmd: Command) -> tuple[Report, int]:
     return report, 0 if status == "ok" else 2
 
 
-def _text_lines(value, indent: int = 0) -> list[str]:
-    pad = "  " * indent
-    lines = []
+def _text_lines(value, pad: str = "") -> list[str]:
+    """A dict as "key: value" lines, a list as "- value" lines.  A nonempty
+    dict, or a list that holds a dict or a list, goes below its "key:" or
+    "-" line, two spaces further in; any other value stays on the line."""
     if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_text_lines(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {_flat(v)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item and not _is_flat(item):
-                lines.append(f"{pad}-")
-                lines.extend(_text_lines(item, indent + 1))
-            else:
-                lines.append(f"{pad}- {_flat(item)}")
+        pairs = [(f"{k}:", v) for k, v in value.items()]
     else:
-        lines.append(f"{pad}{_flat(value)}")
+        pairs = [("-", v) for v in value]
+    lines = []
+    for head, v in pairs:
+        if isinstance(v, dict) and v or isinstance(v, list) and any(
+                isinstance(e, (dict, list)) for e in v):
+            lines += [pad + head] + _text_lines(v, pad + "  ")
+        else:
+            lines.append(f"{pad}{head} {_flat(v)}")
     return lines
-
-
-def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(e, (dict, list)) for e in v)
-    return False
 
 
 def _flat(v) -> str:
     if isinstance(v, list):
         return "[" + ", ".join(_flat(e) for e in v) + "]"
     if isinstance(v, bool) or v is None:
-        return str(v).lower() if v is not None else "none"
+        return str(v).lower()
     return str(v)
 
 
 def format_report(report: Report, fmt: str) -> str:
+    """The report as JSON; as text lines (``_text_lines``) under its verb,
+    input, status and errors; or, in latex, as its equation alone where it
+    has one and as the text otherwise."""
     if fmt == "json":
         return report.to_json()
-    if fmt == "latex":
-        latex = report.result.get("latex")
-        if latex is not None:
-            return latex
-        fmt = "text"
-    lines = [f"verb: {report.verb}", f"input: {report.input}",
-             f"status: {report.status}"]
-    for err in report.errors:
-        lines.append(f"error: {err}")
-    body = dict(report.result)
-    body.pop("latex", None)
-    lines.extend(_text_lines(body))
+    if fmt == "latex" and report.result.get("latex") is not None:
+        return report.result["latex"]
+    lines = [f"verb: {report.verb}", f"input: {report.input}", f"status: {report.status}"]
+    lines += [f"error: {err}" for err in report.errors]
+    lines += _text_lines({k: v for k, v in report.result.items() if k != "latex"})
     if report.timing_ms is not None:
         lines.append(f"timing_ms: {report.timing_ms}")
     return "\n".join(lines)

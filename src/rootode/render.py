@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import UPoly
+from .algebra import UPoly, _written
 from .derive import AbelODE, LinearODE
 
 __all__ = [
@@ -33,111 +33,88 @@ def coeff_strings(p: UPoly) -> list[str]:
     return [str(c) for c in p.coeffs]
 
 
-def _latex_term(c: Fraction, var: str, k: int) -> str:
-    if k == 0:
-        return str(abs(c))
-    pw = var if k == 1 else f"{var}^{{{k}}}"
-    a = abs(c)
-    if a == 1:
-        return pw
+def _latex_number(a: Fraction) -> str:
     if a.denominator == 1:
-        return f"{a.numerator}{pw}"
-    return f"\\frac{{{a.numerator}}}{{{a.denominator}}}{pw}"
+        return str(a)
+    return f"\\frac{{{a.numerator}}}{{{a.denominator}}}"
 
 
 def poly_latex(p: UPoly) -> str:
     """Descending-power LaTeX, e.g. 27q^{2}+4."""
-    if not p:
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coefficient(k)
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        parts.append(sign + _latex_term(c, p.var, k))
-    return "".join(parts)
+    return _written(p, _latex_number, "", "^{{{}}}")
 
 
 def _term_count(p: UPoly) -> int:
     return sum(1 for c in p.coeffs if c)
 
 
-def _deriv_mark(k: int) -> str:
-    return "x" + "'" * k
-
-
 def _join(parts: list[str]) -> str:
-    out = parts[0]
-    for t in parts[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+    """Signed parts as a sum: "+" goes before each part after the first
+    that does not start with "-" (no printer here writes "+-")."""
+    return "+".join(parts).replace("+-", "-")
+
+
+# Text and LaTeX walk each equation alike and differ only in how they
+# write a term: the polynomial printer, the product mark ("*" or none)
+# and the exponent format of a power of x.
+
+def _linear(ode: LinearODE, poly, mark: str) -> str:
+    """The left side in descending derivative order: each nonzero b_k by
+    poly, parenthesized when it has several terms and left out when it is
+    1 or -1, then the nonzero inhomogeneous term."""
+    parts = []
+    for k in range(ode.order, -1, -1):
+        if b := ode.b[k]:
+            c = poly(b)
+            if c in ("1", "-1"):
+                c = c[:-1]
+            else:
+                c = (f"({c})" if _term_count(b) > 1 else c) + mark
+            parts.append(c + "x" + "'" * k)
+    if ode.inhomogeneous:
+        parts.append(poly(ode.inhomogeneous))
+    return _join(parts)
 
 
 def latex_linear(ode: LinearODE) -> str:
     """Display such as (27q^{2}+4)x''+27qx'-3x=0, descending derivative
     order, nonzero inhomogeneous term last."""
+    return _linear(ode, poly_latex, "") + "=0"
+
+
+def text_linear(ode: LinearODE) -> str:
+    """Text such as (27*q^2 + 4)*x'' + 27*q*x' - 3*x = 0, with spaces
+    around each + and -."""
+    return " ".join(_linear(ode, str, "*").replace("+", " + ").replace("-", " - ").split()) + " = 0"
+
+
+def _abel(ode: AbelODE, frac, mark: str, caret: str, join) -> str:
+    """The right side over the nonzero a_j = num/den in descending j: each
+    frac(num, den), then mark and x^j with caret.format(j) as its
+    exponent, the parts put together by join; "0" if there are none."""
     parts = []
-    for k in range(ode.order, -1, -1):
-        b = ode.b[k]
-        if not b:
-            continue
-        if b.is_const():
-            c = b.coefficient(0)
-            coeff = "" if c == 1 else ("-" if c == -1 else str(c))
-        elif _term_count(b) > 1:
-            coeff = f"({poly_latex(b)})"
-        else:
-            coeff = poly_latex(b)
-        parts.append(coeff + _deriv_mark(k))
-    if ode.inhomogeneous:
-        parts.append(poly_latex(ode.inhomogeneous))
-    return _join(parts) + "=0"
+    for j in range(len(ode.W) - 1, -1, -1):
+        if ode.W[j]:
+            power = "" if j == 0 else mark + ("x" if j == 1 else "x" + caret.format(j))
+            parts.append(frac(*ode.a[j]) + power)
+    return join(parts) if parts else "0"
 
 
-def _abel_term(num: UPoly, den: UPoly, j: int) -> str:
+def _latex_frac(num: UPoly, den: UPoly) -> str:
     sign = ""
     if _term_count(num) == 1 and num.lc < 0:
         sign, num = "-", -num
-    power = "" if j == 0 else ("x" if j == 1 else f"x^{{{j}}}")
-    return f"{sign}\\frac{{{poly_latex(num)}}}{{{poly_latex(den)}}}{power}"
+    return f"{sign}\\frac{{{poly_latex(num)}}}{{{poly_latex(den)}}}"
 
 
 def latex_abel(ode: AbelODE) -> str:
     """Display such as x'=\\frac{2}{4q+1}x+\\frac{1}{4q+1}."""
-    parts = [_abel_term(*ode.a[j], j)
-             for j in range(len(ode.W) - 1, -1, -1) if ode.W[j]]
-    return "x'=" + (_join(parts) if parts else "0")
-
-
-def text_linear(ode: LinearODE) -> str:
-    parts = []
-    for k in range(ode.order, -1, -1):
-        b = ode.b[k]
-        if not b:
-            continue
-        if b.is_const():
-            c = b.coefficient(0)
-            coeff = "" if c == 1 else ("-" if c == -1 else f"{c}*")
-        elif _term_count(b) > 1:
-            coeff = f"({b})*"
-        else:
-            coeff = f"{b}*"
-        parts.append(coeff + _deriv_mark(k))
-    if ode.inhomogeneous:
-        parts.append(str(ode.inhomogeneous))
-    return " ".join(_join(parts).replace("+", " + ").replace("-", " - ").split()) + " = 0"
+    return "x'=" + _abel(ode, _latex_frac, "", "^{{{}}}", _join)
 
 
 def text_abel(ode: AbelODE) -> str:
-    parts = []
-    for j in range(len(ode.W) - 1, -1, -1):
-        if not ode.W[j]:
-            continue
-        num, den = ode.a[j]
-        power = "" if j == 0 else ("*x" if j == 1 else f"*x^{j}")
-        parts.append(f"(({num})/({den})){power}")
-    return "x' = " + (" + ".join(parts) if parts else "0")
+    """Text such as x' = ((2)/(4*q+1))*x + ((1)/(4*q+1))."""
+    return "x' = " + _abel(ode, "(({})/({}))".format, "*", "^{}", " + ".join)
 
 
 def linear_coeff_arrays(ode: LinearODE) -> list[list[str]]:

@@ -400,6 +400,16 @@ class TestVerbs:
         assert code == 0
         assert report.result["ode_residual_zero"] is True
 
+    def test_series_too_short_to_test_the_equation(self):
+        # order 1 leaves no residual coefficient the equation can prove
+        # zero: the series is answered, the residual left undecided
+        report, code = run(Command("series", problem="x^3+x", order=1))
+        assert code == 0
+        assert report.status == "ok"
+        assert report.result["coeffs"] == ["1"]
+        assert report.result["ode_residual_zero"] is None
+        assert "ode_residual_orders" not in report.result
+
     def test_series_order_limit(self):
         for order in (1001, 10**9):
             report, code = run(Command("series", problem="x^3+x", order=order))
@@ -441,6 +451,15 @@ class TestVerbs:
         assert code == 1
         assert report.status == "usage_error"
         assert "parse error" in report.errors[0]
+
+    @pytest.mark.parametrize("verb", ["discriminant", "derive-abel", "derive-linear",
+                                      "solve", "check", "series"])
+    def test_missing_polynomial_exit_1(self, verb):
+        report, code = run(Command(verb, q="1", timing=False))
+        assert code == 1
+        assert report.status == "usage_error"
+        assert report.errors == [f"{verb} requires a polynomial"]
+        assert report.input == ""
 
     def test_unknown_verb_exit_1(self):
         _, code = run(Command("frobnicate", problem="x^2+x"))
@@ -798,3 +817,73 @@ def test_check_output_pinned(kind, problem, q, weight, digest):
     report, code = run(cmd)
     assert code == 0
     assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cmd,status,text_digest,latex_digest", [
+    (Command("discriminant", problem="x^3+x", timing=False), "ok",
+     "fdfacb351680d1c9f074e2333b7079816ab74dd93b91cca25886f02976de168e", None),
+    # the inhomogeneous term, and a rational non-monic R
+    (Command("derive-abel", problem="x^3+x^2+x", timing=False), "ok",
+     "c54d9f7abc6d98d902b376fa39157110b2e63a2372d08c9bbe280e09434d73b9",
+     "5d7c093607d015026229e4ecec727bd2e2f2e25fc291c7cbb80b485575c7046a"),
+    (Command("derive-abel", problem="-3x^3+x^2-5/4x", timing=False), "ok",
+     "75b542d7b2dfc6d87b249a80183cd6e8206390a4cc459f887c23cf87074c206f",
+     "9fb64640194ab8389099d1f49e78234b78ff1fdc24da871f736c5313bd1d6b25"),
+    (Command("derive-linear", problem="x^3+x^2+x", timing=False), "ok",
+     "cc440297bef97fa96909013340a5103d717c32b364d6a9105e98f69d381be2b3",
+     "1c8f756a0e3bf60fe03c27e16974905963cdc759ab9964866250ac2a703991b7"),
+    (Command("derive-linear", problem="2x^4-x^2+3x", timing=False), "ok",
+     "867f8c5784668468387ee1d1a362a9ce9f87b3edee5ada7382ee216547209783",
+     "2587350d586fcdd64fca64eb4a40a76d7ee62453f78bcba80dc5e443fa7c824d"),
+    (Command("solve", problem="x^3+3x^2-2x", q="-0.173396", timing=False), "ok",
+     "2de11c35c85dfc16e46ff3d777f677706e961394a59fce01efa307d7e47675ef", None),
+    (Command("solve", problem="x^3+3x^2-2x", q="100", timing=False), "hit_branch_point",
+     "6b23fc114efeb0fc19f786d1b1866a3dbe86b08287f2a82a16c752aba27fc163", None),
+    (Command("check", problem="x^3+3x^2-2x", q="-0.173396", weight="2-q", timing=False), "ok",
+     "8f520f69fe4666a54b7e6ee45251d8cbd533aeeaf3c6bc752e5f413d4b6a80cf", None),
+    (Command("check", problem="x^3+3x^2-2x", q="100", kind="corollary2", timing=False),
+     "hit_branch_point",
+     "5919e81fbc6d15662d83d86feb5246584f4720827f83f938cf472a00502ef109", None),
+    (Command("check", problem="x^2+x", q="1e30", tol_rel=1e-16, timing=False),
+     "identity_mismatch",
+     "594dd0079177fb2dba85b4af05bd897fa0441436775321e4a396ac9373d346db", None),
+    (Command("series", problem="x^3+x", order=8, timing=False), "ok",
+     "1849a58ec7255563dcca8c4fd11fc0ef736cdcd1e2b854ed548a42986efc3449", None),
+    # too short to test the equation: ode_residual_zero is none
+    (Command("series", problem="x^3+x", order=1, timing=False), "ok",
+     "5906b2237460c6c6dd1e1e8ef264bc85a8a900b9cfd133243d848443c0a3599d", None),
+    (Command("series", problem="x^3+x^2", order=5, timing=False), "domain_error",
+     "5657eae7e76fbfe074fa33b5842996488aea0ed089287145f93af0a2e5012500", None),
+    (Command("solve", problem="x^5+5x^3", q="1", timing=False), "domain_error",
+     "d205bca4ace7f039a7cecaaeced6903494bd2513e66f404f4b9ef92a0e1a6313", None),
+    (Command("discriminant", problem="x^2+1", timing=False), "usage_error",
+     "3eda0093895a40bccbb64d00b781b6044e8f0b48aaf30026521c4495ab53633e", None),
+    (Command("solve", problem="x^3+x", timing=False), "usage_error",
+     "a5c83f91aa0fad7b7516981cfd936f8d001b094d12ab3bd6d79c7141812d5d50", None),
+    (Command("bogus", problem="x^3+x", timing=False), "usage_error",
+     "2aa8aadb621252e26b696a1c098333e06c2f6415f5b25d7aad6bc60bd8f69cf9", None),
+    (Command("demo", demo="babylonian", timing=False), "ok",
+     "1eecebcba2caf62143eb4527757839e63bf00724c3b59122f741160864d6e760", None),
+    (Command("demo", demo="cardano", timing=False), "ok",
+     "67f0a3686b4cd64b4c75bab950249c03f553d873038a74ea7c9b2bbe7d92aaa8", None),
+    (Command("demo", demo="quartic23", timing=False), "ok",
+     "5d482609fa9bfc9cec4cf4746acb397f7e03a84b14c08889fce00da17853fbd9", None),
+    (Command("demo", demo="betti", timing=False), "ok",
+     "4b6f451001b7e05c959440ddad5cf337072b2207f2fdaa804067b01c517591ac", None),
+    (Command("demo", demo="hypergeom", timing=False), "ok",
+     "45a75a1b89441ce623f9c119b699d8336916c86bd7efd713458fdf0182440ccb", None),
+    (Command("demo", demo="remark5", timing=False), "ok",
+     "dc783213aee663936996707b229288b3e544d16906585ee5a7b01cacbdbdcc4e", None),
+], ids=lambda v: v.demo or v.verb if isinstance(v, Command) else None)
+def test_text_and_latex_output_pinned(cmd, status, text_digest, latex_digest):
+    # sha256 of the --no-timing text and latex forms; latex_digest None
+    # means the report has no equation and latex falls back to the text
+    report, _ = run(cmd)
+    assert report.status == status
+    text = format_report(report, "text")
+    assert hashlib.sha256(text.encode()).hexdigest() == text_digest
+    latex = format_report(report, "latex")
+    if latex_digest is None:
+        assert latex == text
+    else:
+        assert hashlib.sha256(latex.encode()).hexdigest() == latex_digest
