@@ -49,6 +49,8 @@ from typing import Iterable, Sequence
 
 from .errors import DomainError, NonExactDivisionError, VariableMismatchError
 
+__all__ = ["UPoly", "compose_q", "discriminant"]
+
 VARS = ("x", "q")
 
 # The largest degree of R that ``discriminant`` and ``ProblemSpec`` accept,
@@ -162,9 +164,6 @@ class UPoly:
     def coefficient(self, k: int) -> Fraction:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def is_const(self) -> bool:
-        return len(self.coeffs) <= 1
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UPoly):
             return self.var == other.var and self.coeffs == other.coeffs
@@ -261,10 +260,6 @@ class UPoly:
             acc = _mul(acc, b) or [0]
             acc[0] += c
         return UPoly(inner.var, acc)
-
-    def retag(self, var: str) -> "UPoly":
-        """Same coefficients under a different variable tag."""
-        return UPoly(var, self.coeffs)
 
     def __repr__(self):
         return f"UPoly({self.var!r}, {list(self.coeffs)!r})"

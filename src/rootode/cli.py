@@ -188,34 +188,31 @@ def parse_polynomial(text: str) -> ProblemSpec:
 def parse_weight(text: str) -> UPoly:
     """Parse a weight polynomial; the variable may be written x or q.
     Memoized, like ``parse_polynomial``."""
-    var = next((ch for ch in text if ch.isalpha()), None)
-    if var is None:
-        return _poly_from_powers(_parse_terms(text, "q"), "q")
+    var = next((ch for ch in text if ch.isalpha()), "q")
     if var not in ("x", "q"):
         raise ParseError(f"unexpected variable {var!r}", text.index(var))
-    return _poly_from_powers(_parse_terms(text, var), var).retag("q")
+    return _poly_from_powers(_parse_terms(text, var), "q")
 
 
 def parse_q_value(text: str) -> float:
     """A finite q target given as a rational string or a float literal.
 
-    A text that ``float`` reads as a nonzero finite value is taken as it
-    reads: both roundings are correct, so it is float(Fraction(text)).
-    Zero takes the rational path, which gives "-0" the value +0.0."""
+    ``float``'s reading is correctly rounded, so where it is nonzero it is
+    float(Fraction(text)), or inf where that overflows, and it is kept.  A
+    zero, or a text that ``float`` cannot read, takes the rational
+    reading: "-0" is +0.0, and a rational beyond the float range is inf."""
     try:
         value = float(text)
     except ValueError:
-        pass
-    else:
-        if value and math.isfinite(value):
-            return value
-    try:
-        return float(Fraction(text))
-    except (ValueError, ZeroDivisionError, OverflowError):
+        value = None
+    if not value:
         try:
-            value = float(text)
-        except ValueError:
-            raise ParseError(f"not a rational or float: {text!r}", 0) from None
+            value = float(Fraction(text))
+        except OverflowError:
+            value = math.inf
+        except (ValueError, ZeroDivisionError):
+            if value is None:
+                raise ParseError(f"not a rational or float: {text!r}", 0) from None
     if not math.isfinite(value):
         raise ParseError(f"q must be finite, got {text!r}", 0)
     return value

@@ -1,5 +1,15 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "RootodeError",
+    "VariableMismatchError",
+    "NonExactDivisionError",
+    "DomainError",
+    "SingularIntegrandError",
+    "QuadratureError",
+    "ParseError",
+]
+
 
 class RootodeError(Exception):
     """Base class for errors raised by this package."""
@@ -15,10 +25,6 @@ class NonExactDivisionError(RootodeError):
     Raised where divisibility is a mathematical certainty, so hitting this
     signals an implementation bug rather than bad input.
     """
-
-
-class EmptyKernelError(RootodeError):
-    """A linear system that must be singular turned out not to be."""
 
 
 class DomainError(RootodeError):

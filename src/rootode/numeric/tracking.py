@@ -27,7 +27,6 @@ from ..errors import DomainError
 __all__ = [
     "bisect_branch_root",
     "first_branch_point",
-    "past_branch_point",
 ]
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode import _memo, bisect_branch_root
+from rootode import _memo, bisect_branch_root, cli
 from rootode.algebra import MAX_DEGREE, UPoly
 from rootode.cli import (
     DEMO_NAMES,
@@ -130,7 +130,24 @@ class TestParsing:
         assert parse_q_value("1_000") == 1000.0
         with pytest.raises(ParseError, match="not a rational or float"):
             parse_q_value("1/0")
-        for text in ("1.7976931348623159e308", "nan"):
+        # a rational beyond the float range is infinite, not unreadable
+        big = "1" + "0" * 400 + "/1"
+        for text in ("1.7976931348623159e308", "nan", big, "-" + big):
+            with pytest.raises(ParseError, match="q must be finite"):
+                parse_q_value(text)
+        for verb in ("solve", "check"):
+            report, code = run(Command(verb, problem="x^3+x", q=big, timing=False))
+            assert code == 1
+            assert report.status == "usage_error"
+            assert report.errors == [f"parse error: q must be finite, got {big!r} (at position 0)"]
+
+    def test_q_value_read_as_infinite_builds_no_fraction(self, monkeypatch):
+        # float's overflow is the rational's, so "1e9999999" is refused at
+        # once rather than after building 10^9999999
+        def no_fraction(text):
+            raise AssertionError(f"Fraction({text!r})")
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        for text in ("1e9999999", "-1e400", "inf", "nan"):
             with pytest.raises(ParseError, match="q must be finite"):
                 parse_q_value(text)
 
@@ -460,6 +477,13 @@ class TestVerbs:
         assert report.status == "usage_error"
         assert report.errors == [f"{verb} requires a polynomial"]
         assert report.input == ""
+
+    @pytest.mark.parametrize("verb", ["solve", "check"])
+    def test_missing_q_exit_1(self, verb):
+        report, code = run(Command(verb, problem="x^3+x", timing=False))
+        assert code == 1
+        assert report.status == "usage_error"
+        assert report.errors == [f"{verb} requires --q"]
 
     def test_unknown_verb_exit_1(self):
         _, code = run(Command("frobnicate", problem="x^2+x"))
