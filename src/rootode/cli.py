@@ -79,94 +79,76 @@ DEMO_NAMES = tuple(DEMOS)
 # ---------------------------------------------------------------------------
 # parsing
 
-def _parse_terms(text: str, var: str) -> dict[int, int | Fraction]:
-    """Scan `c`, `c*x^k`, `x^k` terms joined by + and -.
+def _parse_terms(text: str, var: str) -> list[int | Fraction]:
+    """The ascending coefficients of `c`, `c*x^k`, `x^k` terms joined by
+    + and -.
 
     Coefficients are integers or fractions a/b, kept as an int unless b
     does not divide a; errors carry the offset into the original string.
     """
-    i, n = 0, len(text)
-    powers: dict[int, int | Fraction] = {}
+    n = len(text)
 
-    def skip_ws():
-        nonlocal i
+    def space(i: int) -> int:
         while i < n and text[i].isspace():
             i += 1
+        return i
 
-    def read_int() -> int:
-        nonlocal i
-        start = i
-        while i < n and text[i].isdecimal():
-            i += 1
-        if i == start:
-            raise ParseError("expected digits", start)
+    def number(i: int) -> tuple[int, int]:
+        end = i
+        while end < n and text[end].isdecimal():
+            end += 1
+        if end == i:
+            raise ParseError("expected digits", i)
         try:
-            return int(text[start:i])
+            return int(text[i:end]), end
         except ValueError:  # decimal digits fail only beyond sys.get_int_max_str_digits()
-            raise ParseError("number too long", start) from None
+            raise ParseError("number too long", i) from None
 
-    skip_ws()
+    powers: dict[int, int | Fraction] = {}
+    i = space(0)
     if i == n:
         raise ParseError("empty polynomial", 0)
-    first = True
-    while True:
-        skip_ws()
-        if i == n:
-            break
+    while i < n:
         sign = 1
         if text[i] in "+-":
-            if text[i] == "-":
-                sign = -1
-            i += 1
-            skip_ws()
+            sign = -1 if text[i] == "-" else 1
+            i = space(i + 1)
             if i == n:
-                raise ParseError("dangling sign", i - 1)
-        elif not first:
+                raise ParseError("dangling sign", n - 1)
+        elif powers:
             raise ParseError(f"expected '+' or '-', found {text[i]!r}", i)
-        first = False
-        coeff = None
-        if i < n and text[i].isdecimal():
-            num = read_int()
+        c = sign
+        if text[i].isdecimal():
+            num, i = number(i)
             den = 1
             if i < n and text[i] == "/":
-                i += 1
-                dpos = i
-                den = read_int()
+                den, end = number(i + 1)
                 if den == 0:
-                    raise ParseError("zero denominator", dpos)
-            coeff = _ratio(num, den)
-            skip_ws()
+                    raise ParseError("zero denominator", i + 1)
+                i = end
+            c = _ratio(num, den) * sign
+            i = space(i)
             if i < n and text[i] == "*":
-                i += 1
-                skip_ws()
+                i = space(i + 1)
                 if i == n or not text[i].isalpha():
                     raise ParseError("expected variable after '*'", i)
+        elif not text[i].isalpha():
+            raise ParseError(f"unexpected character {text[i]!r}", i)
         k = 0
         if i < n and text[i].isalpha():
             if text[i] != var:
-                raise ParseError(
-                    f"unexpected variable {text[i]!r} (expected {var!r})", i
-                )
-            i += 1
+                raise ParseError(f"unexpected variable {text[i]!r} (expected {var!r})", i)
             k = 1
-            skip_ws()
+            i = space(i + 1)
             if i < n and text[i] == "^":
-                i += 1
-                skip_ws()
-                k = read_int()
-        elif coeff is None:
-            raise ParseError(f"unexpected character {text[i]!r}", i)
-        c = (coeff if coeff is not None else 1) * sign
+                k, i = number(space(i + 1))
         powers[k] = powers.get(k, 0) + c
-    return powers
-
-
-def _poly_from_powers(powers: dict[int, int | Fraction], var: str) -> UPoly:
+        i = space(i)
     # checked before the coefficient list of a huge degree is allocated
-    deg = max(powers, default=0)
+    deg = max(powers)
     if deg > MAX_DEGREE:
         raise ParseError(f"degree {deg} exceeds the limit {MAX_DEGREE}", 0)
-    return UPoly(var, [powers.get(k, 0) for k in range(deg + 1)])
+    return [powers.get(k, 0) for k in range(deg + 1)]
 
 
 @memoized
@@ -176,7 +158,7 @@ def parse_polynomial(text: str) -> ProblemSpec:
     Enforces R(0) = 0 and degree >= 2.  The result depends on the text
     alone, so it is memoized; a text that fails to parse raises again.
     """
-    poly = _poly_from_powers(_parse_terms(text, "x"), "x")
+    poly = UPoly("x", _parse_terms(text, "x"))
     if poly.coefficient(0) != 0:
         raise ParseError("constant term must be zero (R(0) = 0)", 0)
     if poly.degree < 2:
@@ -191,28 +173,32 @@ def parse_weight(text: str) -> UPoly:
     var = next((ch for ch in text if ch.isalpha()), "q")
     if var not in ("x", "q"):
         raise ParseError(f"unexpected variable {var!r}", text.index(var))
-    return _poly_from_powers(_parse_terms(text, var), "q")
+    return UPoly("q", _parse_terms(text, var))
 
 
 def parse_q_value(text: str) -> float:
     """A finite q target given as a rational string or a float literal.
 
-    ``float``'s reading is correctly rounded, so where it is nonzero it is
-    float(Fraction(text)), or inf where that overflows, and it is kept.  A
-    zero, or a text that ``float`` cannot read, takes the rational
-    reading: "-0" is +0.0, and a rational beyond the float range is inf."""
+    ``float``'s reading is correctly rounded, so it is float(Fraction(text)),
+    or inf where that overflows, but for the sign of a zero: the rational
+    is 0, and its float +0.0, exactly when no digit of the mantissa (the
+    text before e/E) is nonzero, so "-0" is +0.0 and "-1e-400" is -0.0,
+    and no power of ten is built.  Only a text that ``float`` cannot read,
+    such as "3/4", takes the rational reading, where a rational beyond the
+    float range is inf."""
     try:
         value = float(text)
     except ValueError:
-        value = None
-    if not value:
         try:
             value = float(Fraction(text))
         except OverflowError:
             value = math.inf
         except (ValueError, ZeroDivisionError):
-            if value is None:
-                raise ParseError(f"not a rational or float: {text!r}", 0) from None
+            raise ParseError(f"not a rational or float: {text!r}", 0) from None
+    else:
+        mantissa = text.lower().partition("e")[0]
+        if not value and not any(c.isdecimal() and int(c) for c in mantissa):
+            value = 0.0
     if not math.isfinite(value):
         raise ParseError(f"q must be finite, got {text!r}", 0)
     return value
@@ -249,16 +235,8 @@ class Report:
     def to_json(self) -> str:
         """The bytes of ``json.dumps(d, indent=2)`` for the report's dict,
         written by ``_json_text`` rather than json's pure-Python indent
-        encoder."""
-        d = {
-            "verb": self.verb,
-            "input": self.input,
-            "result": self.result,
-            "status": self.status,
-            "errors": self.errors,
-        }
-        if self.timing_ms is not None:
-            d["timing_ms"] = self.timing_ms
+        encoder; ``timing_ms`` is left out when it is None."""
+        d = {k: v for k, v in vars(self).items() if v is not None or k != "timing_ms"}
         return _json_text(d, "\n")
 
 
@@ -333,11 +311,16 @@ def _q_star(d: UPoly, qv: float) -> float | None:
     return first_branch_point(d, 1 if qv > 0 else -1) if qv else None
 
 
-def _h_solve(cmd: Command) -> dict:
+def _target(cmd: Command) -> tuple[ProblemSpec, float]:
+    """The problem of ``solve`` or ``check`` and its parsed target q."""
     spec = parse_polynomial(cmd.problem)
     if cmd.q is None:
-        raise ValueError("solve requires --q")
-    qv = parse_q_value(cmd.q)
+        raise ValueError(f"{cmd.verb} requires --q")
+    return spec, parse_q_value(cmd.q)
+
+
+def _h_solve(cmd: Command) -> dict:
+    spec, qv = _target(cmd)
     if spec.R.coefficient(1) == 0:
         raise DomainError("R'(0) = 0: the branch is not analytic at the origin")
     if not qv:
@@ -354,10 +337,7 @@ def _h_solve(cmd: Command) -> dict:
 
 
 def _h_check(cmd: Command) -> dict:
-    spec = parse_polynomial(cmd.problem)
-    if cmd.q is None:
-        raise ValueError("check requires --q")
-    qv = parse_q_value(cmd.q)
+    spec, qv = _target(cmd)
     # a negative or non-finite tolerance is a ValueError, hence a usage_error
     for name, value in (("--tol-abs", cmd.tol_abs), ("--tol-rel", cmd.tol_rel)):
         if value is not None and not 0.0 <= value < math.inf:
@@ -440,33 +420,27 @@ _DISPATCH = {
 # driver
 
 def run(cmd: Command) -> tuple[Report, int]:
-    """Execute a command; returns the report and the process exit code."""
-    label = cmd.demo if cmd.verb == "demo" else (cmd.problem or "")
+    """Execute a command; returns the report and the process exit code: 0
+    for status ok, 1 for usage_error and 2 for any other status."""
     t0 = time.perf_counter()
-
-    def stamp() -> float | None:
-        if not cmd.timing:
-            return None
-        return round((time.perf_counter() - t0) * 1000.0, 3)
-
-    if cmd.verb not in _DISPATCH:
-        return Report(cmd.verb, label, {}, "usage_error",
-                      [f"unknown verb {cmd.verb!r}"], stamp()), 1
     try:
+        if cmd.verb not in _DISPATCH:
+            raise ValueError(f"unknown verb {cmd.verb!r}")
         if cmd.problem is None and cmd.verb != "demo":
             raise ValueError(f"{cmd.verb} requires a polynomial")
         result = _DISPATCH[cmd.verb](cmd)
+        status = result.pop("_status", "ok")
+        errors = result.pop("_errors", [])
     except ParseError as exc:
-        return Report(cmd.verb, label, {}, "usage_error",
-                      [f"parse error: {exc}"], stamp()), 1
+        result, status, errors = {}, "usage_error", [f"parse error: {exc}"]
     except ValueError as exc:
-        return Report(cmd.verb, label, {}, "usage_error", [str(exc)], stamp()), 1
+        result, status, errors = {}, "usage_error", [str(exc)]
     except RootodeError as exc:
-        return Report(cmd.verb, label, {}, "domain_error", [str(exc)], stamp()), 2
-    status = result.pop("_status", "ok")
-    errors = result.pop("_errors", [])
-    report = Report(cmd.verb, label, result, status, errors, stamp())
-    return report, 0 if status == "ok" else 2
+        result, status, errors = {}, "domain_error", [str(exc)]
+    timing_ms = round((time.perf_counter() - t0) * 1000.0, 3) if cmd.timing else None
+    label = cmd.demo if cmd.verb == "demo" else (cmd.problem or "")
+    report = Report(cmd.verb, label, result, status, errors, timing_ms)
+    return report, {"ok": 0, "usage_error": 1}.get(status, 2)
 
 
 def _text_lines(value, pad: str = "") -> list[str]:

@@ -269,9 +269,8 @@ def _near_poles(d: UPoly, direction: int) -> tuple[tuple[float, float], ...]:
     floats; inf where D''(t*) is 0.  Memoized per process, like the
     isolations of D and R'.
     """
+    # D has degree n - 1 >= 1 (certified by factorize), so D' is nonzero
     dp = d.derivative()
-    if not dp:
-        return ()
     dc = d.float_coeffs()
     d2c = dp.derivative().float_coeffs()
     out = []

@@ -111,6 +111,21 @@ class TestParsing:
                 parse_polynomial(text)
             assert exc.value.position == position
 
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty polynomial (at position 0)"),
+        ("  \t", "empty polynomial (at position 0)"),
+        ("x^2+1/0x", "zero denominator (at position 6)"),
+        ("x^2+3*", "expected variable after '*' (at position 6)"),
+        ("x^2+3* 4", "expected variable after '*' (at position 7)"),
+    ])
+    def test_rare_parse_errors_pinned(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert str(exc.value) == message
+        report, code = run(Command("discriminant", problem=text, timing=False))
+        assert (report.status, code) == ("usage_error", 1)
+        assert report.errors == [f"parse error: {message}"]
+
     def test_q_value(self):
         assert parse_q_value("3/4") == 0.75
         assert parse_q_value("0.5") == 0.5
@@ -150,6 +165,20 @@ class TestParsing:
         for text in ("1e9999999", "-1e400", "inf", "nan"):
             with pytest.raises(ParseError, match="q must be finite"):
                 parse_q_value(text)
+
+    def test_q_value_read_as_zero_builds_no_fraction(self, monkeypatch):
+        # a decimal zero takes its sign from its mantissa's digits, so
+        # "-1e-99999999" answers at once rather than after building
+        # 10^99999999
+        def no_fraction(text):
+            raise AssertionError(f"Fraction({text!r})")
+        monkeypatch.setattr(cli, "Fraction", no_fraction)
+        for text, sign in (("-1e-99999999", -1.0), ("0e99999999", 1.0), ("-0e-99999999", 1.0)):
+            value = parse_q_value(text)
+            assert value == 0.0 and math.copysign(1.0, value) == sign, text
+            for verb in ("solve", "check"):
+                report, code = run(Command(verb, problem="x^3+x", q=text, timing=False))
+                assert (report.status, code, report.result["x"]) == ("ok", 0, 0.0), (verb, text)
 
     @settings(max_examples=300, deadline=None)
     @given(st.from_regex(r"\A[+-]?(\d{1,30}|\d{0,30}\.\d{1,30})([eE][+-]?\d{1,3})?\Z"))
@@ -427,6 +456,12 @@ class TestVerbs:
         assert report.result["ode_residual_zero"] is None
         assert "ode_residual_orders" not in report.result
 
+    def test_series_residual_nonzero_exit_2(self, monkeypatch):
+        monkeypatch.setattr(cli, "series_ode_residual", lambda ode, series: [1])
+        report, code = run(Command("series", problem="x^3+x", timing=False))
+        assert (report.status, code) == ("residual_nonzero", 2)
+        assert report.errors == ["series does not satisfy the derived equation"]
+
     def test_series_order_limit(self):
         for order in (1001, 10**9):
             report, code = run(Command("series", problem="x^3+x", order=order))
@@ -497,6 +532,13 @@ class TestDemos:
         assert code == 0, report.errors
         assert report.result["passed"] is True
         assert report.result["checks"]
+
+    def test_failed_demo_exit_2(self, monkeypatch):
+        monkeypatch.setitem(cli.DEMOS, "cardano", lambda: [{"name": "root", "ok": False}])
+        report, code = run(Command("demo", demo="cardano", timing=False))
+        assert (report.status, code) == ("demo_failed", 2)
+        assert report.errors == ["failed checks: root"]
+        assert report.result["passed"] is False
 
     def test_unknown_demo(self):
         _, code = run(Command("demo", demo="nope"))
