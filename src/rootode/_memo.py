@@ -21,14 +21,15 @@ from functools import lru_cache, wraps
 # at most three exact derivations (factorize, abel_ode, linear_ode) and six
 # Sturm isolations (D and R' on either side of 0, and the near-pole table of
 # D' for check on either side), and the cycle's weight texts one parsed
-# weight each; an entry is a few small polynomials or floats (a factorize
-# result also keeps, for abel_ode, two integer lists of its frame).  Every
-# target adds its certified root, a float.  Two sweep cycles use 587-616
-# keys on seeds 1, 2, 3 and 1000, about half of them roots, each asked by
-# solve and both check kinds within one cycle.  At 352 the entries of the
-# named ops' polynomials, which recur in every cycle at shuffled places,
-# are evicted and derived again, 21-30 misses more than a table of two
-# cycles, which reads no faster; 1024 raised derive's peak RSS by 1.3 MB.
+# weight each; an entry is a few small polynomials or floats (an abel_ode
+# result keeps D and W also as integer tuples, and its UPoly W only once it
+# is read).  Every target adds its certified root, a float.  Two sweep
+# cycles use 587-616 keys on seeds 1, 2, 3 and 1000, about half of them
+# roots, each asked by solve and both check kinds within one cycle.  At
+# 352 the entries of the named ops' polynomials, which recur in every cycle
+# at shuffled places, are evicted and derived again, 21-30 misses more
+# than a table of two cycles, which reads no faster; 1024 raised derive's
+# peak RSS by 1.3 MB.
 SIZE = 352
 
 

@@ -13,12 +13,12 @@ division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
 Beside it sit helpers on ascending lists of ints (product, sum, exact
-division over Z, and ``_gcd``, the gcd behind ``derive._reduced``: 1
-certified by Euclid modulo a small prime, else primitive
-pseudo-remainders), on which the exact core runs, and the discriminant of
-R(x) - q.  With n = deg R and
-m = n-1, the discriminant is the polynomial whose roots are the critical
-values R(xi) at the roots xi of R',
+division over Z, and ``_gcd``, the gcd behind
+``derive._normalize_vector``: 1 certified by Euclid modulo a small prime,
+else primitive pseudo-remainders), on which the exact core runs, and the
+discriminant of R(x) - q.  With n = deg R and m = n-1, the discriminant is
+the polynomial whose roots are the critical values R(xi) at the roots xi
+of R',
 
     D(q) = c prod_xi (q - R(xi)),    c = (-1)^(n(n-1)/2 + m) n^n lc(R)^m.
 
@@ -55,10 +55,12 @@ VARS = ("x", "q")
 
 # The largest degree of R that ``discriminant`` and ``ProblemSpec`` accept,
 # and of R or a weight that the CLI parses.  derive-linear and series, the
-# slowest verbs, take about 2.0 s on a dense integer R of degree 12 and
-# 4.9 s at degree 13 on a 2-vCPU Intel Xeon virtual machine (Python
-# 3.11.7).  At degree 13 what remains is mostly ``derive._kernel`` (about
-# 3.6 s); the gcd of the normal form is settled modulo a prime in milliseconds.
+# slowest verbs, take about 1.5 s on a dense integer R of degree 12 and
+# 3.3-4.4 s at degree 13 (medians of five CLI runs 4.0 s and 3.6 s) on a
+# 2-vCPU x86-64 virtual machine whose speed drifts by a third from minute
+# to minute (Python 3.11.7).  At degree 13 what remains is mostly
+# ``derive._kernel`` (3.6 of 4.2 s in-process, the tower 0.5 s); the gcd of
+# the normal form is settled modulo a prime in milliseconds.
 MAX_DEGREE = 13
 
 

@@ -10,9 +10,11 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
 * separated-variables integrand pairs whose integrals from 0 agree along
   the branch, in radical form (weight / square root of script_u resp.
   script_d) or rational form (weight / R'U resp. weight / D);
-* the first-order equation x' = W(x, q)/D(q) with deg_x W <= n-1, obtained
-  by reducing R'U modulo P, which reads W off the R-adic digits of R'U,
-  in the frame the H-adic digits of G U~ on ints;
+* the first-order equation x' = W(x, q)/D(q) with deg_x W <= n-1, the
+  remainder of R'U modulo P, which reads W off the R-adic digits of R'U;
+  in the frame these are the H-adic digits of G U~ = chi(H)/G, which
+  short division by G takes on ints from chi's coefficients, the H-adic
+  digits of chi(H), with neither chi(H) nor U built;
 * the tower of higher derivatives x^(k) = B_k(x, q)/D(q)^k, deg_x B_k <= n-1,
   obtained by differentiating the first-order equation along W and
   reducing modulo P at every step, returned as the tuple of its rows
@@ -23,15 +25,15 @@ a branch x(q) with x(0) = 0.  This module derives, in exact arithmetic:
   tower rows are substituted.
 
 W and each B_k are given as tuples of exactly n ``UPoly`` in q, entry j the
-coefficient of x^j (zero where there is none).  After W, the exact core
-writes each polynomial in q as a rational scalar times a primitive integer
-list, D = s_D D^ and B_k = s_k B^_k, and runs the tower, the kernel, the
-assembly of the linear equation and the normal forms fraction-free on
-those lists (Bareiss, Collins); D^ is primitive, so by Gauss's lemma every
-exact division by its powers stays in Z[q].  The variable stays q: in the
-frame's t = sigma q the low powers of t would carry powers of sigma and
-the entries grow.  ``derivative_tower`` and ``linear_ode`` take D and W
-from the memoized ``abel_ode``.
+coefficient of x^j (zero where there is none).  The exact core writes each
+polynomial in q as a rational scalar times a primitive integer list, D =
+s_D D^, W = s_W W^ (kept so by ``AbelODE``) and B_k = s_k B^_k, and runs
+the tower, the kernel, the assembly of the linear equation and the normal
+forms fraction-free on those lists (Bareiss, Collins); D^ is primitive, so
+by Gauss's lemma every exact division by its powers stays in Z[q].  The
+variable stays q: in the frame's t = sigma q the low powers of t would
+carry powers of sigma and the entries grow.  ``derivative_tower`` and
+``linear_ode`` take D and W from the memoized ``abel_ode``.
 
 Everything here is symbolic; floating point enters only in the numeric
 subpackage.
@@ -39,7 +41,7 @@ subpackage.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
@@ -106,7 +108,9 @@ class Factorization:
     n-1) and ``U`` the cofactor with D(R(x)) = R'(x)^2 U(x).  The script
     variants carry the sign that makes script_d positive just after 0;
     script_u is the same multiple of U, so script_d(R(x)) = R'(x)^2
-    script_u(x) still holds.
+    script_u(x) still holds.  The discriminant, ``check`` and ``solve``
+    read it; the equations (``abel_ode`` and the tower and linear equation
+    built on it) need no U and take their frame from ``_frame`` directly.
     """
 
     problem: ProblemSpec
@@ -116,7 +120,6 @@ class Factorization:
     script_u: UPoly
     sign_rp0: int
     disc_zero: bool
-    _frame: tuple = field(default=(), repr=False, compare=False)  # for abel_ode
 
 
 def _sign(c: Fraction) -> int:
@@ -158,7 +161,6 @@ def factorize(spec: ProblemSpec) -> Factorization:
         script_u=U if sgn > 0 else -U,
         sign_rp0=_sign(spec.R.coefficient(1)),
         disc_zero=disc_zero,
-        _frame=(H, gu, L, sigma, scale * tau),
     )
 
 
@@ -275,14 +277,6 @@ def _split(polys) -> tuple[Fraction, list[list[int]]]:
     return Fraction(g, den), [[c // g for c in p] for p in ints] if g != 1 else ints
 
 
-def _reduced(num: UPoly, den: UPoly) -> tuple[UPoly, UPoly]:
-    """num / den, den nonzero, in lowest terms: coprime integer polynomials
-    of joint content 1 with a positive leading coefficient of den, a form
-    unique for the quotient; (0, 1) when num is zero."""
-    p, q = _normalize_vector(_split([num.coeffs, den.coeffs])[1], anchor=1)
-    return UPoly(num.var, p), UPoly(den.var, q)
-
-
 @dataclass(frozen=True)
 class AbelODE:
     """First-order equation x' = W(x, q) / D(q) with deg_x W <= n-1.
@@ -292,37 +286,91 @@ class AbelODE:
     of R'U modulo P, read off the R-adic digits of R'U = sum_k c_k(x) R(x)^k,
     deg c_k < n: since R(x) = q modulo P, W(x, q) = sum_k c_k(x) q^k, so
     W[j] has the coefficients c_k[j].  In the integer frame the digits are
-    c_k(x) = c tau sigma^(k-m) e_k(L x), e_k the H-adic digits of G U~.
+    c_k(x) = c tau sigma^(k-m) e_k(L x), e_k the H-adic digits of
+    chi(H) / G = G U~ (``_short_division``).
+
+    The equation is kept on integers, which the tower and the normal forms
+    run on: D = sd dh and W[j] = sw wh[j], with sd and sw positive
+    rationals, dh a primitive integer tuple in q and the wh[j] integer
+    tuples in q, primitive together.  ``W`` is built on first read.
     """
 
     D: UPoly
-    W: tuple[UPoly, ...]
+    sd: Fraction
+    dh: tuple[int, ...]
+    sw: Fraction
+    wh: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def W(self) -> tuple[UPoly, ...]:
+        """W[j] = sw wh[j] for j = 0..n-1, each a ``UPoly`` in q."""
+        a, b = self.sw.numerator, self.sw.denominator
+        return tuple(UPoly("q", [_ratio(a * c, b) for c in w]) for w in self.wh)
 
     @cached_property
     def a(self) -> tuple[tuple[UPoly, UPoly], ...]:
-        """a_j = W[j] / D for j = 0..n-1 in the normal form of ``_reduced``:
-        coprime integer polynomials of joint content 1 with a positive
-        leading denominator coefficient, unique for the quotient; a zero
-        a_j gives (0, 1).  Computed once, on first use: only the renderers
-        read them."""
-        return tuple(_reduced(w, self.D) for w in self.W)
+        """a_j = W[j] / D for j = 0..n-1 in lowest terms: coprime integer
+        polynomials of joint content 1 with a positive leading denominator
+        coefficient, unique for the quotient; a zero a_j gives (0, 1).
+        Computed once, on first use: only the renderers read them."""
+        num, den = (self.sw / self.sd).as_integer_ratio()
+        d = [den * c for c in self.dh]
+        pairs = (_normalize_vector([[num * c for c in w], d], anchor=1) for w in self.wh)
+        return tuple((UPoly("q", p), UPoly("q", q)) for p, q in pairs)
+
+
+def _short_division(chi: list[int], H: list[int], G: list[int]) -> list[list[int]]:
+    """The digits e_0, ..., e_m of chi(H) / G in base H, for the integer
+    list chi of degree m and monic integer lists H, G, deg G = deg H - 1.
+
+    chi(H) = sum_k chi_k H^k has the constant digits chi_k, so dividing by
+    the one-digit G from the top digit down (Knuth, TAOCP vol. 2, 4.3.1)
+    reads r H + chi_k = G e_k + r' for k = m, ..., 0, with r = 0 at the
+    top and deg r, deg r' < deg G.  Each e_k has degree below deg H, so
+    the e_k are the H-adic digits of the quotient.  NonExactDivisionError
+    if the last remainder is not 0."""
+    r, digits = [], []
+    for c in reversed(chi):
+        f = _mul(r, H) or [0]
+        f[0] += c
+        e, r = _monic_divmod(f, G)
+        digits.append(e)
+    if any(r):
+        raise NonExactDivisionError("D(R(x)) is not divisible by R'(x)")
+    return digits[::-1]
+
+
+def _primitive_pair(scale: Fraction, polys: list[list[int]]) -> tuple[Fraction, list]:
+    """(s, ints) with s ints = scale polys and s > 0: the integer lists
+    ``polys``, not all zero, as integer tuples primitive together."""
+    g = _int_gcd(*(c for p in polys for c in p))
+    if scale < 0:
+        g = -g
+    return scale * g, [tuple(c // g for c in p) for p in polys]
 
 
 @memoized
 def abel_ode(spec: ProblemSpec) -> AbelODE:
     """Derive the degree-(n-1) polynomial ODE for the branch.
 
-    G U~, kept by ``factorize``, is written in base H by monic division
-    on ints, and W[j] has q^k-coefficient c tau sigma^(k-m) L^j e_k[j]
-    (see ``AbelODE``), whatever lc(R).  Memoized per process."""
-    fact = factorize(spec)
-    (H, f, L, sigma, scale), digits = fact._frame, []
-    while f:
-        f, e = _monic_divmod(f, H)
-        digits.append([scale.numerator * sigma ** len(digits) * c for c in e])
-    W = tuple(UPoly("q", [_ratio(e[j] * L**j, scale.denominator) if j < len(e) else 0
-                          for e in digits]) for j in range(spec.n))
-    return AbelODE(D=fact.D, W=W)
+    The H-adic digits e_k of chi(H) / G come from ``_frame``'s chi, H and
+    G by short division, with no composition and no cofactor U, and W[j]
+    has q^k-coefficient c tau sigma^(k-m) L^j e_k[j] (see ``AbelODE``),
+    whatever lc(R).  Memoized per process."""
+    D, chi, H, G, L, sigma, tau, scale = _frame(spec.R)
+    digits = _short_division(chi, H, G)
+    wh = []
+    for j in range(spec.n):
+        w, c = [], L**j
+        for e in digits:
+            w.append(c * e[j] if j < len(e) else 0)
+            c *= sigma
+        while w and not w[-1]:
+            w.pop()
+        wh.append(w)
+    sw, wh = _primitive_pair(scale * tau, wh)
+    sd, (dh,) = _primitive_pair(scale, [[c * sigma**k for k, c in enumerate(chi)]])
+    return AbelODE(D=D, sd=sd, dh=dh, sw=sw, wh=tuple(wh))
 
 
 def derivative_tower(spec: ProblemSpec) -> tuple[tuple[UPoly, ...], ...]:
@@ -362,7 +410,7 @@ def _tower(spec: ProblemSpec) -> tuple[Fraction, list[int], list[Fraction], list
     stays over Z; the row's content is divided out last."""
     n = spec.n
     ode = abel_ode(spec)
-    (sd, (dh,)), (sw, wh) = _split([ode.D.coeffs]), _split([w.coeffs for w in ode.W])
+    sd, dh, sw, wh = ode.sd, ode.dh, ode.sw, ode.wh
     d, rz = _integer_coeffs(spec.R.coeffs)
     a, b = (sw / sd).as_integer_ratio()
     aw, bd = [[a * c for c in w] for w in wh], [b * c for c in dh]

@@ -88,33 +88,37 @@ def text_linear(ode: LinearODE) -> str:
     return " ".join(_linear(ode, str, "*").replace("+", " + ").replace("-", " - ").split()) + " = 0"
 
 
-def _abel(ode: AbelODE, frac, mark: str, caret: str, join) -> str:
+def _abel(ode: AbelODE, poly, frac, mark: str, caret: str, join) -> str:
     """The right side over the nonzero a_j = num/den in descending j: each
-    frac(num, den), then mark and x^j with caret.format(j) as its
-    exponent, the parts put together by join; "0" if there are none."""
-    parts = []
-    for j in range(len(ode.W) - 1, -1, -1):
-        if ode.W[j]:
+    frac(num, text of den), den written by poly once per distinct den,
+    then mark and x^j with caret.format(j) as its exponent, the parts put
+    together by join; "0" if there are none."""
+    parts, dens = [], {}
+    for j in range(len(ode.a) - 1, -1, -1):
+        num, den = ode.a[j]
+        if num:
+            if den not in dens:
+                dens[den] = poly(den)
             power = "" if j == 0 else mark + ("x" if j == 1 else "x" + caret.format(j))
-            parts.append(frac(*ode.a[j]) + power)
+            parts.append(frac(num, dens[den]) + power)
     return join(parts) if parts else "0"
 
 
-def _latex_frac(num: UPoly, den: UPoly) -> str:
+def _latex_frac(num: UPoly, den: str) -> str:
     sign = ""
     if _term_count(num) == 1 and num.lc < 0:
         sign, num = "-", -num
-    return f"{sign}\\frac{{{poly_latex(num)}}}{{{poly_latex(den)}}}"
+    return f"{sign}\\frac{{{poly_latex(num)}}}{{{den}}}"
 
 
 def latex_abel(ode: AbelODE) -> str:
     """Display such as x'=\\frac{2}{4q+1}x+\\frac{1}{4q+1}."""
-    return "x'=" + _abel(ode, _latex_frac, "", "^{{{}}}", _join)
+    return "x'=" + _abel(ode, poly_latex, _latex_frac, "", "^{{{}}}", _join)
 
 
 def text_abel(ode: AbelODE) -> str:
     """Text such as x' = ((2)/(4*q+1))*x + ((1)/(4*q+1))."""
-    return "x' = " + _abel(ode, "(({})/({}))".format, "*", "^{}", " + ".join)
+    return "x' = " + _abel(ode, str, "(({})/({}))".format, "*", "^{}", " + ".join)
 
 
 def linear_coeff_arrays(ode: LinearODE) -> list[list[str]]:

@@ -885,67 +885,131 @@ def test_check_output_pinned(kind, problem, q, weight, digest):
     assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("cmd,status,text_digest,latex_digest", [
+@pytest.mark.parametrize("cmd,status,text_digest,latex_digest,json_digest", [
     (Command("discriminant", problem="x^3+x", timing=False), "ok",
-     "fdfacb351680d1c9f074e2333b7079816ab74dd93b91cca25886f02976de168e", None),
+     "fdfacb351680d1c9f074e2333b7079816ab74dd93b91cca25886f02976de168e", None,
+     "168633faf654821590ab156d36289f4a27e80b5574448d96610f966e59617839"),
     # the inhomogeneous term, and a rational non-monic R
     (Command("derive-abel", problem="x^3+x^2+x", timing=False), "ok",
      "c54d9f7abc6d98d902b376fa39157110b2e63a2372d08c9bbe280e09434d73b9",
-     "5d7c093607d015026229e4ecec727bd2e2f2e25fc291c7cbb80b485575c7046a"),
+     "5d7c093607d015026229e4ecec727bd2e2f2e25fc291c7cbb80b485575c7046a",
+     "50e4c1721a92596662d831f9781fb18022f1477e9d0c89d1c159fedba35c2047"),
     (Command("derive-abel", problem="-3x^3+x^2-5/4x", timing=False), "ok",
      "75b542d7b2dfc6d87b249a80183cd6e8206390a4cc459f887c23cf87074c206f",
-     "9fb64640194ab8389099d1f49e78234b78ff1fdc24da871f736c5313bd1d6b25"),
+     "9fb64640194ab8389099d1f49e78234b78ff1fdc24da871f736c5313bd1d6b25",
+     "9fb4885ca31666d8c87562c0b83ed13b24d807be34469648fb3f1721e9b9ef83"),
     (Command("derive-linear", problem="x^3+x^2+x", timing=False), "ok",
      "cc440297bef97fa96909013340a5103d717c32b364d6a9105e98f69d381be2b3",
-     "1c8f756a0e3bf60fe03c27e16974905963cdc759ab9964866250ac2a703991b7"),
+     "1c8f756a0e3bf60fe03c27e16974905963cdc759ab9964866250ac2a703991b7",
+     "cd63be715223b19cd84939dae4a01bd7abaa7f00ea73f07ce19aff63e74da9a6"),
     (Command("derive-linear", problem="2x^4-x^2+3x", timing=False), "ok",
      "867f8c5784668468387ee1d1a362a9ce9f87b3edee5ada7382ee216547209783",
-     "2587350d586fcdd64fca64eb4a40a76d7ee62453f78bcba80dc5e443fa7c824d"),
+     "2587350d586fcdd64fca64eb4a40a76d7ee62453f78bcba80dc5e443fa7c824d",
+     "aa9be3124a4948bf4135157445e507380562b57a20765b19605b1b62a1c7aba0"),
+    # the dense octic and nonic, and the two R of degree 13, of the CI
+    # runtime job
+    (Command("derive-abel", problem="x^8+3x^7-2x^5+x^3+5x", timing=False),
+     "ok",
+     "e80aba84475b3fdedaa9641a12a40c5b30d304f4406f74ed4aab5b5a7c46f543",
+     "0507c2ec468d2f8946a5e16ab4ae10d5266808bfa62eb2d5a8f5d0ea8149c595",
+     "89a0005dd1d23aeef306d55b408f6fe5617fa4f1b0a5548cc0e583f1a36d2d87"),
+    (Command("derive-linear", problem="x^8+3x^7-2x^5+x^3+5x", timing=False),
+     "ok",
+     "a2770b4f3fcef2da49d25fa974eaa323397919b2f72eb608241acc43ed63252b",
+     "62c6461cfb59d77bbac7a3e6789a47a1927a21a1f327bc9622d693c0a7615f90",
+     "6a66fec482a7424ae22c8c0ea2bd4ee043dcd741bd3f34410065f65dd9ec4bce"),
+    (Command("derive-abel", problem="x^9+2x^8-x^7+3x^5-x^2+4x", timing=False),
+     "ok",
+     "1aa9869371a69b5c8ba7193b98010a334a185f0f96760d2b779683adc3e78c53",
+     "a05e6f76d5abfbb5c83d3541b8e93cee67611afd41950f17fb6a2a608aadf2dd",
+     "32fe1d11bca08bd0ba2ff6af93f7d875d3a9c80f7ac84a0fb99d8aed0d9146eb"),
+    (Command("derive-linear", problem="x^9+2x^8-x^7+3x^5-x^2+4x", timing=False),
+     "ok",
+     "e54b0a1d940fa4794cc4f6cddac18b2df218e59ec76deda93fdfd61ee02db6b3",
+     "66842ace75134fbb690ef9c5e11dac5463827f710e30d355ce1ee94c9177bf70",
+     "c2fae6f9f8a7141cb849191fa8ceb21f87e93b0703f93e70edf7c78c82c1bc89"),
+    (Command("derive-abel", problem="x^13+2x^12-x^11+3x^9-x^7+x^5-x^2+4x", timing=False),
+     "ok",
+     "033d39d5147446d98bd338f4324d6d3c75480931508a3aa670b2d385fbe48d4d",
+     "404197a73e67dec5485bba12003c3d2a4aa29e62401880ce135aab25a15d00fc",
+     "50db260c1e93e19124bf81669b1d72df47b2391ddf9a1b63521e6b8852399313"),
+    (Command("discriminant", problem="x^13+2x^12-x^11+3x^9-x^7+x^5-x^2+4x", timing=False),
+     "ok",
+     "07d2ecc1f43d643669d1c1da0bff9e6e81785ca3e22e53890f57553e72d9038d", None,
+     "1d645fe4c33e98213f0f656d8368224b7e993778196787a27c911926465f8c43"),
+    (Command("derive-abel", problem="-3/7x^13+5/2x^12-x^11+7/5x^8+3x^5-x^2+4/3x", timing=False),
+     "ok",
+     "a711eb31736bcabf11758c642db4cd8b0453b3b3b567afc06d57633eca18be77",
+     "dd5e0aaf171e792a190b83fe1fa9f274effffe2bf3cdbd346f6e442265f466cd",
+     "ddc8fbfce382f8b617ab6b47750c2451abe98eb4b00a0603956631f2adc7acc4"),
+    (Command("discriminant", problem="-3/7x^13+5/2x^12-x^11+7/5x^8+3x^5-x^2+4/3x", timing=False),
+     "ok",
+     "6042c36196681640297ce9e374d21d2fc575a42eb71519301f3ee72e1bb5366b", None,
+     "d747f7feb592e879ad626e4dc3123ec9f618b8a523443944817450b8c098a66a"),
     (Command("solve", problem="x^3+3x^2-2x", q="-0.173396", timing=False), "ok",
-     "2de11c35c85dfc16e46ff3d777f677706e961394a59fce01efa307d7e47675ef", None),
+     "2de11c35c85dfc16e46ff3d777f677706e961394a59fce01efa307d7e47675ef", None,
+     "931172de5d04eebeade7479c8f1422d28d2b4fd9324f357face3faf4c0b0a230"),
     (Command("solve", problem="x^3+3x^2-2x", q="100", timing=False), "hit_branch_point",
-     "6b23fc114efeb0fc19f786d1b1866a3dbe86b08287f2a82a16c752aba27fc163", None),
+     "6b23fc114efeb0fc19f786d1b1866a3dbe86b08287f2a82a16c752aba27fc163", None,
+     "1923304ecdff42b495273a7375454b81ba1e8d8db677a36e48a0d7757c776121"),
     (Command("check", problem="x^3+3x^2-2x", q="-0.173396", weight="2-q", timing=False), "ok",
-     "8f520f69fe4666a54b7e6ee45251d8cbd533aeeaf3c6bc752e5f413d4b6a80cf", None),
+     "8f520f69fe4666a54b7e6ee45251d8cbd533aeeaf3c6bc752e5f413d4b6a80cf", None,
+     "695eec1ceb20dc7ef78bef4d5c5cab0df76119e7cd829e171e6ff4b045763dc2"),
     (Command("check", problem="x^3+3x^2-2x", q="100", kind="corollary2", timing=False),
      "hit_branch_point",
-     "5919e81fbc6d15662d83d86feb5246584f4720827f83f938cf472a00502ef109", None),
+     "5919e81fbc6d15662d83d86feb5246584f4720827f83f938cf472a00502ef109", None,
+     "e927206d8ce99b3453c70298a69b0419d250e94ecb3f0be49f15eb32079389ad"),
     (Command("check", problem="x^2+x", q="1e30", tol_rel=1e-16, timing=False),
      "identity_mismatch",
-     "594dd0079177fb2dba85b4af05bd897fa0441436775321e4a396ac9373d346db", None),
+     "594dd0079177fb2dba85b4af05bd897fa0441436775321e4a396ac9373d346db", None,
+     "754d0c8220d72f482c9859ffec850a5db3b34fd998fa58eecf2f5ed13158a0f3"),
     (Command("series", problem="x^3+x", order=8, timing=False), "ok",
-     "1849a58ec7255563dcca8c4fd11fc0ef736cdcd1e2b854ed548a42986efc3449", None),
+     "1849a58ec7255563dcca8c4fd11fc0ef736cdcd1e2b854ed548a42986efc3449", None,
+     "1460ac258438fd4cf44008b1d52cac9dcdb7a8cd3297b20cfeedd97925e53364"),
     # too short to test the equation: ode_residual_zero is none
     (Command("series", problem="x^3+x", order=1, timing=False), "ok",
-     "5906b2237460c6c6dd1e1e8ef264bc85a8a900b9cfd133243d848443c0a3599d", None),
+     "5906b2237460c6c6dd1e1e8ef264bc85a8a900b9cfd133243d848443c0a3599d", None,
+     "74706384760aba3cc59403c15d98b2aeea6a6679a38bd64703ca53cbe7946a7c"),
     (Command("series", problem="x^3+x^2", order=5, timing=False), "domain_error",
-     "5657eae7e76fbfe074fa33b5842996488aea0ed089287145f93af0a2e5012500", None),
+     "5657eae7e76fbfe074fa33b5842996488aea0ed089287145f93af0a2e5012500", None,
+     "64aacbd28bc5113a9479161b03b394612d0372998761cbd134dd87a63c97e10d"),
     (Command("solve", problem="x^5+5x^3", q="1", timing=False), "domain_error",
-     "d205bca4ace7f039a7cecaaeced6903494bd2513e66f404f4b9ef92a0e1a6313", None),
+     "d205bca4ace7f039a7cecaaeced6903494bd2513e66f404f4b9ef92a0e1a6313", None,
+     "faa996f22c6d10d261843625505f78f73a5b94a287b2e5a6296c8097015bfe41"),
     (Command("discriminant", problem="x^2+1", timing=False), "usage_error",
-     "3eda0093895a40bccbb64d00b781b6044e8f0b48aaf30026521c4495ab53633e", None),
+     "3eda0093895a40bccbb64d00b781b6044e8f0b48aaf30026521c4495ab53633e", None,
+     "eb3cb91f419131d1713dc96a786903ef181f819cb97e83789f1d34e9bc59e242"),
     (Command("solve", problem="x^3+x", timing=False), "usage_error",
-     "a5c83f91aa0fad7b7516981cfd936f8d001b094d12ab3bd6d79c7141812d5d50", None),
+     "a5c83f91aa0fad7b7516981cfd936f8d001b094d12ab3bd6d79c7141812d5d50", None,
+     "3212d653b1574be62f464dfd271a26532adfd01ea0206afd7bf19fd0422e0f8a"),
     (Command("bogus", problem="x^3+x", timing=False), "usage_error",
-     "2aa8aadb621252e26b696a1c098333e06c2f6415f5b25d7aad6bc60bd8f69cf9", None),
+     "2aa8aadb621252e26b696a1c098333e06c2f6415f5b25d7aad6bc60bd8f69cf9", None,
+     "c4edec36411f49c33f43b7def9546fb76ecc80a35e42f61fecd4d205b9975df1"),
     (Command("demo", demo="babylonian", timing=False), "ok",
-     "1eecebcba2caf62143eb4527757839e63bf00724c3b59122f741160864d6e760", None),
+     "1eecebcba2caf62143eb4527757839e63bf00724c3b59122f741160864d6e760", None,
+     "9d23bd48e73a35243e250997483a6badc498b7d047ed0f3ba96582ffbdfdee92"),
     (Command("demo", demo="cardano", timing=False), "ok",
-     "67f0a3686b4cd64b4c75bab950249c03f553d873038a74ea7c9b2bbe7d92aaa8", None),
+     "67f0a3686b4cd64b4c75bab950249c03f553d873038a74ea7c9b2bbe7d92aaa8", None,
+     "6758f64d0ad4760dfe6722fd426ce1c723d8ff9425b246559c8fc14c647feee5"),
     (Command("demo", demo="quartic23", timing=False), "ok",
-     "5d482609fa9bfc9cec4cf4746acb397f7e03a84b14c08889fce00da17853fbd9", None),
+     "5d482609fa9bfc9cec4cf4746acb397f7e03a84b14c08889fce00da17853fbd9", None,
+     "8713affbbd8305b43d947ba18e6abcf13e90bcc350ba7218dcd0945b73e91fe2"),
     (Command("demo", demo="betti", timing=False), "ok",
-     "4b6f451001b7e05c959440ddad5cf337072b2207f2fdaa804067b01c517591ac", None),
+     "4b6f451001b7e05c959440ddad5cf337072b2207f2fdaa804067b01c517591ac", None,
+     "0c6386c06e830e93abf1bcfaa58c7774c0a1a33fd67eed7622bba52619e5c46c"),
     (Command("demo", demo="hypergeom", timing=False), "ok",
-     "45a75a1b89441ce623f9c119b699d8336916c86bd7efd713458fdf0182440ccb", None),
+     "45a75a1b89441ce623f9c119b699d8336916c86bd7efd713458fdf0182440ccb", None,
+     "83901ad98d091e1646db8162d3f9d06b888d555a52e976e1c3bcda2af13d5013"),
     (Command("demo", demo="remark5", timing=False), "ok",
-     "dc783213aee663936996707b229288b3e544d16906585ee5a7b01cacbdbdcc4e", None),
+     "dc783213aee663936996707b229288b3e544d16906585ee5a7b01cacbdbdcc4e", None,
+     "6ce0224eede5e2c93b4530330f07ec0aaffcf0877679c5952c72ddba4d3d0a58"),
 ], ids=lambda v: v.demo or v.verb if isinstance(v, Command) else None)
-def test_text_and_latex_output_pinned(cmd, status, text_digest, latex_digest):
-    # sha256 of the --no-timing text and latex forms; latex_digest None
-    # means the report has no equation and latex falls back to the text
+def test_text_and_latex_output_pinned(cmd, status, text_digest, latex_digest, json_digest):
+    # sha256 of the --no-timing text, latex and json forms; latex_digest
+    # None means the report has no equation and latex falls back to the text
     report, _ = run(cmd)
     assert report.status == status
+    assert hashlib.sha256(format_report(report, "json").encode()).hexdigest() == json_digest
     text = format_report(report, "text")
     assert hashlib.sha256(text.encode()).hexdigest() == text_digest
     latex = format_report(report, "latex")

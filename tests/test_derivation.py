@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import MAX_DEGREE, UPoly, _integer_coeffs, compose_q, discriminant
+from rootode.algebra import (MAX_DEGREE, UPoly, _integer_coeffs, _monic_divmod, _mul,
+                             compose_q, discriminant)
 from rootode.derive import (
     LinearODE,
     ProblemSpec,
@@ -25,6 +26,7 @@ from rootode.derive import (
 )
 from rootode import _memo, derive
 from rootode.errors import DomainError, NonExactDivisionError
+from rootode.cli import Command, run
 from rootode import lagrange_series, series_ode_residual
 from rootode.numeric.tracking import _nearest_root
 from rootode.render import text_linear
@@ -57,6 +59,14 @@ def normal_form(polys, anchor):
     return [UPoly("q", p) for p in derive._normalize_vector(ints, anchor)]
 
 
+def reduced(num, den):
+    """num / den, den nonzero, in lowest terms as ``derive._normalize_vector``
+    gives it: coprime integer polynomials of joint content 1 with a
+    positive leading coefficient of den."""
+    p, q = derive._normalize_vector(derive._split([num.coeffs, den.coeffs])[1], anchor=1)
+    return UPoly(num.var, p), UPoly(den.var, q)
+
+
 def at_q_over(p, c):
     """p(q / c)."""
     return UPoly("q", [Fraction(a) / Fraction(c) ** k for k, a in enumerate(p.coeffs)])
@@ -83,6 +93,19 @@ def _resultant(a, b):
         return Fraction(0)
     sign = -1 if a.degree * b.degree % 2 else 1
     return sign * Fraction(b.lc) ** (a.degree - c.degree) * _resultant(b, c)
+
+
+def break_chi(monkeypatch):
+    """Make ``derive._frame`` answer a chi that is not det(tI - A), and
+    empty the memo so that nothing is answered from it."""
+    frame = derive._frame
+
+    def wrong(R):
+        D, chi, *rest = frame(R)
+        return (D, [chi[0] + 1, *chi[1:]], *rest)
+
+    monkeypatch.setattr(derive, "_frame", wrong)
+    _memo.clear()
 
 
 def assert_matches_q_route(spec):
@@ -214,17 +237,37 @@ class TestFactorize:
 
     def test_wrong_chi_fails_the_division(self, monkeypatch):
         # a chi that is not det(tI - A) leaves chi(H) a remainder modulo G
-        frame = derive._frame
-
-        def wrong(R):
-            D, chi, *rest = frame(R)
-            return (D, [chi[0] + 1, *chi[1:]], *rest)
-
-        monkeypatch.setattr(derive, "_frame", wrong)
-        _memo.clear()
+        break_chi(monkeypatch)
         for spec in (trinomial(2, 1), trinomial(4, 1), ProblemSpec(x_poly(0, 0, 0, -1))):
             with pytest.raises(NonExactDivisionError):
                 factorize(spec)
+
+    def test_wrong_chi_fails_the_short_division(self, monkeypatch):
+        # abel_ode divides chi(H) by G itself, digit by digit, and refuses
+        # the remainder the same wrong chi leaves
+        break_chi(monkeypatch)
+        for spec in (trinomial(2, 1), trinomial(4, 1), ProblemSpec(x_poly(0, 0, 0, -1)),
+                     ProblemSpec(x_poly(0, Fraction(4, 3), -1, 0, 0, Fraction(-3, 7)))):
+            with pytest.raises(NonExactDivisionError):
+                abel_ode(spec)
+
+    def test_equations_need_no_factorization(self, monkeypatch):
+        # the first-order equation, the tower, the linear equation and the
+        # verbs built on them never ask for the cofactor U
+        def refuse(spec):
+            raise AssertionError("factorize called")
+
+        monkeypatch.setattr(derive, "factorize", refuse)
+        _memo.clear()
+        spec = ProblemSpec(x_poly(0, Fraction(4, 3), -1, 0, Fraction(7, 5), Fraction(-3, 7)))
+        assert abel_ode(spec).D.degree == 4
+        assert len(derivative_tower(spec)) == 4
+        assert linear_ode(spec).order == 4
+        for cmd in (Command("derive-abel", problem="-3/7x^5+7/5x^4-x^2+4/3x", timing=False),
+                    Command("derive-linear", problem="x^4-2x^3+3x", timing=False),
+                    Command("series", problem="2x^3+x^2-x", order=8, timing=False)):
+            report, code = run(cmd)
+            assert (report.status, code) == ("ok", 0), cmd.verb
 
     def test_script_d_positive_after_zero(self):
         rng = random.Random(777)
@@ -267,7 +310,7 @@ def integrand_inputs(draw):
 
 def reference_integrands(fact, weight, kind, surd):
     """The (lhs, rhs) triples of ``build_integrands`` from UPoly arithmetic,
-    each square pair reduced through the gcd (``derive._reduced``)."""
+    each square pair reduced through the gcd (``reduced``)."""
     r = fact.problem.R
     wr = UPoly.zero("x")
     for c in reversed(weight.coeffs):
@@ -276,8 +319,8 @@ def reference_integrands(fact, weight, kind, surd):
         return (wr, r.derivative() * fact.U, None), (weight, fact.D, None)
     remark2 = weight.coefficient(0) == 0 or fact.sign_rp0 == 0 or fact.disc_zero
     sign = wr * r.derivative() if remark2 else wr * fact.sign_rp0
-    return ((*derive._reduced(wr * wr * surd, fact.script_u), sign),
-            (*derive._reduced(weight * weight * surd, fact.script_d), weight))
+    return ((*reduced(wr * wr * surd, fact.script_u), sign),
+            (*reduced(weight * weight * surd, fact.script_d), weight))
 
 
 class TestIntegrands:
@@ -395,7 +438,70 @@ class TestIntegrands:
             build_integrands(fact, q_poly(1), kind="nope")
 
 
+_abel_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+
+
+@st.composite
+def abel_problems(draw):
+    """R of degree 2..13 with R(0) = 0: rational and non-monic, with lead
+    -1, x^n, and trinomials x^n + p x."""
+    n = draw(st.integers(min_value=2, max_value=MAX_DEGREE))
+    shape = draw(st.sampled_from(("rational", "minus", "power", "trinomial")))
+    if shape == "power":
+        return ProblemSpec(UPoly.monomial("x", n))
+    if shape == "trinomial":
+        return trinomial(n, draw(_abel_coeffs.filter(bool)))
+    lower = draw(st.lists(_abel_coeffs, min_size=n - 1, max_size=n - 1))
+    lead = -1 if shape == "minus" else draw(_abel_coeffs.filter(bool))
+    return ProblemSpec(UPoly("x", [0, *lower, lead]))
+
+
+def trimmed(lists):
+    """Integer lists without trailing zeros, and the list of them without
+    trailing empty ones: the polynomials they stand for."""
+    out = [list(p) for p in lists]
+    for p in out:
+        while p and not p[-1]:
+            p.pop()
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 class TestAbel:
+    @settings(max_examples=40, deadline=None)
+    @given(abel_problems())
+    def test_short_division_digits_match_the_quotient(self, spec):
+        # the digits of chi(H) / G by short division against the H-adic
+        # digits of the quotient built in full: chi(H) by Horner, one monic
+        # division by G, then monic divisions by H.  The short division's
+        # top digit e_m is 0 (chi is monic of degree m, deg G >= 1), which
+        # the expansion of the quotient leaves out
+        D, chi, H, G, *_ = derive._frame(spec.R)
+        digits = derive._short_division(chi, H, G)
+        assert len(digits) == len(chi) and not any(digits[-1])
+        assert all(len(e) <= spec.n for e in digits)
+        f = [1]
+        for c in reversed(chi[:-1]):
+            f = _mul(f, H)
+            f[0] += c
+        f, rem = _monic_divmod(f, G)
+        assert not any(rem)
+        want = []
+        while f:
+            f, e = _monic_divmod(f, H)
+            want.append(e)
+        assert trimmed(digits) == trimmed(want)
+        # the equation on integers: positive scalars, primitive lists
+        ode = abel_ode(spec)
+        assert ode.sd > 0 and ode.sw > 0
+        assert gcd(*ode.dh) == 1 and gcd(*(c for w in ode.wh for c in w)) == 1
+        assert UPoly("q", [ode.sd * c for c in ode.dh]) == ode.D
+        assert ode.W == tuple(UPoly("q", [ode.sw * c for c in w]) for w in ode.wh)
+        # frozen and hashable, and a fresh equal object hashes alike
+        fresh = abel_ode.__wrapped__(spec)
+        assert fresh is not ode and fresh == ode and hash(fresh) == hash(ode)
+
     def test_quadratic_display(self):
         ode = abel_ode(trinomial(2, 1))
         assert_quotients(abel_numerators(ode), ode.D, [q_poly(1), q_poly(2)], q_poly(1, 4))

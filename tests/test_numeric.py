@@ -1256,8 +1256,9 @@ def test_closed_forms_pinned_bit_for_bit(fn, args, want):
 
 def test_cli_import_loads_no_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
+    # -B: the child's bare environment would let it write bytecode into src
     out = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, "-B", "-c",
          "import sys; import rootode.cli; print('numpy' in sys.modules)"],
         capture_output=True, text=True, check=True,
         env={"PYTHONPATH": str(src)},
