@@ -12,8 +12,9 @@ Python ints.  ``int / int`` is a float, which ``UPoly`` refuses: every
 division of coefficients goes through ``Fraction`` (or ``//`` when it is
 exact).
 
-Beside it sit helpers on ascending lists of ints (product, sum, exact
-division over Z, and ``_gcd``, the gcd behind
+Beside it sit helpers on ascending lists of ints (product, composition
+by Horner's rule, sum, exact and monic division over Z, and ``_gcd``, the
+gcd behind
 ``derive._normalize_vector``: 1 certified by Euclid modulo a small prime,
 else primitive pseudo-remainders), on which the exact core runs, and the
 discriminant of R(x) - q.  With n = deg R and m = n-1, the discriminant is
@@ -36,8 +37,8 @@ with sigma = n^n r^m d and tau = L^(n-2) d.  The roots eta = L xi of G
 give chi(t) = prod_eta (t - H(eta)) = prod_xi (t - sigma R(xi)), monic
 over Z and computed from power sums of its roots with no matrix, and
 D(q) = c sigma^(-m) chi(sigma q).  Every polynomial division in the frame
-is by the monic H or G, and each coefficient is mapped back as one reduced
-rational.
+is by the monic G or G^2, and each coefficient is mapped back as one
+reduced rational.
 Floats never enter the representation; evaluation accepts floats and
 degrades to float arithmetic explicitly.
 """
@@ -87,8 +88,9 @@ def _horner(coeffs: Sequence[float], t: float) -> float:
     """sum coeffs[k] t^k by Horner's rule: the float evaluator of single
     polynomials in the numeric layer, fed with ``UPoly.float_coeffs()``.
     ``quadrature._integrand`` runs the same recurrence inline, from the
-    same 0.0, on its 2-3 polynomials: it is called once per quadrature
-    node, where a call per polynomial cost more than the arithmetic.
+    same 0.0, on its 2-3 polynomials: ``quad`` calls it once per point
+    (twice per node, once at t = 0), where a call per polynomial cost more
+    than the arithmetic.
     Private, so tracers that wrap every public function
     (perfbench/spans.py) leave it alone."""
     acc = 0.0
@@ -256,12 +258,8 @@ class UPoly:
 
     def compose(self, inner: "UPoly") -> "UPoly":
         """Substitute ``inner`` for the variable; result is in ``inner.var``.
-        Horner's rule on the coefficient lists, canonicalized once."""
-        acc, b = [], inner.coeffs
-        for c in reversed(self.coeffs):
-            acc = _mul(acc, b) or [0]
-            acc[0] += c
-        return UPoly(inner.var, acc)
+        ``_compose`` on the coefficient lists, canonicalized once."""
+        return UPoly(inner.var, _compose(self.coeffs, inner.coeffs))
 
     def __repr__(self):
         return f"UPoly({self.var!r}, {list(self.coeffs)!r})"
@@ -393,6 +391,17 @@ def _mul(a: Sequence, b: Sequence) -> list:
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return out
+
+
+def _compose(f: Sequence, h: Sequence) -> list:
+    """f(h) for coefficient lists f and h, ascending, by Horner's rule on
+    lists: the composition behind ``UPoly.compose`` and
+    ``derive.factorize``."""
+    acc = []
+    for c in reversed(f):
+        acc = _mul(acc, h) or [0]
+        acc[0] += c
+    return acc
 
 
 def _add(a: list[int], b: list[int], c: int = 1) -> list[int]:

@@ -47,8 +47,8 @@ from functools import cached_property, reduce
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from ._memo import memoized
-from .algebra import (MAX_DEGREE, UPoly, _add, _exact_div, _frame, _gcd, _integer_coeffs,
-                      _monic_divmod, _mul, _ratio, compose_q)
+from .algebra import (MAX_DEGREE, UPoly, _add, _compose, _exact_div, _frame, _gcd,
+                      _integer_coeffs, _monic_divmod, _mul, _ratio, compose_q)
 from .errors import DomainError, NonExactDivisionError
 
 __all__ = [
@@ -131,19 +131,15 @@ def factorize(spec: ProblemSpec) -> Factorization:
     """Compute and certify the factorization D(R(x)) = R'(x)^2 U(x).
 
     In the integer frame of ``rootode.algebra``, U~ = chi(H(y)) / G(y)^2
-    by Horner and two exact monic divisions on ints, and U(x) =
-    c tau^2 sigma^(-m) U~(L x).  Memoized per process (``rootode._memo``)."""
+    on ints, chi(H) by ``_compose`` and one exact division by the monic
+    G^2, and U(x) = c tau^2 sigma^(-m) U~(L x).  Memoized per process
+    (``rootode._memo``)."""
     n = spec.n
     D, chi, H, G, L, sigma, tau, scale = _frame(spec.R)
     if D.degree != n - 1:
         raise RuntimeError("discriminant degree certificate failed")
-    f = [1]
-    for c in reversed(chi[:-1]):
-        f = _mul(f, H)
-        f[0] += c
-    gu, rem = _monic_divmod(f, G)
-    ut, rem2 = _monic_divmod(gu, G)
-    if any(rem) or any(rem2):
+    ut, rem = _monic_divmod(_compose(chi, H), _mul(G, G))
+    if any(rem):
         raise NonExactDivisionError("D(R(x)) is not divisible by R'(x)^2")
     a = scale * tau * tau
     U = UPoly("x", [_ratio(a.numerator * u * L**k, a.denominator) for k, u in enumerate(ut)])
@@ -249,9 +245,9 @@ def build_integrands(
         sign = UPoly("x", _mul(wr.coeffs, spec.rprime().coeffs))
     else:
         sign = wr if fact.sign_rp0 > 0 else -wr
-    rnum, rden = _normalize_vector(_split([_square(weight, surd), fact.script_d.coeffs])[1],
-                                   anchor=1)
-    num, den = _split([_square(wr, surd), fact.script_u.coeffs])[1]
+    rnum, rden = _normalize_vector(
+        _primitive_pair(1, [_square(weight, surd), fact.script_d.coeffs])[1], anchor=1)
+    num, den = _primitive_pair(1, [_square(wr, surd), fact.script_u.coeffs])[1]
     if len(rden) < len(fact.D.coeffs):
         num, den = _normalize_vector([num, den], anchor=1)
     elif den[-1] < 0:
@@ -265,16 +261,6 @@ def build_integrands(
 def _square(p: UPoly, surd: int) -> list:
     """The coefficients of surd p^2."""
     return [surd * c for c in _mul(p.coeffs, p.coeffs)]
-
-
-def _split(polys) -> tuple[Fraction, list[list[int]]]:
-    """(s, ints) with polys[i] = s ints[i]: the rational coefficient lists
-    ``polys``, not all zero, over one common denominator and with their
-    joint integer content divided out, so the ints are primitive together."""
-    den = _int_lcm(*(c.denominator for p in polys for c in p))
-    ints = [[c.numerator * (den // c.denominator) for c in p] for p in polys]
-    g = _int_gcd(*(c for p in ints for c in p))
-    return Fraction(g, den), [[c // g for c in p] for p in ints] if g != 1 else ints
 
 
 @dataclass(frozen=True)
@@ -340,13 +326,17 @@ def _short_division(chi: list[int], H: list[int], G: list[int]) -> list[list[int
     return digits[::-1]
 
 
-def _primitive_pair(scale: Fraction, polys: list[list[int]]) -> tuple[Fraction, list]:
-    """(s, ints) with s ints = scale polys and s > 0: the integer lists
-    ``polys``, not all zero, as integer tuples primitive together."""
+def _primitive_pair(scale, polys) -> tuple[Fraction, list]:
+    """(s, ints) with s ints = scale polys and s > 0: the rational or
+    integer lists ``polys``, not all zero, over one common denominator as
+    integer tuples primitive together; ``scale`` is a nonzero rational."""
+    den = _int_lcm(*(c.denominator for p in polys for c in p))
+    if den != 1:
+        polys = [[c.numerator * (den // c.denominator) for c in p] for p in polys]
     g = _int_gcd(*(c for p in polys for c in p))
     if scale < 0:
         g = -g
-    return scale * g, [tuple(c // g for c in p) for p in polys]
+    return scale * Fraction(g, den), [tuple(c // g for c in p) for p in polys]
 
 
 @memoized
@@ -407,7 +397,8 @@ def _tower(spec: ProblemSpec) -> tuple[Fraction, list[int], list[Fraction], list
     reads B_{k+1} = (s_k s_D / b) (a dB^_k/dx W^ + b (dB^_k/dq D^ - k B^_k D^')).
     Before each reduction of x^m, m >= n, the row is multiplied by
     r = lc(R_Z), so that r x^n = d q - sum_{1 <= i < n} r_i x^i, R_Z = d R,
-    stays over Z; the row's content is divided out last."""
+    stays over Z; the row's content and sign are moved into s_k last
+    (``_primitive_pair``), so s_k > 0."""
     n = spec.n
     ode = abel_ode(spec)
     sd, dh, sw, wh = ode.sd, ode.dh, ode.sw, ode.wh
@@ -432,9 +423,9 @@ def _tower(spec: ProblemSpec) -> tuple[Fraction, list[int], list[Fraction], list
                 for i in range(1, n):
                     if rz[i]:
                         c[m - n + i] = _add(c[m - n + i], top, -rz[i])
-        g = _int_gcd(*(x for p in c[:n] for x in p))
-        rows.append([[x // g for x in p] for p in c[:n]])
-        s.append(s[-1] * sd * g / (b * rz[n] ** e))
+        sk, row = _primitive_pair(s[-1] * sd / (b * rz[n] ** e), c[:n])
+        s.append(sk)
+        rows.append(row)
     return sd, dh, s, rows
 
 

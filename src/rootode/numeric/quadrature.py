@@ -199,11 +199,11 @@ def _integrand(num: UPoly, den: UPoly, sign: UPoly | None) -> Callable[[float], 
     refuses with SingularIntegrandError: a radical pair's num and den are
     coprime, so a zero of den left there is a genuine singularity.
 
-    ``quad`` calls it once per node, so the closure runs the recurrence of
-    ``algebra._horner`` inline over its coefficients reversed once, each
-    accumulator starting from 0.0 as there: the same operations in the same
-    order, so the same bits, signed zeros included, without a call per
-    polynomial.
+    ``quad`` calls it once per point: twice per node, once at t = 0.  So
+    the closure runs the recurrence of ``algebra._horner`` inline over its
+    coefficients reversed once, each accumulator starting from 0.0 as
+    there: the same operations in the same order, so the same bits, signed
+    zeros included, without a call per polynomial.
     """
     nc = num.float_coeffs()[::-1]
     dc = den.float_coeffs()[::-1]

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from operator import mul
 
-from ..algebra import UPoly, _integer_coeffs, _mul, _rat
+from ..algebra import UPoly, _integer_coeffs, _mul, _rat, _ratio
 from ..derive import LinearODE, ProblemSpec
 from ..errors import DomainError
 
@@ -101,7 +101,7 @@ def lagrange_series(spec: ProblemSpec, order: int) -> tuple[Fraction, ...]:
     num, den = lcm_den, rho  # L^m and rho^(2m-1) at m = 1
     rho2 = rho * rho
     for em in e[1:]:
-        coeffs.append(_rat(Fraction(em * num, den)))
+        coeffs.append(_ratio(em * num, den))
         num *= lcm_den
         den *= rho2
     return tuple(coeffs)
@@ -138,7 +138,7 @@ def series_ode_residual(ode: LinearODE, series: tuple[Fraction, ...]) -> list[Fr
         deriv = [i * deriv[i] for i in range(1, len(deriv))]
         add(ode.b[k], deriv)
     add(ode.inhomogeneous, [d])
-    return [_rat(Fraction(v, d)) if v else 0 for v in residual]
+    return [_ratio(v, d) for v in residual]
 
 
 def pfq_series(

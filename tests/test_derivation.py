@@ -4,14 +4,14 @@ import inspect
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootode.algebra import (MAX_DEGREE, UPoly, _integer_coeffs, _monic_divmod, _mul,
+from rootode.algebra import (MAX_DEGREE, UPoly, _integer_coeffs, _monic_divmod, _mul, _rat,
                              compose_q, discriminant)
 from rootode.derive import (
     LinearODE,
@@ -55,7 +55,7 @@ def abel_numerators(ode):
 
 def normal_form(polys, anchor):
     """``derive._normalize_vector`` of rational polynomials in q."""
-    ints = derive._split([p.coeffs for p in polys])[1]
+    ints = derive._primitive_pair(1, [p.coeffs for p in polys])[1]
     return [UPoly("q", p) for p in derive._normalize_vector(ints, anchor)]
 
 
@@ -63,7 +63,8 @@ def reduced(num, den):
     """num / den, den nonzero, in lowest terms as ``derive._normalize_vector``
     gives it: coprime integer polynomials of joint content 1 with a
     positive leading coefficient of den."""
-    p, q = derive._normalize_vector(derive._split([num.coeffs, den.coeffs])[1], anchor=1)
+    p, q = derive._normalize_vector(derive._primitive_pair(1, [num.coeffs, den.coeffs])[1],
+                                    anchor=1)
     return UPoly(num.var, p), UPoly(den.var, q)
 
 
@@ -436,6 +437,58 @@ class TestIntegrands:
             build_integrands(fact, q_poly(1), surd=0)
         with pytest.raises(ValueError):
             build_integrands(fact, q_poly(1), kind="nope")
+
+
+def split_reference(polys):
+    """(s, ints) with polys[i] = s ints[i]: rational lists, not all zero,
+    over their common denominator with the joint content divided out."""
+    den = lcm(*(Fraction(c).denominator for p in polys for c in p))
+    ints = [[int(c * den) for c in p] for p in polys]
+    g = gcd(*(c for p in ints for c in p))
+    return Fraction(g, den), [[c // g for c in p] for p in ints]
+
+
+_pair_entry = st.one_of(st.integers(-10**6, 10**6),
+                        st.fractions(min_value=-50, max_value=50, max_denominator=12).map(_rat))
+
+
+@st.composite
+def pair_lists(draw):
+    """Lists of canonical rationals or of ints alone, not all zero."""
+    entry = draw(st.sampled_from([_pair_entry, st.integers(-10**9, 10**9)]))
+    polys = draw(st.lists(st.lists(entry, max_size=6), min_size=1, max_size=4))
+    if not any(any(p) for p in polys):
+        polys[0] = polys[0] + [draw(st.sampled_from([-3, 1, Fraction(5, 7)]))]
+    return polys
+
+
+class TestPrimitivePair:
+    @settings(max_examples=200, deadline=None)
+    @given(pair_lists(), st.one_of(st.sampled_from([1, -1, 6, -4]),
+                                   st.fractions(min_value=-20, max_value=20).filter(bool)))
+    def test_scale_times_primitive_ints(self, polys, scale):
+        s, ints = derive._primitive_pair(scale, polys)
+        assert s > 0
+        assert len(ints) == len(polys)
+        for p, row in zip(polys, ints):
+            assert type(row) is tuple and len(row) == len(p)
+            assert all(type(c) is int and s * c == scale * a for a, c in zip(p, row))
+        assert gcd(*(c for row in ints for c in row)) == 1
+        if scale == 1:
+            assert (s, [list(row) for row in ints]) == split_reference(polys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(integrand_inputs(), st.sampled_from([1, 2, 3, 5]))
+    def test_build_integrands_lists(self, case, surd):
+        # the q-side and x-side squares build_integrands splits, each over
+        # its script_d or script_u, give the lists of the common-denominator
+        # split
+        fact, weight = case
+        wr = compose_q(weight, fact.problem.R)
+        for polys in ([derive._square(weight, surd), fact.script_d.coeffs],
+                      [derive._square(wr, surd), fact.script_u.coeffs]):
+            s, ints = derive._primitive_pair(1, polys)
+            assert (s, [list(row) for row in ints]) == split_reference(polys)
 
 
 _abel_coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=7)
